@@ -111,8 +111,8 @@ def cmd_detect(args) -> tuple[dict, int]:
 
 def cmd_estimate(args) -> tuple[dict, int]:
     Y = read_csv(args.input, args.header)
-    res = full_pipeline(Y, tau_init=args.tau_init, alpha=args.alpha,
-                        lam=args.lam, gamma=args.gamma, with_ci=False)
+    res = full_pipeline(Y, tau_init=args.tau_init, lam=args.lam, gamma=args.gamma,
+                        with_ci=False)
     report = {
         "schema": SCHEMA,
         "command": "estimate",
@@ -124,13 +124,15 @@ def cmd_estimate(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _mc_settings(args) -> QuantileMCSettings:
-    return QuantileMCSettings(
-        grid_half_width=args.grid_R,
-        grid_step=args.grid_h,
-        paths=args.paths,
-        seed=args.seed if args.seed is not None else QuantileMCSettings().seed,
-    )
+_MC_FLAGS = {"grid_R": "grid_half_width", "grid_h": "grid_step", "paths": "paths", "seed": "seed"}
+
+
+def _mc_settings(args) -> QuantileMCSettings | None:
+    """Monte Carlo settings from the MC flags given (the rest at their
+    defaults), or None when no MC flag is given."""
+    given = {field: getattr(args, flag) for flag, field in _MC_FLAGS.items()
+             if getattr(args, flag) is not None}
+    return QuantileMCSettings(**given) if given else None
 
 
 def cmd_infer(args) -> tuple[dict, int]:
@@ -167,11 +169,10 @@ def cmd_infer(args) -> tuple[dict, int]:
 def cmd_simulate(args) -> tuple[dict, int]:
     cfg = SimConfig(
         T=args.T, p=args.p, s=args.s, tau0=args.tau0, rho=args.rho,
-        reps=args.reps, seed=args.seed if args.seed is not None else 0,
+        reps=args.reps, seed=args.seed,
         alpha=args.alpha, tau_init=args.tau_init, gamma_off=args.gamma_off,
     )
-    report_obj = run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs,
-                                 mc=_mc_settings(args), cache_path=args.cache)
+    report_obj = run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs)
     metrics = report_obj.as_dict()
     records = metrics.pop("per_rep_records")
     if args.records_csv:
@@ -198,7 +199,7 @@ def _write_records_csv(path, records) -> None:
 
 
 def cmd_quantile(args) -> tuple[dict, int]:
-    mc = _mc_settings(args)
+    mc = _mc_settings(args) or QuantileMCSettings()
     c = limit_quantile(args.alpha, mc, cache_path=args.cache)
     report = {
         "schema": SCHEMA,
@@ -232,11 +233,19 @@ def _add_io_options(sub):
                      help="fixed detection penalty (default: criterion-selected)")
 
 
-def _add_mc_options(sub):
-    sub.add_argument("--paths", type=int, default=QuantileMCSettings().paths)
-    sub.add_argument("--grid-R", type=float, default=QuantileMCSettings().grid_half_width, dest="grid_R")
-    sub.add_argument("--grid-h", type=float, default=QuantileMCSettings().grid_step, dest="grid_h")
-    sub.add_argument("--cache", default=None, help="quantile cache file")
+def _add_mc_options(sub, description: str):
+    d = QuantileMCSettings()
+    group = sub.add_argument_group("Monte Carlo critical value", description)
+    group.add_argument("--paths", type=int, default=None,
+                       help=f"paths (default {d.paths})")
+    group.add_argument("--grid-R", type=float, default=None, dest="grid_R",
+                       help=f"grid half-width (default {d.grid_half_width:g})")
+    group.add_argument("--grid-h", type=float, default=None, dest="grid_h",
+                       help=f"grid step (default {d.grid_step:g})")
+    group.add_argument("--seed", type=int, default=None,
+                       help=f"seed (default {d.seed})")
+    group.add_argument("--cache", default=None,
+                       help="quantile cache file, read and appended by Monte Carlo runs only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = subs.add_parser("estimate", help="detect and locate the shift")
     _add_io_options(p_est)
-    p_est.add_argument("--alpha", type=float, default=0.05)
     p_est.set_defaults(func=cmd_estimate)
 
     p_inf = subs.add_parser("infer", help="detect, locate, and build the interval")
     _add_io_options(p_inf)
     p_inf.add_argument("--alpha", type=float, default=0.05)
-    p_inf.add_argument("--seed", type=int, default=None, help="quantile simulation seed")
-    _add_mc_options(p_inf)
+    _add_mc_options(p_inf, "By default the critical value is exact, from the closed-form "
+                           "limiting law. Any of --paths, --grid-R, --grid-h or --seed "
+                           "simulates it instead, the other settings at their defaults.")
     p_inf.set_defaults(func=cmd_infer)
 
     p_sim = subs.add_parser("simulate", help="run a Monte Carlo design cell")
@@ -276,14 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--records-csv", default=None, dest="records_csv",
                        help="also write per-replication records as CSV")
-    _add_mc_options(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_q = subs.add_parser("quantile", help="critical value of the limiting law")
+    p_q = subs.add_parser("quantile", help="Monte Carlo critical value of the limiting law")
     p_q.add_argument("--output", default=None)
     p_q.add_argument("--alpha", type=float, default=0.05)
-    p_q.add_argument("--seed", type=int, default=None)
-    _add_mc_options(p_q)
+    _add_mc_options(p_q, "The critical value is simulated; unset settings take their defaults.")
     p_q.set_defaults(func=cmd_quantile)
     return parser
 

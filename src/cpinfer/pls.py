@@ -97,8 +97,10 @@ def full_pipeline(
     The shrinkage steps assume the segment means are sparse in the given
     coordinates, so the data is used as supplied; pass ``center=True`` (or
     pre-apply ``center_columns``) when only the mean *change* is sparse.
-    ``lam``/``gamma`` override the criterion-based tuning; ``c_alpha``
-    bypasses the quantile simulation (useful when it is precomputed).
+    ``lam``/``gamma`` override the criterion-based tuning.  The critical
+    value is ``c_alpha`` when supplied, else the exact closed-form quantile,
+    or the Monte Carlo estimate when ``mc`` settings are given (only that
+    reads and appends ``cache_path``).
     """
     Yc = center_columns(Y) if center else as_series(Y)
     T = Yc.shape[0]

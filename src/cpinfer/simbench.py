@@ -13,10 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .detect import detect_change
-from .infer import QuantileMCSettings, limit_quantile
+from .infer import limit_quantile
 from .pls import full_pipeline
 
 __all__ = [
@@ -111,6 +110,8 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
 
 
 def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+    from scipy.signal import lfilter  # deferred: importing it costs over a second
+
     w = rng.standard_normal((T, p))
     x = w * np.sqrt(1.0 - rho * rho)
     x[:, 0] = w[:, 0]
@@ -208,19 +209,17 @@ def run_monte_carlo(
     *,
     n_jobs: int = 1,
     c_alpha: float | None = None,
-    mc: QuantileMCSettings | None = None,
-    cache_path=None,
 ) -> MetricsReport:
     """Replicate the design and aggregate metrics for the chosen estimator.
 
     ``estimator`` is "al1", "pls", "pls_ci", or a callable (Y, cfg) -> record
     (the plugin slot for external methods).  The critical value for "pls_ci"
-    is computed once up front unless supplied.
+    is the exact limiting-law quantile at ``cfg.alpha`` unless supplied.
     """
     if not callable(estimator) and estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     if estimator == "pls_ci" and c_alpha is None:
-        c_alpha = limit_quantile(cfg.alpha, mc, cache_path)
+        c_alpha = limit_quantile(cfg.alpha)
 
     args = [(cfg, i, estimator, c_alpha) for i in range(cfg.reps)]
     if n_jobs > 1:

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpinfer.cli import build_parser, main, read_csv, write_csv
+from cpinfer import cli
+from cpinfer.cli import _mc_settings, build_parser, main, read_csv, write_csv
+from cpinfer.infer import QuantileMCSettings, limit_quantile
 from cpinfer.pls import full_pipeline
 from cpinfer.simbench import SimConfig, gen_dataset
 
@@ -106,6 +110,60 @@ class TestCommands:
         assert report["ci_int"] == list(res.inference.interval_int)
         assert report["ci_frac"] == list(res.inference.interval_frac)
         assert cache.exists()
+
+    def test_infer_exact_without_mc_flags(self, shifted_csv, capsys, tmp_path):
+        path, Y, k0 = shifted_csv
+        cache = tmp_path / "cache.txt"
+        report, code = run_cli(["infer", "--input", str(path), "--alpha", "0.1",
+                                "--cache", str(cache)], capsys)
+        assert code == 0
+        assert report["c_alpha"] == limit_quantile(0.1)
+        res = full_pipeline(Y, alpha=0.1)
+        assert report["xi_sq"] == res.inference.xi_sq_hat
+        assert report["sigma_sq"] == res.inference.sigma_sq_hat
+        assert report["c_alpha"] == res.inference.c_alpha
+        assert report["ci_int"] == list(res.inference.interval_int)
+        assert report["ci_frac"] == list(res.inference.interval_frac)
+        assert not cache.exists()
+
+    def test_any_mc_flag_selects_monte_carlo(self):
+        parser = build_parser()
+        args = parser.parse_args(["infer", "--input", "x.csv"])
+        assert _mc_settings(args) is None
+        args = parser.parse_args(["infer", "--input", "x.csv", "--seed", "3"])
+        assert _mc_settings(args) == QuantileMCSettings(seed=3)
+        args = parser.parse_args(["infer", "--input", "x.csv", "--grid-R", "40", "--paths", "10"])
+        assert _mc_settings(args) == QuantileMCSettings(grid_half_width=40.0, paths=10)
+
+    def test_quantile_defaults_to_simulator(self, capsys, monkeypatch):
+        calls = []
+
+        def fake(alpha, settings=None, cache_path=None):
+            calls.append(settings)
+            return 11.0
+
+        monkeypatch.setattr(cli, "limit_quantile", fake)
+        report, code = run_cli(["quantile"], capsys)
+        assert code == 0
+        assert calls == [QuantileMCSettings()]
+        assert report["paths"] == QuantileMCSettings().paths
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--T", "30", "--p", "8", "--tau0", "0.5", "--paths", "100"],
+        ["simulate", "--T", "30", "--p", "8", "--tau0", "0.5", "--cache", "q.txt"],
+        ["estimate", "--input", "x.csv", "--alpha", "0.1"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 1
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import cpinfer.cli, sys; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_infer_no_change_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -199,6 +199,52 @@ class TestLimitQuantile:
         np.testing.assert_allclose(sample, snapped, atol=1e-12)
 
 
+class TestExactQuantile:
+    """The default, closed-form critical values of the arg-min law."""
+
+    def test_classical_value(self):
+        assert limit_quantile(0.05) == pytest.approx(11.0333, abs=1e-3)
+
+    def test_strictly_decreasing_in_alpha(self):
+        alphas = [5e-324, 1e-300, 1e-50, 1e-6, 0.01, 0.05, 0.1, 0.5, 0.9, 1 - 1e-9]
+        values = [limit_quantile(a) for a in alphas]
+        assert all(c > 0.0 for c in values)
+        assert np.all(np.diff(values) < 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_invalid_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            limit_quantile(alpha)
+
+    def test_matches_scipy_implementation(self):
+        # G(x) written directly, with the e^x term in log space through log_ndtr
+        from scipy.optimize import brentq
+        from scipy.special import log_ndtr, ndtr
+
+        def G(x):
+            r = np.sqrt(x)
+            return (1 + np.sqrt(x / (2 * np.pi)) * np.exp(-x / 8) - (x + 5) / 2 * ndtr(-r / 2)
+                    + 1.5 * np.exp(x + log_ndtr(-1.5 * r)))
+
+        for alpha in (0.001, 0.01, 0.05, 0.1, 0.5, 0.9):
+            ref = brentq(lambda c: 2 * G(c) - 1 - (1 - alpha), 1e-12, 100.0, xtol=1e-14)
+            assert limit_quantile(alpha) == pytest.approx(ref, abs=1e-10)
+
+    def test_matches_simulator_oracle(self):
+        # the empirical law of |V| at the exact quantile is 1 - alpha within
+        # 4 binomial standard errors
+        sample = np.abs(simulate_argmin_locations(QuantileMCSettings(100.0, 0.01, 20000, seed=3)))
+        n = sample.size
+        for alpha in (0.01, 0.05, 0.1, 0.5):
+            ecdf = np.mean(sample <= limit_quantile(alpha))
+            assert abs(ecdf - (1 - alpha)) <= 4 * np.sqrt(alpha * (1 - alpha) / n), alpha
+
+    def test_cache_only_for_monte_carlo(self, tmp_path):
+        path = tmp_path / "quantiles.txt"
+        assert limit_quantile(0.1, cache_path=path) == limit_quantile(0.1)
+        assert not path.exists()
+
+
 class TestConfidenceInterval:
     def test_degenerate_noise_collapses(self):
         res = confidence_interval(7, 2.0, 0.0, 11.03, 20)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpinfer.infer import limit_quantile
 from cpinfer.simbench import (
     MetricsReport,
     SimConfig,
@@ -131,6 +132,13 @@ class TestRunMonteCarlo:
         recs = [r for r in report.per_rep_records if r["covered"] is not None]
         manual = np.mean([r["ci_lo"] <= cfg.T * cfg.tau0 <= r["ci_hi"] for r in recs])
         assert report.coverage == pytest.approx(manual)
+
+    def test_default_critical_value_is_exact(self):
+        cfg = SimConfig(T=60, p=20, s=3, tau0=0.5, reps=3, seed=3, alpha=0.1, gamma_off=True)
+        default = run_monte_carlo(cfg, estimator="pls_ci")
+        exact = run_monte_carlo(cfg, estimator="pls_ci", c_alpha=limit_quantile(0.1))
+        assert default.per_rep_records == exact.per_rep_records
+        assert default.coverage is not None
 
     def test_no_change_design_reports_tnr(self):
         cfg = SimConfig(T=40, p=10, s=2, tau0=1.0, reps=6, seed=4)
