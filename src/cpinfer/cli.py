@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -19,7 +20,7 @@ from .core import as_series
 from .detect import detect_change
 from .infer import QuantileMCSettings, limit_quantile
 from .pls import full_pipeline
-from .simbench import SimConfig, run_monte_carlo
+from .simbench import ESTIMATORS, SimConfig, run_monte_carlo
 
 SCHEMA = "cpinfer/1"
 
@@ -41,6 +42,20 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
     Raises ValueError naming the offending row/column on ragged or
     non-numeric input.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt only warns on an empty file
+            data = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                              skiprows=int(has_header), encoding="utf-8")
+    except (ValueError, UserWarning):
+        data = _scan_csv(path, has_header)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {data.shape[0]}")
+    return as_series(data)
+
+
+def _scan_csv(path, has_header: bool) -> np.ndarray:
+    """Cell-by-cell parse that names the row and column of the first bad cell."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -64,9 +79,7 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
                 raise ValueError(
                     f"{path}: non-numeric cell at row {line_no}, column {j + 1}: {cell!r}"
                 ) from None
-    if data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {data.shape[0]}")
-    return as_series(data)
+    return data
 
 
 def write_csv(path, Y, header=None) -> None:
@@ -281,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tau-init", type=float, default=0.5, dest="tau_init")
     p_sim.add_argument("--gamma-off", action="store_true", dest="gamma_off",
                        help="force the detection penalty to zero")
-    p_sim.add_argument("--estimator", choices=["al1", "pls", "pls_ci"], default="pls_ci")
+    p_sim.add_argument("--estimator", choices=ESTIMATORS, default="pls_ci")
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--records-csv", default=None, dest="records_csv",
                        help="also write per-replication records as CSV")

@@ -3,11 +3,16 @@
 A time series is a T x p float array (rows are observations).  Split indices
 k are 1-based: k in {1, ..., T}, where k = T encodes "no change".  All
 operations are pure; inputs are never mutated.
+
+The functions the pipeline calls accept the series as an array or as the
+``SeriesStats`` built from it, so one pipeline validates its input once and
+every criterion reads the same statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +21,8 @@ __all__ = [
     "ChangePointEstimate",
     "MeanPair",
     "as_series",
+    "SeriesStats",
+    "series_stats",
     "center_columns",
     "loss_1d",
     "loss_pd",
@@ -46,6 +53,52 @@ def as_series(data) -> np.ndarray:
     if not np.all(np.isfinite(Y)):
         raise ValueError("time series contains non-finite entries")
     return Y
+
+
+_BLOCK = 1 << 15  # elements per row block of the sum of squares (256 KiB)
+
+
+class SeriesStats:
+    """A validated T x p series with the statistics every criterion reads.
+
+    ``center`` holds the column means c and ``ss`` the sum of squares of
+    Y - c, accumulated by row blocks so that no T x p temporary exists.
+    Criteria expand their squares about c, so large column offsets do not
+    cancel.  The segment column sums at a split are computed once per split.
+    """
+
+    def __init__(self, Y: np.ndarray):
+        self.Y = Y
+        self.T, self.p = Y.shape
+        self._sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        return self.Y.sum(axis=0) / self.T
+
+    @cached_property
+    def ss(self) -> float:
+        rows = max(1, _BLOCK // self.p)
+        total = 0.0
+        for i in range(0, self.T, rows):
+            d = self.Y[i : i + rows] - self.center
+            total += float(np.einsum("tj,tj->", d, d))
+        return total
+
+    def segment_means(self, k: int) -> list[tuple[int, np.ndarray]]:
+        """(rows, column means) of each segment at split k; one segment at k = T."""
+        if k == self.T:
+            return [(self.T, self.center)]
+        if k not in self._sums:
+            self._sums[k] = (self.Y[:k].sum(axis=0), self.Y[k:].sum(axis=0))
+        left, right = self._sums[k]
+        return [(k, left / k), (self.T - k, right / (self.T - k))]
+
+
+def series_stats(data) -> SeriesStats:
+    """``data`` itself when it is a SeriesStats, else the statistics of the
+    series that ``as_series`` validates from it."""
+    return data if isinstance(data, SeriesStats) else SeriesStats(as_series(data))
 
 
 @dataclass(frozen=True)
@@ -156,25 +209,29 @@ def loss_profile_1d(z, theta1: float, theta2: float) -> np.ndarray:
 
 
 def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
-    """loss_pd at every split: entry k-1 holds the loss at split k, k = 1..T."""
-    Y = as_series(Y)
+    """loss_pd at every split: entry k-1 holds the loss at split k, k = 1..T.
+
+    The loss at k is the fit of mu2 to every row, ss + T ||mu2 - c||^2, plus
+    the excess of mu1 over mu2 on rows 1..k, -2 (mu1 - mu2)'(y_t - (mu1 +
+    mu2) / 2); one matrix-vector product reads the data.
+    """
+    s = series_stats(Y)
     mu1 = np.asarray(mu1, dtype=float).ravel()
     mu2 = np.asarray(mu2, dtype=float).ravel()
-    dl = Y - mu1
-    dr = Y - mu2
-    a = np.cumsum(np.einsum("tj,tj->t", dl, dl))
-    b = np.cumsum(np.einsum("tj,tj->t", dr, dr))
-    return (a + (b[-1] - b)) / Y.shape[0]
+    v2 = mu2 - s.center
+    eta = mu1 - mu2
+    excess = -2.0 * (s.Y @ eta - eta @ (0.5 * (mu1 + mu2)))
+    return (s.ss + s.T * (v2 @ v2) + np.cumsum(excess)) / s.T
 
 
 def stopped_means(Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical means of rows 1..k and rows k+1..T.  Requires 1 <= k <= T-1."""
-    Y = as_series(Y)
-    T = Y.shape[0]
+    s = series_stats(Y)
     k = int(k)
-    if not (1 <= k <= T - 1):
-        raise ValueError(f"split k={k} leaves an empty segment (T={T})")
-    return Y[:k].mean(axis=0), Y[k:].mean(axis=0)
+    if not (1 <= k <= s.T - 1):
+        raise ValueError(f"split k={k} leaves an empty segment (T={s.T})")
+    (_, left), (_, right) = s.segment_means(k)
+    return left, right
 
 
 def soft_threshold(x, lam: float) -> np.ndarray:
@@ -187,7 +244,7 @@ def soft_threshold(x, lam: float) -> np.ndarray:
 
 def project_series(Y, eta) -> np.ndarray:
     """Scalar surrogate series z_t = eta' y_t."""
-    Y = as_series(Y)
+    Y = series_stats(Y).Y
     eta = np.asarray(eta, dtype=float).ravel()
     if eta.size != Y.shape[1]:
         raise ValueError(f"projection vector has length {eta.size}, expected {Y.shape[1]}")

@@ -15,18 +15,18 @@ import numpy as np
 from .core import (
     ChangePointEstimate,
     MeanPair,
-    as_series,
     loss_profile_pd,
+    series_stats,
     soft_threshold,
     stopped_means,
 )
+from .tune import _bic_gamma, bic_lambda
 
 __all__ = [
     "DetectionResult",
     "thresholded_means",
     "penalized_argmin",
     "detect_change",
-    "initializer_diagnostics",
 ]
 
 
@@ -53,12 +53,16 @@ def thresholded_means(Y, k: int, lam: float) -> MeanPair:
 
 
 def _penalized_profile(Y, means: MeanPair, gamma: float) -> tuple[np.ndarray, int]:
-    """Penalized loss at every split and the arg-min split.
+    """Penalized loss at every split and the arg-min split."""
+    return _penalize(loss_profile_pd(Y, means.mu1, means.mu2), gamma)
+
+
+def _penalize(loss: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
+    """The loss profile plus gamma at interior splits, and its arg-min split.
 
     Ties involving k = T go to k = T; interior ties go to the smallest k.
     """
-    profile = loss_profile_pd(Y, means.mu1, means.mu2)
-    obj = profile.copy()
+    obj = loss.copy()
     obj[:-1] += gamma
     interior_min = obj[:-1].min()
     if obj[-1] <= interior_min:
@@ -72,9 +76,8 @@ def penalized_argmin(Y, means: MeanPair, gamma: float) -> ChangePointEstimate:
     """Arg-min over k in {1, ..., T} of loss_pd(Y, k, means) + gamma * 1{k < T}."""
     if gamma < 0:
         raise ValueError(f"penalty must be nonnegative, got {gamma}")
-    Y = as_series(Y)
-    _, k = _penalized_profile(Y, means, gamma)
-    return ChangePointEstimate(k, Y.shape[0])
+    obj, k = _penalized_profile(Y, means, gamma)
+    return ChangePointEstimate(k, obj.size)
 
 
 def detect_change(
@@ -91,41 +94,27 @@ def detect_change(
     ``lam`` and ``gamma`` default to information-criterion selections on the
     data at hand; explicit values always win.
     """
-    from .tune import bic_gamma, bic_lambda  # deferred: tune builds on this module
-
-    Y = as_series(Y)
-    T = Y.shape[0]
-    k_init = int(np.floor(T * tau_init))
-    if not (1 <= k_init <= T - 1):
+    s = series_stats(Y)
+    k_init = int(np.floor(s.T * tau_init))
+    if not (1 <= k_init <= s.T - 1):
         raise ValueError(f"initial fraction {tau_init} gives degenerate split {k_init}")
 
     user_lam = lam
     if lam is None:
-        lam, _ = bic_lambda(Y, k_init, lambda_grid)
-    means = thresholded_means(Y, k_init, lam)
+        lam, _ = bic_lambda(s, k_init, lambda_grid)
+    means = thresholded_means(s, k_init, lam)
+    loss = loss_profile_pd(s, means.mu1, means.mu2)
     if gamma is None:
-        gamma, _ = bic_gamma(Y, means, gamma_grid,
-                             lambda_for_refit=user_lam, lambda_grid=lambda_grid)
+        gamma, _ = _bic_gamma(s, loss, gamma_grid, user_lam, lambda_grid)
     elif gamma < 0:
         raise ValueError(f"penalty must be nonnegative, got {gamma}")
 
-    obj, k = _penalized_profile(Y, means, gamma)
+    obj, k = _penalize(loss, gamma)
     return DetectionResult(
-        changed=k < T,
-        estimate=ChangePointEstimate(k, T),
+        changed=k < s.T,
+        estimate=ChangePointEstimate(k, s.T),
         initial_means=means,
         gamma_used=float(gamma),
         lambda_used=float(lam),
         objective_profile=obj,
     )
-
-
-def initializer_diagnostics(T: int, tau_init: float) -> dict:
-    """Distances of the initial split from the grid boundaries (diagnostic only)."""
-    k_init = int(np.floor(T * tau_init))
-    return {
-        "tau_init": float(tau_init),
-        "k_init": k_init,
-        "gap_left": k_init - 1,
-        "gap_right": (T - 1) - k_init,
-    }

@@ -40,7 +40,6 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
-    as_series,
     loss_1d,
     project_series,
     stopped_means,
@@ -120,7 +119,6 @@ def refit_means(Y, k: int, support1, support2) -> MeanPair:
     Coordinates outside the supports are set to zero; the supports are
     0-based column indices (any iterable, including sets).
     """
-    Y = as_series(Y)
     left, right = stopped_means(Y, k)
     mu1 = np.zeros_like(left)
     mu2 = np.zeros_like(right)

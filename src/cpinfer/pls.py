@@ -16,10 +16,10 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
-    as_series,
     center_columns,
     loss_profile_1d,
     project_series,
+    series_stats,
 )
 from .detect import DetectionResult, detect_change, thresholded_means
 from .infer import (
@@ -31,6 +31,7 @@ from .infer import (
     plugin_xi_sq,
     refit_means,
 )
+from .tune import bic_lambda
 
 __all__ = ["PipelineResult", "pls_estimate", "full_pipeline"]
 
@@ -71,9 +72,8 @@ def _pls_profile(Y, means: MeanPair) -> tuple[np.ndarray, np.ndarray, int]:
 def pls_estimate(Y, means: MeanPair) -> ChangePointEstimate:
     """Arg-min over k in {1, ..., T-1} of the surrogate loss built from the
     given means (smallest k on ties)."""
-    Y = as_series(Y)
-    _, _, k = _pls_profile(Y, means)
-    return ChangePointEstimate(k, Y.shape[0])
+    z, _, k = _pls_profile(Y, means)
+    return ChangePointEstimate(k, z.size)
 
 
 def full_pipeline(
@@ -102,9 +102,9 @@ def full_pipeline(
     or the Monte Carlo estimate when ``mc`` settings are given (only that
     reads and appends ``cache_path``).
     """
-    Yc = center_columns(Y) if center else as_series(Y)
-    T = Yc.shape[0]
-    det = detect_change(Yc, tau_init, lam=lam, gamma=gamma,
+    stats = series_stats(center_columns(Y) if center else Y)  # the one validation
+    T = stats.T
+    det = detect_change(stats, tau_init, lam=lam, gamma=gamma,
                         lambda_grid=lambda_grid, gamma_grid=gamma_grid)
     if not det.changed:
         return PipelineResult(detection=det, status="no_change")
@@ -112,13 +112,11 @@ def full_pipeline(
     k_hat = det.estimate.k
     lam_refit = lam
     if lam_refit is None:
-        from .tune import bic_lambda
-
-        lam_refit, _ = bic_lambda(Yc, k_hat, lambda_grid)
-    means = thresholded_means(Yc, k_hat, lam_refit)
+        lam_refit, _ = bic_lambda(stats, k_hat, lambda_grid)
+    means = thresholded_means(stats, k_hat, lam_refit)
 
     try:
-        z, profile, k_tilde = _pls_profile(Yc, means)
+        z, profile, k_tilde = _pls_profile(stats, means)
     except DegenerateJumpError:
         return PipelineResult(detection=det, status="degenerate", refined_means=means)
 
@@ -134,9 +132,9 @@ def full_pipeline(
         return result
 
     try:
-        refit = refit_means(Yc, k_tilde, means.support1, means.support2)
+        refit = refit_means(stats, k_tilde, means.support1, means.support2)
         xi_sq = plugin_xi_sq(refit)
-        sigma_sq = plugin_sigma_sq(Yc, k_tilde, refit)
+        sigma_sq = plugin_sigma_sq(stats, k_tilde, refit)
         if c_alpha is None:
             c_alpha = limit_quantile(alpha, mc, cache_path)
         result.inference = confidence_interval(k_tilde, xi_sq, sigma_sq, c_alpha, T, alpha=alpha)

@@ -113,9 +113,8 @@ def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
     from scipy.signal import lfilter  # deferred: importing it costs over a second
 
     w = rng.standard_normal((T, p))
-    x = w * np.sqrt(1.0 - rho * rho)
-    x[:, 0] = w[:, 0]
-    return lfilter([1.0], [1.0, -rho], x, axis=1)
+    w[:, 1:] *= np.sqrt(1.0 - rho * rho)
+    return lfilter([1.0], [1.0, -rho], w, axis=1)
 
 
 def gen_noise_row(p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
@@ -145,7 +144,8 @@ def gen_dataset(cfg: SimConfig, rep_index: int, noise_scale: float | None = None
     mu1, mu2 = design_means(cfg.p, cfg.s)
     k0 = cfg.k0
     scale = cfg.noise_scale if noise_scale is None else noise_scale
-    Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, rng) * scale
+    Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, rng)
+    Y *= scale
     Y[:k0] += mu1
     Y[k0:] += mu2
     return Y, k0

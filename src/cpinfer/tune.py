@@ -9,15 +9,11 @@ order in which the grid is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import MeanPair, as_series, soft_threshold
-from .detect import _penalized_profile, thresholded_means
+from .core import MeanPair, SeriesStats, as_series, loss_profile_pd, series_stats
 
 __all__ = [
-    "TuningConfig",
     "default_lambda_grid",
     "default_gamma_grid",
     "mad_scale",
@@ -33,25 +29,6 @@ def default_lambda_grid(n: int = 50, upper: float = 0.5) -> np.ndarray:
 
 def default_gamma_grid(n: int = 50, upper: float = 1.0) -> np.ndarray:
     return upper * np.arange(1, n + 1) / (n + 1)
-
-
-@dataclass(frozen=True)
-class TuningConfig:
-    """Grids plus optional fixed overrides (an override wins over its grid)."""
-
-    lambda_grid: np.ndarray = None
-    gamma_grid: np.ndarray = None
-    lam: float | None = None
-    gamma: float | None = None
-
-    def __post_init__(self):
-        lg = default_lambda_grid() if self.lambda_grid is None else np.asarray(self.lambda_grid, float)
-        gg = default_gamma_grid() if self.gamma_grid is None else np.asarray(self.gamma_grid, float)
-        for name, g in (("lambda_grid", lg), ("gamma_grid", gg)):
-            if g.size == 0 or np.any(g <= 0) or np.any(np.diff(g) <= 0):
-                raise ValueError(f"{name} must be strictly increasing and strictly positive")
-        object.__setattr__(self, "lambda_grid", lg)
-        object.__setattr__(self, "gamma_grid", gg)
 
 
 def mad_scale(Y) -> float:
@@ -77,6 +54,29 @@ def _select(grid: np.ndarray, values: np.ndarray) -> float:
     return float(grid[order[0]])
 
 
+def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
+    """RSS of the soft-thresholded segment means at split k plus log(T) per
+    coordinate in the union of their supports, at every grid value at once.
+
+    A segment of n rows with mean m fitted by soft(m, lam) leaves its
+    within-segment sum of squares plus n * sum_j min(|m_j|, lam)^2, read off
+    the sorted |m_j| with prefix sums.  The within sums are ss less
+    n ||m - c||^2 per segment.  At k = T the one segment is the whole series.
+    """
+    rss = np.full(grid.size, s.ss)
+    largest = np.zeros(s.p)
+    for n, m in s.segment_means(k):
+        a = np.abs(m)
+        largest = np.maximum(largest, a)
+        a.sort()
+        below = np.searchsorted(a, grid, side="right")
+        prefix = np.concatenate(([0.0], np.cumsum(a * a)))
+        d = m - s.center
+        rss += n * (prefix[below] + grid * grid * (s.p - below)) - n * float(d @ d)
+    support = s.p - np.searchsorted(np.sort(largest), grid, side="right")
+    return rss + support * np.log(s.T)
+
+
 def bic_lambda(Y, k: int, grid=None, *, scale: float = 1.0):
     """Select the soft-threshold level for the stopped means at split k.
 
@@ -85,47 +85,12 @@ def bic_lambda(Y, k: int, grid=None, *, scale: float = 1.0):
     their supports.  Returns (selected value, criterion profile in the
     input grid order).
     """
-    Y = as_series(Y)
-    T, p = Y.shape
-    if not (1 <= k <= T - 1):
-        raise ValueError(f"split k={k} leaves an empty segment (T={T})")
+    s = series_stats(Y)
+    if not (1 <= k <= s.T - 1):
+        raise ValueError(f"split k={k} leaves an empty segment (T={s.T})")
     grid = _validated_grid(grid, default_lambda_grid) * float(scale)
-
-    row_sq = np.einsum("tj,tj->t", Y, Y)
-    ss_left = float(row_sq[:k].sum())
-    ss_right = float(row_sq[k:].sum())
-    s_left = Y[:k].sum(axis=0)
-    s_right = Y[k:].sum(axis=0)
-    mean_left = s_left / k
-    mean_right = s_right / (T - k)
-    log_t = np.log(T)
-
-    profile = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        m1 = soft_threshold(mean_left, lam)
-        m2 = soft_threshold(mean_right, lam)
-        rss = (
-            ss_left - 2.0 * float(m1 @ s_left) + k * float(m1 @ m1)
-            + ss_right - 2.0 * float(m2 @ s_right) + (T - k) * float(m2 @ m2)
-        )
-        support = int(np.count_nonzero((m1 != 0.0) | (m2 != 0.0)))
-        profile[i] = rss + support * log_t
+    profile = _lambda_criterion(s, k, grid)
     return _select(grid, profile), profile
-
-
-def _bic_lambda_full(Y, grid) -> float:
-    """Shrinkage level for the single full-sample mean (the k = T partition)."""
-    T = Y.shape[0]
-    total = Y.sum(axis=0)
-    mean = total / T
-    ss = float(np.einsum("tj,tj->", Y, Y))
-    log_t = np.log(T)
-    values = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        mu = soft_threshold(mean, lam)
-        rss = ss - 2.0 * float(mu @ total) + T * float(mu @ mu)
-        values[i] = rss + np.count_nonzero(mu) * log_t
-    return _select(grid, values)
 
 
 def bic_gamma(Y, initial_means: MeanPair, grid=None, lambda_for_refit: float | None = None,
@@ -141,46 +106,25 @@ def bic_gamma(Y, initial_means: MeanPair, grid=None, lambda_for_refit: float | N
     ``lambda_for_refit`` fixes it.  Returns (selected value, criterion
     profile in the input grid order).
     """
-    Y = as_series(Y)
-    T = Y.shape[0]
+    s = series_stats(Y)
+    loss = loss_profile_pd(s, initial_means.mu1, initial_means.mu2)
+    return _bic_gamma(s, loss, grid, lambda_for_refit, lambda_grid)
+
+
+def _bic_gamma(s: SeriesStats, loss: np.ndarray, grid, lambda_for_refit, lambda_grid):
+    """``bic_gamma`` given the unpenalized loss profile of the initial means."""
+    T = s.T
     grid = _validated_grid(grid, default_gamma_grid)
-    lam_grid = _validated_grid(lambda_grid, default_lambda_grid)
-
-    base, _ = _penalized_profile(Y, initial_means, 0.0)
-    interior_min = base[:-1].min()
-    boundary = base[-1]
-
-    row_sq = np.einsum("tj,tj->t", Y, Y)
-    sq_cum = np.cumsum(row_sq)
-    col_cum = np.cumsum(Y, axis=0)
+    fixed = lambda_for_refit is not None
+    lam_grid = _validated_grid([lambda_for_refit] if fixed else lambda_grid, default_lambda_grid)
+    interior_min = loss[:-1].min()
     log_t = np.log(T)
-
-    def criterion_at(k: int) -> float:
-        if k == T:
-            lam = _bic_lambda_full(Y, lam_grid) if lambda_for_refit is None else lambda_for_refit
-            mu1 = soft_threshold(col_cum[-1] / T, lam)
-            rss = float(sq_cum[-1]) - 2.0 * float(mu1 @ col_cum[-1]) + T * float(mu1 @ mu1)
-            return rss + np.count_nonzero(mu1) * log_t
-        lam = bic_lambda(Y, k, lam_grid)[0] if lambda_for_refit is None else lambda_for_refit
-        means = thresholded_means(Y, k, lam)
-        s_left = col_cum[k - 1]
-        s_right = col_cum[-1] - s_left
-        rss = (
-            float(sq_cum[k - 1]) - 2.0 * float(means.mu1 @ s_left) + k * float(means.mu1 @ means.mu1)
-            + float(sq_cum[-1] - sq_cum[k - 1]) - 2.0 * float(means.mu2 @ s_right)
-            + (T - k) * float(means.mu2 @ means.mu2)
-        )
-        support = int(np.count_nonzero((means.mu1 != 0.0) | (means.mu2 != 0.0)))
-        return rss + (support + 1) * log_t
 
     cache: dict[int, float] = {}
     profile = np.empty(grid.size)
     for i, gamma in enumerate(grid):
-        if boundary <= interior_min + gamma:
-            k = T
-        else:
-            k = int(np.argmin(base[:-1])) + 1
+        k = T if loss[-1] <= interior_min + gamma else int(np.argmin(loss[:-1])) + 1
         if k not in cache:
-            cache[k] = criterion_at(k)
+            cache[k] = float(_lambda_criterion(s, k, lam_grid).min()) + (k < T) * log_t
         profile[i] = cache[k]
     return _select(grid, profile), profile

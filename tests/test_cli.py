@@ -65,6 +65,23 @@ class TestReadCsv:
         path.write_text("1e-3,2.5E2\n-1.5e0,0.0\n")
         np.testing.assert_allclose(read_csv(path), [[0.001, 250.0], [-1.5, 0.0]])
 
+    def test_quoted_cells(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"1","2.5"\n3,"-4e1"\n')
+        np.testing.assert_array_equal(read_csv(path), [[1.0, 2.5], [3.0, -40.0]])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("1,2\n\n3,4\n\n")
+        np.testing.assert_array_equal(read_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_empty_file_named_without_warning(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(path)
+        assert not recwarn.list
+
     def test_roundtrip_exact(self, tmp_path, shifted_csv):
         path, Y, _ = shifted_csv
         back = read_csv(path)

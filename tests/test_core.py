@@ -11,6 +11,7 @@ from cpinfer.core import (
     loss_profile_1d,
     loss_profile_pd,
     project_series,
+    series_stats,
     soft_threshold,
     stopped_means,
 )
@@ -125,6 +126,30 @@ class TestLossPd:
         prof = loss_profile_pd(Y, mu1, mu2)
         for k in range(1, 15):
             assert prof[k - 1] == pytest.approx(loss_pd(Y, k, mu1, mu2), rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    def test_detector_profile_exact_under_column_offsets(self, offset):
+        from cpinfer.detect import detect_change
+        from cpinfer.simbench import SimConfig, gen_dataset
+
+        Y, _ = gen_dataset(SimConfig(T=120, p=60, s=5, tau0=0.4, seed=3), 0)
+        Y += offset * np.linspace(-1.0, 1.0, 60)
+        means = detect_change(Y, gamma=0.0).initial_means
+        prof = loss_profile_pd(Y, means.mu1, means.mu2)
+        ref = np.array([loss_pd(Y, k, means.mu1, means.mu2) for k in range(1, 121)])
+        assert np.max(np.abs(prof - ref)) <= 1e-6 * np.mean(np.abs(np.diff(ref)))
+
+    def test_series_stats_blocks(self, monkeypatch):
+        import cpinfer.core as core
+
+        # blocks of 8 elements: several rows, one row, and a ragged last block
+        monkeypatch.setattr(core, "_BLOCK", 8)
+        rng = np.random.default_rng(7)
+        for shape in [(10, 3), (5, 20), (2, 1)]:
+            Y = rng.normal(size=shape) + 1e3
+            s = series_stats(Y)
+            assert series_stats(s) is s
+            assert s.ss == pytest.approx(np.sum((Y - Y.mean(0)) ** 2), rel=1e-9)
 
     def test_profile_1d_agrees_pointwise(self):
         rng = np.random.default_rng(6)

@@ -4,7 +4,6 @@ import pytest
 from cpinfer.core import MeanPair
 from cpinfer.detect import (
     detect_change,
-    initializer_diagnostics,
     penalized_argmin,
     thresholded_means,
 )
@@ -140,8 +139,3 @@ class TestDetectChange:
     def test_degenerate_initializer_rejected(self):
         with pytest.raises(ValueError):
             detect_change(np.zeros((10, 1)) + np.arange(10)[:, None], tau_init=0.01)
-
-    def test_diagnostics(self):
-        d = initializer_diagnostics(100, 0.5)
-        assert d["k_init"] == 50
-        assert d["gap_left"] == 49 and d["gap_right"] == 49

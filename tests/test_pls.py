@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,19 @@ class TestFullPipeline:
         assert res.status == "degenerate"
         assert res.pls_estimate is not None
         assert res.inference is None
+
+    def test_peak_allocation_is_a_fraction_of_the_input(self):
+        # the statistics are built by row blocks: no T x p temporary
+        Y = np.random.default_rng(10).normal(size=(4000, 500))
+        Y[1600:, :5] += 1.0
+        tracemalloc.start()
+        try:
+            res = full_pipeline(Y, c_alpha=11.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "ok"
+        assert peak <= 0.25 * Y.nbytes
 
     def test_center_option_matches_manual_centering(self):
         from cpinfer.core import center_columns

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,19 @@ class TestGenDataset:
         c, _ = gen_dataset(cfg, 4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_peak_allocation(self):
+        # noise, scale and means are applied in place: the AR(1) filter's
+        # input and output are the only T x p arrays alive at once
+        cfg = SimConfig(T=350, p=500, s=5, tau0=0.4, seed=1)
+        gen_dataset(cfg, 0)  # imports the filter outside the traced call
+        tracemalloc.start()
+        try:
+            Y, _ = gen_dataset(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * Y.nbytes
 
     def test_aggregate_means_match_design(self):
         cfg = SimConfig(T=8, p=6, s=2, tau0=0.5, seed=5)

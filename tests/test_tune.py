@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from cpinfer.core import series_stats
 from cpinfer.detect import penalized_argmin, thresholded_means
 from cpinfer.tune import (
-    TuningConfig,
+    _lambda_criterion,
     bic_gamma,
     bic_lambda,
     default_gamma_grid,
@@ -14,15 +17,18 @@ from cpinfer.tune import (
 
 def naive_bic_lambda(Y, k, grid):
     """Literal-sums reference: threshold the segment means, add log(T) per
-    union-support coordinate."""
+    union-support coordinate.  k = T fits the one full-sample mean."""
     Y = np.asarray(Y, float)
     T = Y.shape[0]
+    segments = [Y[:k], Y[k:]] if k < T else [Y]
     out = []
     for lam in grid:
-        m1 = np.sign(Y[:k].mean(0)) * np.maximum(np.abs(Y[:k].mean(0)) - lam, 0)
-        m2 = np.sign(Y[k:].mean(0)) * np.maximum(np.abs(Y[k:].mean(0)) - lam, 0)
-        rss = np.sum((Y[:k] - m1) ** 2) + np.sum((Y[k:] - m2) ** 2)
-        out.append(rss + np.count_nonzero((m1 != 0) | (m2 != 0)) * np.log(T))
+        rss, support = 0.0, np.zeros(Y.shape[1], dtype=bool)
+        for seg in segments:
+            m = np.sign(seg.mean(0)) * np.maximum(np.abs(seg.mean(0)) - lam, 0)
+            rss += np.sum((seg - m) ** 2)
+            support |= m != 0
+        out.append(rss + np.count_nonzero(support) * np.log(T))
     return np.array(out)
 
 
@@ -35,17 +41,6 @@ class TestGrids:
         assert 0.0 < gg[0] and gg[-1] < 1.0
         assert np.all(np.diff(lg) > 0) and np.all(np.diff(gg) > 0)
         np.testing.assert_allclose(np.diff(lg), lg[0])
-
-    def test_tuning_config_carries_overrides(self):
-        cfg = TuningConfig(lam=0.1, gamma=0.2)
-        assert cfg.lam == 0.1 and cfg.gamma == 0.2
-        assert cfg.lambda_grid.size == 50
-
-    def test_tuning_config_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            TuningConfig(lambda_grid=[0.2, 0.1])
-        with pytest.raises(ValueError):
-            TuningConfig(gamma_grid=[0.0, 0.5])
 
 
 class TestBicLambda:
@@ -67,6 +62,25 @@ class TestBicLambda:
         grid = default_lambda_grid()
         _, prof = bic_lambda(Y, 9, grid)
         np.testing.assert_allclose(prof, naive_bic_lambda(Y, 9, grid), rtol=1e-9)
+
+    @given(
+        T=st.integers(2, 12),
+        p=st.integers(1, 5),
+        split=st.floats(0.0, 1.0),
+        cells=st.lists(st.integers(-8, 8), min_size=60, max_size=60),
+    )
+    @example(T=2, p=1, split=0.0, cells=[3, -5] * 30)
+    @example(T=9, p=4, split=1.0, cells=list(range(-8, 9)) * 3 + [0] * 9)
+    def test_closed_form_matches_naive_property(self, T, p, split, cells):
+        # quarter-integer data puts segment means exactly on grid values
+        Y = np.array(cells[: T * p], dtype=float).reshape(T, p) / 4.0
+        k = 1 + int(round(split * (T - 2)))
+        means = np.concatenate([Y[:k].mean(0), Y[k:].mean(0), Y.mean(0)])
+        grid = np.concatenate([default_lambda_grid(10), np.abs(means), [0.0, 5.0]])
+        _, prof = bic_lambda(Y, k, grid)
+        np.testing.assert_allclose(prof, naive_bic_lambda(Y, k, grid), rtol=1e-9)
+        full = _lambda_criterion(series_stats(Y), T, grid)
+        np.testing.assert_allclose(full, naive_bic_lambda(Y, T, grid), rtol=1e-9)
 
     def test_noiseless_support_recovery_plateau(self):
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])
