@@ -16,12 +16,10 @@ from .detect import DetectionResult, detect_change, penalized_argmin, thresholde
 from .infer import (
     InferenceResult,
     QuantileMCSettings,
-    QuantileTable,
     confidence_interval,
     limit_quantile,
     plugin_sigma_sq,
     plugin_xi_sq,
-    quantile_table,
     refit_means,
 )
 from .pls import PipelineResult, full_pipeline, pls_estimate
@@ -38,7 +36,6 @@ __all__ = [
     "PipelineResult",
     "InferenceResult",
     "QuantileMCSettings",
-    "QuantileTable",
     "MetricsReport",
     "SimConfig",
     "center_columns",
@@ -56,7 +53,6 @@ __all__ = [
     "plugin_xi_sq",
     "plugin_sigma_sq",
     "limit_quantile",
-    "quantile_table",
     "confidence_interval",
     "bic_lambda",
     "bic_gamma",

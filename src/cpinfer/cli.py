@@ -149,10 +149,10 @@ def _mc_settings(args) -> QuantileMCSettings | None:
 
 
 def cmd_infer(args) -> tuple[dict, int]:
+    c_alpha = limit_quantile(args.alpha, _mc_settings(args))
     Y = read_csv(args.input, args.header)
     res = full_pipeline(Y, tau_init=args.tau_init, alpha=args.alpha,
-                        lam=args.lam, gamma=args.gamma, with_ci=True,
-                        mc=_mc_settings(args), cache_path=args.cache)
+                        lam=args.lam, gamma=args.gamma, with_ci=True, c_alpha=c_alpha)
     report = {
         "schema": SCHEMA,
         "command": "infer",
@@ -213,7 +213,7 @@ def _write_records_csv(path, records) -> None:
 
 def cmd_quantile(args) -> tuple[dict, int]:
     mc = _mc_settings(args) or QuantileMCSettings()
-    c = limit_quantile(args.alpha, mc, cache_path=args.cache)
+    c = limit_quantile(args.alpha, mc)
     report = {
         "schema": SCHEMA,
         "command": "quantile",
@@ -257,8 +257,6 @@ def _add_mc_options(sub, description: str):
                        help=f"grid step (default {d.grid_step:g})")
     group.add_argument("--seed", type=int, default=None,
                        help=f"seed (default {d.seed})")
-    group.add_argument("--cache", default=None,
-                       help="quantile cache file, read and appended by Monte Carlo runs only")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -52,11 +52,6 @@ def thresholded_means(Y, k: int, lam: float) -> MeanPair:
     return MeanPair(soft_threshold(left, lam), soft_threshold(right, lam))
 
 
-def _penalized_profile(Y, means: MeanPair, gamma: float) -> tuple[np.ndarray, int]:
-    """Penalized loss at every split and the arg-min split."""
-    return _penalize(loss_profile_pd(Y, means.mu1, means.mu2), gamma)
-
-
 def _penalize(loss: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
     """The loss profile plus gamma at interior splits, and its arg-min split.
 
@@ -76,7 +71,7 @@ def penalized_argmin(Y, means: MeanPair, gamma: float) -> ChangePointEstimate:
     """Arg-min over k in {1, ..., T} of loss_pd(Y, k, means) + gamma * 1{k < T}."""
     if gamma < 0:
         raise ValueError(f"penalty must be nonnegative, got {gamma}")
-    obj, k = _penalized_profile(Y, means, gamma)
+    obj, k = _penalize(loss_profile_pd(Y, means.mu1, means.mu2), gamma)
     return ChangePointEstimate(k, obj.size)
 
 
@@ -85,8 +80,6 @@ def detect_change(
     tau_init: float = 0.5,
     lam: float | None = None,
     gamma: float | None = None,
-    lambda_grid=None,
-    gamma_grid=None,
 ) -> DetectionResult:
     """Run the two-step detector: shrunken means at the initial split, then
     the penalized grid minimization.
@@ -101,11 +94,11 @@ def detect_change(
 
     user_lam = lam
     if lam is None:
-        lam, _ = bic_lambda(s, k_init, lambda_grid)
+        lam, _ = bic_lambda(s, k_init)
     means = thresholded_means(s, k_init, lam)
     loss = loss_profile_pd(s, means.mu1, means.mu2)
     if gamma is None:
-        gamma, _ = _bic_gamma(s, loss, gamma_grid, user_lam, lambda_grid)
+        gamma, _ = _bic_gamma(s, loss, None, user_lam)
     elif gamma < 0:
         raise ValueError(f"penalty must be nonnegative, got {gamma}")
 

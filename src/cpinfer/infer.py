@@ -13,11 +13,12 @@ and P(|V| <= c) = 2 G(c) - 1.  ``limit_quantile`` solves that equation by
 bisection on the log of the tail 2 (1 - G(c)), written through the scaled
 complementary error function so that no term overflows or underflows.
 
-Explicit ``QuantileMCSettings`` select the Monte Carlo estimate instead, and
-only those runs read and append the quantile cache; the simulator stays as
-the oracle that the closed form is tested against.  Each half-line carries a
-random walk with independent N(0, h) increments on a step-h grid out to
-half-width R, and the arg-min location is recorded per path.
+``limit_quantile(alpha)`` is the one way to get a critical value;
+``full_pipeline`` takes it as a number.  Explicit ``QuantileMCSettings``
+select the Monte Carlo estimate instead, the oracle that the closed form is
+tested against.  Each half-line carries a random walk with independent
+N(0, h) increments on a step-h grid out to half-width R, and the arg-min
+location is recorded per path.
 
 The simulation is hierarchical but exact in law: a coarse walk (step H, a
 multiple of h) is drawn first, and the fine grid is filled in by Brownian
@@ -31,7 +32,6 @@ cell (about 1e-14 at DELTA = 4), far beneath Monte Carlo noise.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +47,13 @@ from .core import (
 
 __all__ = [
     "QuantileMCSettings",
-    "QuantileTable",
     "InferenceResult",
     "refit_means",
     "plugin_xi_sq",
     "plugin_sigma_sq",
     "simulate_argmin_locations",
     "limit_quantile",
-    "quantile_table",
     "confidence_interval",
-    "read_quantile_cache",
 ]
 
 _DELTA = 4.0          # bridge-excursion margin, in units of sqrt(cell length)
@@ -79,18 +76,6 @@ class QuantileMCSettings:
         n = self.grid_half_width / self.grid_step
         if abs(n - round(n)) > 1e-8:
             raise ValueError("grid half-width must be an integer multiple of the step")
-
-
-@dataclass(frozen=True)
-class QuantileTable:
-    """Critical values c_alpha with the Monte Carlo settings that produced them."""
-
-    alphas: tuple
-    critical_values: tuple
-    mc_paths: int
-    grid_half_width: float
-    grid_step: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -276,86 +261,22 @@ def _exact_quantile(alpha: float) -> float:
             hi = mid
 
 
-def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None,
-                   cache_path: str | os.PathLike | None = None) -> float:
-    """Critical value c with P(|V| <= c) = 1 - alpha under the arg-min law.
-
-    Without ``settings`` c is exact, from the closed-form law, and
-    ``cache_path`` is not used.  With ``settings`` c is the Monte Carlo
-    estimate, read from and appended to the cache when a path is given.
-    """
+def _check_level(alpha: float) -> None:
+    """Raise ValueError unless the level alpha lies in (0, 1)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
+
+
+def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> float:
+    """Critical value c with P(|V| <= c) = 1 - alpha under the arg-min law.
+
+    Without ``settings`` c is exact, from the closed-form law; with
+    ``settings`` it is the Monte Carlo estimate.
+    """
+    _check_level(alpha)
     if settings is None:
         return _exact_quantile(float(alpha))
-    key = _cache_key(alpha, settings)
-    if cache_path is not None:
-        cached = read_quantile_cache(cache_path).get(key)
-        if cached is not None:
-            return cached
-    c = float(np.quantile(np.abs(simulate_argmin_locations(settings)), 1.0 - alpha))
-    if cache_path is not None:
-        _cache_append(cache_path, key, c)
-    return c
-
-
-def quantile_table(alphas, settings: QuantileMCSettings | None = None,
-                   cache_path: str | os.PathLike | None = None) -> QuantileTable:
-    """Critical values for several levels from a single simulated sample."""
-    s = settings or QuantileMCSettings()
-    alphas = sorted(float(a) for a in alphas)
-    if any(not (0.0 < a < 1.0) for a in alphas):
-        raise ValueError("levels must lie in (0, 1)")
-    cache = read_quantile_cache(cache_path) if cache_path is not None else {}
-    missing = [a for a in alphas if _cache_key(a, s) not in cache]
-    if missing:
-        sample = np.abs(simulate_argmin_locations(s))
-        for a in missing:
-            c = float(np.quantile(sample, 1.0 - a))
-            cache[_cache_key(a, s)] = c
-            if cache_path is not None:
-                _cache_append(cache_path, _cache_key(a, s), c)
-    values = tuple(cache[_cache_key(a, s)] for a in alphas)
-    return QuantileTable(
-        alphas=tuple(alphas),
-        critical_values=values,
-        mc_paths=s.paths,
-        grid_half_width=s.grid_half_width,
-        grid_step=s.grid_step,
-        seed=s.seed,
-    )
-
-
-def _cache_key(alpha: float, s: QuantileMCSettings) -> str:
-    return (
-        f"alpha={float(alpha)!r},R={float(s.grid_half_width)!r},"
-        f"h={float(s.grid_step)!r},paths={s.paths},seed={s.seed}"
-    )
-
-
-def read_quantile_cache(path) -> dict:
-    """Parse the line-based cache file (``key -> c=value``); missing file is empty."""
-    table: dict[str, float] = {}
-    if path is None or not os.path.exists(path):
-        return table
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "->" not in line:
-                continue
-            key, _, rhs = line.partition("->")
-            rhs = rhs.strip()
-            if rhs.startswith("c="):
-                table[key.strip()] = float(rhs[2:])
-    return table
-
-
-def _cache_append(path, key: str, value: float) -> None:
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"{key} -> c={value!r}\n")
+    return float(np.quantile(np.abs(simulate_argmin_locations(settings)), 1.0 - alpha))
 
 
 def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,

@@ -24,7 +24,7 @@ from .core import (
 from .detect import DetectionResult, detect_change, thresholded_means
 from .infer import (
     InferenceResult,
-    QuantileMCSettings,
+    _check_level,
     confidence_interval,
     limit_quantile,
     plugin_sigma_sq,
@@ -78,41 +78,41 @@ def pls_estimate(Y, means: MeanPair) -> ChangePointEstimate:
 
 def full_pipeline(
     Y,
-    lambda_grid=None,
-    gamma_grid=None,
+    *,
     tau_init: float = 0.5,
     alpha: float = 0.05,
-    *,
     lam: float | None = None,
     gamma: float | None = None,
     with_ci: bool = True,
     c_alpha: float | None = None,
-    mc: QuantileMCSettings | None = None,
-    cache_path=None,
     center: bool = False,
 ) -> PipelineResult:
     """Detect, re-estimate the means at the detected split, locate by
-    projected least squares, and (optionally) build the interval.
+    projected least squares, and (optionally) build the level-``alpha``
+    interval.
 
     The shrinkage steps assume the segment means are sparse in the given
     coordinates, so the data is used as supplied; pass ``center=True`` (or
     pre-apply ``center_columns``) when only the mean *change* is sparse.
     ``lam``/``gamma`` override the criterion-based tuning.  The critical
-    value is ``c_alpha`` when supplied, else the exact closed-form quantile,
-    or the Monte Carlo estimate when ``mc`` settings are given (only that
-    reads and appends ``cache_path``).
+    value is ``c_alpha`` when supplied, else the exact ``limit_quantile(alpha)``;
+    pass ``c_alpha=limit_quantile(alpha, settings)`` for a Monte Carlo value.
+    With ``with_ci`` an ``alpha`` outside (0, 1) raises ValueError up front.
     """
+    if with_ci:
+        _check_level(alpha)
+        if c_alpha is None:
+            c_alpha = limit_quantile(alpha)
     stats = series_stats(center_columns(Y) if center else Y)  # the one validation
     T = stats.T
-    det = detect_change(stats, tau_init, lam=lam, gamma=gamma,
-                        lambda_grid=lambda_grid, gamma_grid=gamma_grid)
+    det = detect_change(stats, tau_init, lam=lam, gamma=gamma)
     if not det.changed:
         return PipelineResult(detection=det, status="no_change")
 
     k_hat = det.estimate.k
     lam_refit = lam
     if lam_refit is None:
-        lam_refit, _ = bic_lambda(stats, k_hat, lambda_grid)
+        lam_refit, _ = bic_lambda(stats, k_hat)
     means = thresholded_means(stats, k_hat, lam_refit)
 
     try:
@@ -135,8 +135,6 @@ def full_pipeline(
         refit = refit_means(stats, k_tilde, means.support1, means.support2)
         xi_sq = plugin_xi_sq(refit)
         sigma_sq = plugin_sigma_sq(stats, k_tilde, refit)
-        if c_alpha is None:
-            c_alpha = limit_quantile(alpha, mc, cache_path)
         result.inference = confidence_interval(k_tilde, xi_sq, sigma_sq, c_alpha, T, alpha=alpha)
     except DegenerateJumpError:
         result.status = "degenerate"

@@ -1,10 +1,9 @@
 """Synthetic designs, estimator metrics, and the Monte Carlo harness.
 
 Noise rows follow an AR(1)-in-coordinates Gaussian law with covariance
-rho^{|i-j|} and unit marginals, generated by the exact O(p) recursion
-(a dense-covariance path exists for arbitrary covariances).  Replications
-draw from per-replication substreams of the master seed, so serial and
-parallel runs agree bit for bit.
+rho^{|i-j|} and unit marginals, generated by the exact O(p) recursion.
+Replications draw from per-replication substreams of the master seed, so
+serial and parallel runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "MetricsReport",
     "design_means",
     "ar1_covariance",
-    "gen_noise_row",
-    "gen_noise_dense",
     "gen_dataset",
     "run_monte_carlo",
     "metrics_from_records",
@@ -117,35 +114,17 @@ def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
     return lfilter([1.0], [1.0, -rho], w, axis=1)
 
 
-def gen_noise_row(p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """One noise row: e_1 = w_1, e_j = rho e_{j-1} + sqrt(1 - rho^2) w_j."""
-    if not (-1.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-    return _ar1_noise(1, p, rho, rng)[0]
-
-
-def gen_noise_dense(n: int, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """n rows of N(0, sigma) via Cholesky, for arbitrary covariances."""
-    chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-    return rng.standard_normal((n, chol.shape[0])) @ chol.T
-
-
 def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep_index,)))
 
 
-def gen_dataset(cfg: SimConfig, rep_index: int, noise_scale: float | None = None) -> tuple[np.ndarray, int]:
-    """One replication's data and the true split index.
-
-    ``noise_scale`` (default: the config's) is a test hook; 0 yields the
-    noiseless mean layout.
-    """
+def gen_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, int]:
+    """One replication's data and the true split index."""
     rng = _rep_rng(cfg.seed, rep_index)
     mu1, mu2 = design_means(cfg.p, cfg.s)
     k0 = cfg.k0
-    scale = cfg.noise_scale if noise_scale is None else noise_scale
     Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, rng)
-    Y *= scale
+    Y *= cfg.noise_scale
     Y[:k0] += mu1
     Y[k0:] += mu2
     return Y, k0

@@ -11,36 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MeanPair, SeriesStats, as_series, loss_profile_pd, series_stats
+from .core import MeanPair, SeriesStats, loss_profile_pd, series_stats
 
 __all__ = [
-    "default_lambda_grid",
-    "default_gamma_grid",
-    "mad_scale",
+    "DEFAULT_LAMBDAS",
+    "DEFAULT_GAMMAS",
     "bic_lambda",
     "bic_gamma",
 ]
 
-
-def default_lambda_grid(n: int = 50, upper: float = 0.5) -> np.ndarray:
-    """n equally spaced values strictly inside (0, upper)."""
-    return upper * np.arange(1, n + 1) / (n + 1)
-
-
-def default_gamma_grid(n: int = 50, upper: float = 1.0) -> np.ndarray:
-    return upper * np.arange(1, n + 1) / (n + 1)
+DEFAULT_LAMBDAS = 0.5 * np.arange(1, 51) / 51
+DEFAULT_GAMMAS = 1.0 * np.arange(1, 51) / 51
+DEFAULT_LAMBDAS.flags.writeable = DEFAULT_GAMMAS.flags.writeable = False
 
 
-def mad_scale(Y) -> float:
-    """Median absolute deviation of the centered data, as a grid multiplier
-    for series whose noise is far from unit variance."""
-    Y = as_series(Y)
-    resid = Y - np.median(Y, axis=0, keepdims=True)
-    return float(np.median(np.abs(resid)) / 0.6744897501960817)
-
-
-def _validated_grid(grid, default) -> np.ndarray:
-    g = default() if grid is None else np.asarray(grid, dtype=float).ravel()
+def _validated_grid(grid, default: np.ndarray) -> np.ndarray:
+    g = default if grid is None else np.asarray(grid, dtype=float).ravel()
     if g.size == 0:
         raise ValueError("tuning grid is empty")
     if np.any(g < 0):
@@ -77,7 +63,7 @@ def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
     return rss + support * np.log(s.T)
 
 
-def bic_lambda(Y, k: int, grid=None, *, scale: float = 1.0):
+def bic_lambda(Y, k: int, grid=None):
     """Select the soft-threshold level for the stopped means at split k.
 
     Criterion per grid value: the residual sum of squares of the two
@@ -88,13 +74,12 @@ def bic_lambda(Y, k: int, grid=None, *, scale: float = 1.0):
     s = series_stats(Y)
     if not (1 <= k <= s.T - 1):
         raise ValueError(f"split k={k} leaves an empty segment (T={s.T})")
-    grid = _validated_grid(grid, default_lambda_grid) * float(scale)
+    grid = _validated_grid(grid, DEFAULT_LAMBDAS)
     profile = _lambda_criterion(s, k, grid)
     return _select(grid, profile), profile
 
 
-def bic_gamma(Y, initial_means: MeanPair, grid=None, lambda_for_refit: float | None = None,
-              lambda_grid=None):
+def bic_gamma(Y, initial_means: MeanPair, grid=None, lambda_for_refit: float | None = None):
     """Select the detection penalty.
 
     For each grid value the penalized arg-min split is computed with the
@@ -108,15 +93,15 @@ def bic_gamma(Y, initial_means: MeanPair, grid=None, lambda_for_refit: float | N
     """
     s = series_stats(Y)
     loss = loss_profile_pd(s, initial_means.mu1, initial_means.mu2)
-    return _bic_gamma(s, loss, grid, lambda_for_refit, lambda_grid)
+    return _bic_gamma(s, loss, grid, lambda_for_refit)
 
 
-def _bic_gamma(s: SeriesStats, loss: np.ndarray, grid, lambda_for_refit, lambda_grid):
+def _bic_gamma(s: SeriesStats, loss: np.ndarray, grid, lambda_for_refit):
     """``bic_gamma`` given the unpenalized loss profile of the initial means."""
     T = s.T
-    grid = _validated_grid(grid, default_gamma_grid)
-    fixed = lambda_for_refit is not None
-    lam_grid = _validated_grid([lambda_for_refit] if fixed else lambda_grid, default_lambda_grid)
+    grid = _validated_grid(grid, DEFAULT_GAMMAS)
+    lam_grid = _validated_grid(None if lambda_for_refit is None else [lambda_for_refit],
+                               DEFAULT_LAMBDAS)
     interior_min = loss[:-1].min()
     log_t = np.log(T)
 

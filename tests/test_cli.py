@@ -109,30 +109,27 @@ class TestCommands:
         assert report["k_tilde"] == res.pls_estimate.k
         assert report["tau_tilde"] == res.pls_estimate.tau
 
-    def test_infer_adds_interval(self, shifted_csv, capsys, tmp_path):
+    def test_infer_adds_interval(self, shifted_csv, capsys):
         path, Y, k0 = shifted_csv
-        cache = tmp_path / "cache.txt"
         args = ["infer", "--input", str(path), "--alpha", "0.1",
-                "--paths", "4000", "--grid-R", "40", "--grid-h", "0.01",
-                "--seed", "3", "--cache", str(cache)]
+                "--paths", "4000", "--grid-R", "40", "--grid-h", "0.01", "--seed", "3"]
         report, code = run_cli(args, capsys)
         assert code == 0
-        from cpinfer.infer import QuantileMCSettings
-
-        res = full_pipeline(Y, alpha=0.1, with_ci=True,
-                            mc=QuantileMCSettings(40, 0.01, 4000, 3))
+        c_alpha = limit_quantile(0.1, QuantileMCSettings(40, 0.01, 4000, 3))
+        res = full_pipeline(Y, alpha=0.1, c_alpha=c_alpha)
+        assert report["status"] == res.status
+        assert report["k_hat"] == res.detection.estimate.k
+        assert report["k_tilde"] == res.pls_estimate.k
+        assert report["tau_tilde"] == res.pls_estimate.tau
         assert report["xi_sq"] == res.inference.xi_sq_hat
         assert report["sigma_sq"] == res.inference.sigma_sq_hat
-        assert report["c_alpha"] == res.inference.c_alpha
+        assert report["c_alpha"] == res.inference.c_alpha == c_alpha
         assert report["ci_int"] == list(res.inference.interval_int)
         assert report["ci_frac"] == list(res.inference.interval_frac)
-        assert cache.exists()
 
-    def test_infer_exact_without_mc_flags(self, shifted_csv, capsys, tmp_path):
+    def test_infer_exact_without_mc_flags(self, shifted_csv, capsys):
         path, Y, k0 = shifted_csv
-        cache = tmp_path / "cache.txt"
-        report, code = run_cli(["infer", "--input", str(path), "--alpha", "0.1",
-                                "--cache", str(cache)], capsys)
+        report, code = run_cli(["infer", "--input", str(path), "--alpha", "0.1"], capsys)
         assert code == 0
         assert report["c_alpha"] == limit_quantile(0.1)
         res = full_pipeline(Y, alpha=0.1)
@@ -141,7 +138,6 @@ class TestCommands:
         assert report["c_alpha"] == res.inference.c_alpha
         assert report["ci_int"] == list(res.inference.interval_int)
         assert report["ci_frac"] == list(res.inference.interval_frac)
-        assert not cache.exists()
 
     def test_any_mc_flag_selects_monte_carlo(self):
         parser = build_parser()
@@ -155,7 +151,7 @@ class TestCommands:
     def test_quantile_defaults_to_simulator(self, capsys, monkeypatch):
         calls = []
 
-        def fake(alpha, settings=None, cache_path=None):
+        def fake(alpha, settings=None):
             calls.append(settings)
             return 11.0
 
@@ -169,6 +165,8 @@ class TestCommands:
         ["simulate", "--T", "30", "--p", "8", "--tau0", "0.5", "--paths", "100"],
         ["simulate", "--T", "30", "--p", "8", "--tau0", "0.5", "--cache", "q.txt"],
         ["estimate", "--input", "x.csv", "--alpha", "0.1"],
+        ["infer", "--input", "x.csv", "--cache", "q.txt"],
+        ["quantile", "--cache", "q.txt"],
     ])
     def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -191,6 +189,17 @@ class TestCommands:
         assert code == 2
         assert report["changed"] is False
         assert report["ci_int"] is None
+
+    def test_infer_bad_level_is_error_whatever_the_data(self, shifted_csv, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        null = tmp_path / "null.csv"
+        write_csv(null, rng.normal(size=(50, 8)))
+        for path in (null, shifted_csv[0]):
+            code = main(["infer", "--input", str(path), "--alpha", "1.5"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "level must lie in (0, 1)" in json.loads(captured.err)["error"]
 
     def test_detect_no_change_exits_0(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -235,17 +244,12 @@ class TestCommands:
         assert code == 0
         assert report["metrics"]["tnr"] == 1.0
 
-    def test_quantile_command(self, capsys, tmp_path):
-        cache = tmp_path / "q.txt"
+    def test_quantile_command(self, capsys):
         args = ["quantile", "--alpha", "0.5", "--paths", "4000",
-                "--grid-R", "30", "--grid-h", "0.01", "--seed", "9",
-                "--cache", str(cache)]
+                "--grid-R", "30", "--grid-h", "0.01", "--seed", "9"]
         report, code = run_cli(args, capsys)
         assert code == 0
         assert 0.5 < report["c_alpha"] < 4.0
-        # second run hits the cache and reproduces the value exactly
-        report2, _ = run_cli(args, capsys)
-        assert report2["c_alpha"] == report["c_alpha"]
 
     def test_output_file(self, shifted_csv, tmp_path, capsys):
         path, _, _ = shifted_csv

@@ -57,9 +57,10 @@ class TestPenalizedArgmin:
         Y = np.array([[0.0], [0.0], [1.0], [1.0]])
         est = penalized_argmin(Y, MeanPair([0.0], [1.0]), gamma=0.1)
         assert est.k == 2
-        from cpinfer.detect import _penalized_profile
+        from cpinfer.core import loss_profile_pd
+        from cpinfer.detect import _penalize
 
-        obj, k = _penalized_profile(Y, MeanPair([0.0], [1.0]), 0.1)
+        obj, k = _penalize(loss_profile_pd(Y, [0.0], [1.0]), 0.1)
         np.testing.assert_allclose(obj, [0.35, 0.1, 0.35, 0.5])
         assert k == 2
 

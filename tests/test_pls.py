@@ -121,6 +121,17 @@ class TestFullPipeline:
         assert res.pls_estimate is None
         assert res.inference is None
 
+    @pytest.mark.parametrize("alpha, c_alpha", [(3.0, 11.0), (1.5, None), (0.0, 11.0)])
+    def test_level_checked_before_any_work(self, alpha, c_alpha):
+        # a supplied c_alpha does not excuse the level; no data is read first
+        with pytest.raises(ValueError, match="level must lie in"):
+            full_pipeline(np.full((10, 2), np.nan), alpha=alpha, c_alpha=c_alpha)
+        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
+        with pytest.raises(ValueError, match="level must lie in"):
+            full_pipeline(two_level(20, 10, mu1, mu2), alpha=alpha, c_alpha=c_alpha)
+        res = full_pipeline(two_level(20, 10, mu1, mu2), alpha=alpha, with_ci=False)
+        assert res.status == "ok"
+
     def test_noiseless_shift_recovers_and_collapses_interval(self):
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])
         mu2 = np.array([0.0, 2.0, 0.0, 0.0])

@@ -7,11 +7,10 @@ from cpinfer.infer import limit_quantile
 from cpinfer.simbench import (
     MetricsReport,
     SimConfig,
+    _ar1_noise,
     ar1_covariance,
     design_means,
     gen_dataset,
-    gen_noise_dense,
-    gen_noise_row,
     initializer_sweep,
     metrics_from_records,
     run_monte_carlo,
@@ -40,43 +39,27 @@ class TestConfig:
 class TestNoise:
     def test_rho_zero_is_iid(self):
         rng = np.random.default_rng(0)
-        rows = np.vstack([gen_noise_row(4, 0.0, rng) for _ in range(4000)])
+        rows = _ar1_noise(4000, 4, 0.0, rng)
         cov = np.cov(rows, rowvar=False)
         np.testing.assert_allclose(cov, np.eye(4), atol=0.08)
 
     def test_pairwise_covariance(self):
         rng = np.random.default_rng(1)
-        rows = np.vstack([gen_noise_row(2, 0.5, rng) for _ in range(6000)])
+        rows = _ar1_noise(6000, 2, 0.5, rng)
         cov = np.cov(rows, rowvar=False)
         np.testing.assert_allclose(cov, [[1.0, 0.5], [0.5, 1.0]], atol=0.06)
 
     def test_sample_covariance_matches_target(self):
         rng = np.random.default_rng(2)
         n, p, rho = 50_000, 5, 0.5
-        rows = np.vstack([gen_noise_row(p, rho, rng) for _ in range(4)])  # shape check
-        assert rows.shape == (4, p)
-        from cpinfer.simbench import _ar1_noise
-
         big = _ar1_noise(n, p, rho, rng)
         cov = np.cov(big, rowvar=False)
         np.testing.assert_allclose(cov, ar1_covariance(p, rho), atol=0.02)
 
     def test_unit_marginals_within_two_percent(self):
         rng = np.random.default_rng(3)
-        from cpinfer.simbench import _ar1_noise
-
         big = _ar1_noise(60_000, 6, 0.5, rng)
         np.testing.assert_allclose(big.var(axis=0), np.ones(6), atol=0.02)
-
-    def test_dense_path_cross_check(self):
-        rng = np.random.default_rng(4)
-        sigma = ar1_covariance(4, 0.5)
-        rows = gen_noise_dense(40_000, sigma, rng)
-        np.testing.assert_allclose(np.cov(rows, rowvar=False), sigma, atol=0.03)
-
-    def test_rho_bounds(self):
-        with pytest.raises(ValueError):
-            gen_noise_row(3, 1.0, np.random.default_rng(0))
 
 
 class TestGenDataset:

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from cpinfer.core import series_stats
 from cpinfer.detect import penalized_argmin, thresholded_means
 from cpinfer.tune import (
+    DEFAULT_GAMMAS,
+    DEFAULT_LAMBDAS,
     _lambda_criterion,
     bic_gamma,
     bic_lambda,
-    default_gamma_grid,
-    default_lambda_grid,
-    mad_scale,
 )
 
 
@@ -34,8 +33,8 @@ def naive_bic_lambda(Y, k, grid):
 
 class TestGrids:
     def test_defaults_strictly_inside_open_intervals(self):
-        lg = default_lambda_grid()
-        gg = default_gamma_grid()
+        lg = DEFAULT_LAMBDAS
+        gg = DEFAULT_GAMMAS
         assert lg.size == 50 and gg.size == 50
         assert 0.0 < lg[0] and lg[-1] < 0.5
         assert 0.0 < gg[0] and gg[-1] < 1.0
@@ -59,7 +58,7 @@ class TestBicLambda:
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(20, 6))
         Y[12:, :2] += 1.0
-        grid = default_lambda_grid()
+        grid = DEFAULT_LAMBDAS
         _, prof = bic_lambda(Y, 9, grid)
         np.testing.assert_allclose(prof, naive_bic_lambda(Y, 9, grid), rtol=1e-9)
 
@@ -76,7 +75,7 @@ class TestBicLambda:
         Y = np.array(cells[: T * p], dtype=float).reshape(T, p) / 4.0
         k = 1 + int(round(split * (T - 2)))
         means = np.concatenate([Y[:k].mean(0), Y[k:].mean(0), Y.mean(0)])
-        grid = np.concatenate([default_lambda_grid(10), np.abs(means), [0.0, 5.0]])
+        grid = np.concatenate([0.5 * np.arange(1, 11) / 11, np.abs(means), [0.0, 5.0]])
         _, prof = bic_lambda(Y, k, grid)
         np.testing.assert_allclose(prof, naive_bic_lambda(Y, k, grid), rtol=1e-9)
         full = _lambda_criterion(series_stats(Y), T, grid)
@@ -86,7 +85,7 @@ class TestBicLambda:
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])
         mu2 = np.array([0.0, 2.0, 0.0, 0.0])
         Y = np.vstack([np.tile(mu1, (6, 1)), np.tile(mu2, (6, 1))])
-        grid = default_lambda_grid()
+        grid = DEFAULT_LAMBDAS
         lam, prof = bic_lambda(Y, 6, grid)
         mp = thresholded_means(Y, 6, lam)
         assert list(mp.support1) == [0]
@@ -104,7 +103,7 @@ class TestBicLambda:
         rng = np.random.default_rng(2)
         Y = rng.normal(size=(30, 5))
         Y[15:, 0] += 1.0
-        grid = default_lambda_grid()
+        grid = DEFAULT_LAMBDAS
         lam_fwd, _ = bic_lambda(Y, 15, grid)
         lam_rev, _ = bic_lambda(Y, 15, grid[::-1])
         assert lam_fwd == lam_rev
@@ -112,19 +111,6 @@ class TestBicLambda:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             bic_lambda(np.zeros((4, 1)) + np.arange(4)[:, None], 2, [])
-
-    def test_scale_multiplier(self):
-        rng = np.random.default_rng(3)
-        Y = rng.normal(size=(40, 4))
-        Y[20:, 0] += 2.0
-        lam1, _ = bic_lambda(Y, 20, [0.1, 0.2])
-        lam2, _ = bic_lambda(Y * 2.0, 20, [0.1, 0.2], scale=2.0)
-        assert lam2 == pytest.approx(2.0 * lam1)
-
-    def test_mad_scale_near_one_for_unit_noise(self):
-        rng = np.random.default_rng(4)
-        Y = rng.normal(size=(4000, 3))
-        assert mad_scale(Y) == pytest.approx(1.0, abs=0.05)
 
 
 class TestBicGamma:
@@ -142,7 +128,7 @@ class TestBicGamma:
         mu1 = np.array([3.0, 0.0])
         mu2 = np.array([0.0, 3.0])
         Y = np.vstack([np.tile(mu1, (8, 1)), np.tile(mu2, (8, 1))])
-        grid = default_gamma_grid()
+        grid = DEFAULT_GAMMAS
         lam, _ = bic_lambda(Y, 8)
         means = thresholded_means(Y, 8, lam)
         gamma, prof = bic_gamma(Y, means, grid, lambda_for_refit=lam)
@@ -156,7 +142,7 @@ class TestBicGamma:
         Y[25:, 0] += 1.2
         lam, _ = bic_lambda(Y, 20)
         means = thresholded_means(Y, 20, lam)
-        grid = default_gamma_grid()
+        grid = DEFAULT_GAMMAS
         splits = [penalized_argmin(Y, means, float(g)).k for g in grid]
         changes = sum(1 for a, b in zip(splits, splits[1:]) if a != b)
         assert changes <= 1  # interior split is gamma-free; single jump to T
@@ -167,7 +153,7 @@ class TestBicGamma:
         Y[18:, 1] += 0.8
         lam, _ = bic_lambda(Y, 15)
         means = thresholded_means(Y, 15, lam)
-        grid = default_gamma_grid()
+        grid = DEFAULT_GAMMAS
         g_fwd, _ = bic_gamma(Y, means, grid)
         g_rev, _ = bic_gamma(Y, means, grid[::-1])
         assert g_fwd == g_rev
