@@ -1,8 +1,8 @@
 """Command-line front end: CSV in, JSON out.
 
 Exit codes: 0 success, 1 error, 2 no-change-detected (only when an interval
-was requested).  Reports carry ``"schema": "cpinfer/1"`` and serialize the
-library results directly.
+was requested).  Reports carry ``"schema": "cpinfer/1"`` and the run's
+fields from ``DetectionResult.record`` or ``PipelineResult.record``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .core import as_series
 from .detect import detect_change
 from .infer import QuantileMCSettings, limit_quantile
 from .pls import full_pipeline
@@ -40,7 +39,8 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a rectangular numeric CSV as a T x p array.
 
     Raises ValueError naming the offending row/column on ragged or
-    non-numeric input.
+    non-numeric input.  Finiteness is left to the pipeline, which validates
+    the array once.
     """
     try:
         with warnings.catch_warnings():
@@ -51,7 +51,7 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
         data = _scan_csv(path, has_header)
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {data.shape[0]}")
-    return as_series(data)
+    return data
 
 
 def _scan_csv(path, has_header: bool) -> np.ndarray:
@@ -93,48 +93,17 @@ def write_csv(path, Y, header=None) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
-def _detection_fields(det) -> dict:
-    return {
-        "changed": det.changed,
-        "k_hat": det.estimate.k,
-        "tau_hat": det.estimate.tau,
-        "lambda": det.lambda_used,
-        "gamma": det.gamma_used,
-    }
-
-
 def cmd_detect(args) -> tuple[dict, int]:
     Y = read_csv(args.input, args.header)
     det = detect_change(Y, tau_init=args.tau_init, lam=args.lam, gamma=args.gamma)
-    report = {"schema": SCHEMA, "command": "detect", **_detection_fields(det)}
-    return report, 0
+    return {"schema": SCHEMA, "command": "detect", **det.record()}, 0
 
 
 def cmd_estimate(args) -> tuple[dict, int]:
     Y = read_csv(args.input, args.header)
     res = full_pipeline(Y, tau_init=args.tau_init, lam=args.lam, gamma=args.gamma,
                         with_ci=False)
-    report = {
-        "schema": SCHEMA,
-        "command": "estimate",
-        **_detection_fields(res.detection),
-        "status": res.status,
-        "k_tilde": res.pls_estimate.k if res.pls_estimate else None,
-        "tau_tilde": res.pls_estimate.tau if res.pls_estimate else None,
-    }
-    return report, 0
+    return {"schema": SCHEMA, "command": "estimate", **res.record()}, 0
 
 
 _MC_FLAGS = {"grid_R": "grid_half_width", "grid_h": "grid_step", "paths": "paths", "seed": "seed"}
@@ -153,29 +122,16 @@ def cmd_infer(args) -> tuple[dict, int]:
     Y = read_csv(args.input, args.header)
     res = full_pipeline(Y, tau_init=args.tau_init, alpha=args.alpha,
                         lam=args.lam, gamma=args.gamma, with_ci=True, c_alpha=c_alpha)
+    inf = res.inference
     report = {
         "schema": SCHEMA,
         "command": "infer",
-        **_detection_fields(res.detection),
-        "status": res.status,
-        "k_tilde": res.pls_estimate.k if res.pls_estimate else None,
-        "tau_tilde": res.pls_estimate.tau if res.pls_estimate else None,
+        **res.record(),
         "alpha": args.alpha,
-        "xi_sq": None,
-        "sigma_sq": None,
-        "c_alpha": None,
-        "ci_int": None,
-        "ci_frac": None,
+        "c_alpha": inf.c_alpha if inf else None,
+        "ci_int": list(inf.interval_int) if inf else None,
+        "ci_frac": list(inf.interval_frac) if inf else None,
     }
-    inf = res.inference
-    if inf is not None:
-        report.update(
-            xi_sq=inf.xi_sq_hat,
-            sigma_sq=inf.sigma_sq_hat,
-            c_alpha=inf.c_alpha,
-            ci_int=list(inf.interval_int),
-            ci_frac=list(inf.interval_frac),
-        )
     return report, 2 if res.status == "no_change" else 0
 
 
@@ -185,8 +141,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         reps=args.reps, seed=args.seed,
         alpha=args.alpha, tau_init=args.tau_init, gamma_off=args.gamma_off,
     )
-    report_obj = run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs)
-    metrics = report_obj.as_dict()
+    metrics = run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs).as_dict()
     records = metrics.pop("per_rep_records")
     if args.records_csv:
         _write_records_csv(args.records_csv, records)
@@ -202,11 +157,8 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _write_records_csv(path, records) -> None:
-    if not records:
-        return
-    keys = list(records[0].keys())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer = csv.DictWriter(fh, fieldnames=list(records[0]))
         writer.writeheader()
         writer.writerows(records)
 
@@ -314,7 +266,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    text = json.dumps(_jsonify(report), indent=2)
+    text = json.dumps(report, indent=2)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

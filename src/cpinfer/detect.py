@@ -20,7 +20,7 @@ from .core import (
     soft_threshold,
     stopped_means,
 )
-from .tune import _bic_gamma, bic_lambda
+from .tune import _bic_gamma, _split, bic_lambda
 
 __all__ = [
     "DetectionResult",
@@ -45,6 +45,17 @@ class DetectionResult:
     lambda_used: float
     objective_profile: np.ndarray
 
+    def record(self) -> dict:
+        """The detection's flat fields: ``changed``, the split ``k_hat`` and
+        its fraction ``tau_hat``, and the ``lambda`` and ``gamma`` used."""
+        return {
+            "changed": self.changed,
+            "k_hat": self.estimate.k,
+            "tau_hat": self.estimate.tau,
+            "lambda": self.lambda_used,
+            "gamma": self.gamma_used,
+        }
+
 
 def thresholded_means(Y, k: int, lam: float) -> MeanPair:
     """Soft-thresholded stopped-time means at split k (1 <= k <= T-1)."""
@@ -52,19 +63,20 @@ def thresholded_means(Y, k: int, lam: float) -> MeanPair:
     return MeanPair(soft_threshold(left, lam), soft_threshold(right, lam))
 
 
-def _penalize(loss: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
-    """The loss profile plus gamma at interior splits, and its arg-min split.
+def _initial_split(T: int, tau_init: float) -> int:
+    """The initial split floor(T * tau_init); ValueError unless 1 <= it <= T - 1."""
+    k = int(np.floor(T * tau_init))
+    if not (1 <= k <= T - 1):
+        raise ValueError(f"initial fraction {tau_init} gives degenerate split {k}")
+    return k
 
-    Ties involving k = T go to k = T; interior ties go to the smallest k.
-    """
+
+def _penalize(loss: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
+    """The loss profile plus gamma at interior splits, and its arg-min split
+    by the rule of ``tune._split``."""
     obj = loss.copy()
     obj[:-1] += gamma
-    interior_min = obj[:-1].min()
-    if obj[-1] <= interior_min:
-        k = obj.size
-    else:
-        k = int(np.argmin(obj[:-1])) + 1
-    return obj, k
+    return obj, int(_split(loss, gamma))
 
 
 def penalized_argmin(Y, means: MeanPair, gamma: float) -> ChangePointEstimate:
@@ -88,9 +100,7 @@ def detect_change(
     data at hand; explicit values always win.
     """
     s = series_stats(Y)
-    k_init = int(np.floor(s.T * tau_init))
-    if not (1 <= k_init <= s.T - 1):
-        raise ValueError(f"initial fraction {tau_init} gives degenerate split {k_init}")
+    k_init = _initial_split(s.T, tau_init)
 
     user_lam = lam
     if lam is None:

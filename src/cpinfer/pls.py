@@ -54,6 +54,21 @@ class PipelineResult:
     loss_profile: np.ndarray | None = None
     inference: InferenceResult | None = None
 
+    def record(self) -> dict:
+        """The run's flat fields: the detection's (``DetectionResult.record``),
+        then ``status``, the located split ``k_tilde`` and its fraction
+        ``tau_tilde``, and the plugin ``xi_sq`` and ``sigma_sq`` of the
+        interval; a field of a stage that did not run is None."""
+        loc, inf = self.pls_estimate, self.inference
+        return {
+            **self.detection.record(),
+            "status": self.status,
+            "k_tilde": loc.k if loc else None,
+            "tau_tilde": loc.tau if loc else None,
+            "xi_sq": inf.xi_sq_hat if inf else None,
+            "sigma_sq": inf.sigma_sq_hat if inf else None,
+        }
+
 
 def _jump_is_degenerate(means: MeanPair) -> bool:
     scale = 1.0 + np.linalg.norm(means.mu1) + np.linalg.norm(means.mu2)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .detect import detect_change
-from .infer import limit_quantile
+from .detect import _initial_split, detect_change
+from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
 
 __all__ = [
@@ -56,6 +57,8 @@ class SimConfig:
             raise ValueError(f"tau0 must lie in (0, 1], got {self.tau0}")
         if not (-1.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
+        _check_level(self.alpha)
+        _initial_split(self.T, self.tau_init)
 
     @property
     def k0(self) -> int:
@@ -130,13 +133,8 @@ def gen_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, int]:
     return Y, k0
 
 
-def _run_rep(cfg: SimConfig, rep_index: int, estimator, c_alpha: float | None) -> dict:
+def _run_rep(cfg: SimConfig, rep_index: int, estimator: str, c_alpha: float | None) -> dict:
     Y, k0 = gen_dataset(cfg, rep_index)
-    if callable(estimator):
-        record = {"rep": rep_index, "k0": k0, "tau0": cfg.tau0}
-        record.update(estimator(Y, cfg))
-        return record
-
     res = full_pipeline(
         Y,
         tau_init=cfg.tau_init,
@@ -145,89 +143,66 @@ def _run_rep(cfg: SimConfig, rep_index: int, estimator, c_alpha: float | None) -
         with_ci=(estimator == "pls_ci"),
         c_alpha=c_alpha,
     )
-    det = res.detection
-    record = {
+    inf = res.inference
+    lo, hi = inf.interval_int if inf else (None, None)
+    return {
         "rep": rep_index,
         "k0": k0,
         "tau0": cfg.tau0,
-        "changed": det.changed,
-        "status": res.status,
-        "k_hat": det.estimate.k,
-        "tau_hat": det.estimate.tau,
-        "lambda": det.lambda_used,
-        "gamma": det.gamma_used,
-        "k_tilde": None,
-        "tau_tilde": None,
-        "xi_sq": None,
-        "sigma_sq": None,
-        "se": None,
-        "ci_lo": None,
-        "ci_hi": None,
-        "covered": None,
+        **res.record(),
+        "se": inf.sigma_sq_hat / inf.xi_sq_hat if inf else None,
+        "ci_lo": lo,
+        "ci_hi": hi,
+        "covered": bool(lo <= cfg.T * cfg.tau0 <= hi) if inf else None,
     }
-    if res.pls_estimate is not None:
-        record["k_tilde"] = res.pls_estimate.k
-        record["tau_tilde"] = res.pls_estimate.tau
-    inf = res.inference
-    if inf is not None:
-        record["xi_sq"] = inf.xi_sq_hat
-        record["sigma_sq"] = inf.sigma_sq_hat
-        record["se"] = inf.sigma_sq_hat / inf.xi_sq_hat
-        record["ci_lo"], record["ci_hi"] = inf.interval_int
-        record["covered"] = bool(record["ci_lo"] <= cfg.T * cfg.tau0 <= record["ci_hi"])
-    return record
-
-
-def _rep_worker(args) -> dict:
-    return _run_rep(*args)
 
 
 def run_monte_carlo(
     cfg: SimConfig,
-    estimator="pls_ci",
+    estimator: str = "pls_ci",
     *,
     n_jobs: int = 1,
     c_alpha: float | None = None,
 ) -> MetricsReport:
     """Replicate the design and aggregate metrics for the chosen estimator.
 
-    ``estimator`` is "al1", "pls", "pls_ci", or a callable (Y, cfg) -> record
-    (the plugin slot for external methods).  The critical value for "pls_ci"
-    is the exact limiting-law quantile at ``cfg.alpha`` unless supplied.
+    ``estimator`` is "al1", "pls" or "pls_ci"; every replication runs
+    ``full_pipeline``, with the interval only for "pls_ci".  Each record is
+    ``rep``, ``k0`` and ``tau0``, the run's ``PipelineResult.record()``, and
+    ``se``, ``ci_lo``, ``ci_hi`` and ``covered`` (None without an interval).
+    The critical value for "pls_ci" is the exact limiting-law quantile at
+    ``cfg.alpha`` unless supplied.
     """
-    if not callable(estimator) and estimator not in ESTIMATORS:
+    if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     if estimator == "pls_ci" and c_alpha is None:
         c_alpha = limit_quantile(cfg.alpha)
 
-    args = [(cfg, i, estimator, c_alpha) for i in range(cfg.reps)]
+    run = partial(_run_rep, cfg, estimator=estimator, c_alpha=c_alpha)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_rep_worker, args))
+            records = list(pool.map(run, range(cfg.reps)))
     else:
-        records = [_run_rep(*a) for a in args]
+        records = [run(i) for i in range(cfg.reps)]
     return metrics_from_records(cfg, records, estimator)
 
 
-def _location(record: dict, estimator) -> float | None:
+def _location(record: dict, estimator: str) -> float | None:
     if estimator == "al1":
         return record["tau_hat"] if record["changed"] else None
-    if record.get("k_tilde") is not None:
-        return record["tau_tilde"]
-    return None
+    return record["tau_tilde"]
 
 
-def metrics_from_records(cfg: SimConfig, records: list, estimator="pls_ci") -> MetricsReport:
+def metrics_from_records(cfg: SimConfig, records: list, estimator: str = "pls_ci") -> MetricsReport:
     """Aggregate per-replication records; usable to re-summarize a run for a
     different estimator without re-simulating."""
-    name = estimator if not callable(estimator) else "pls_ci"
-    located = [(_location(r, name), r["tau0"]) for r in records]
+    located = [(_location(r, estimator), r["tau0"]) for r in records]
     diffs = np.array([t - t0 for t, t0 in located if t is not None])
     all_diffs = np.array([(t if t is not None else 1.0) - t0 for t, t0 in located])
 
     changed = np.array([r["changed"] for r in records], dtype=bool)
-    ses = np.array([r["se"] for r in records if r.get("se") is not None], dtype=float)
-    covered = np.array([r["covered"] for r in records if r.get("covered") is not None], dtype=bool)
+    ses = np.array([r["se"] for r in records if r["se"] is not None], dtype=float)
+    covered = np.array([r["covered"] for r in records if r["covered"] is not None], dtype=bool)
 
     return MetricsReport(
         bias=float(np.abs(diffs.mean())) if diffs.size else None,
@@ -240,20 +215,13 @@ def metrics_from_records(cfg: SimConfig, records: list, estimator="pls_ci") -> M
         per_rep_records=records,
         bias_all=float(np.abs(all_diffs.mean())) if all_diffs.size else None,
         rmse_all=float(np.sqrt(np.mean(all_diffs**2))) if all_diffs.size else None,
-        degenerate_count=sum(1 for r in records if r.get("status") == "degenerate"),
+        degenerate_count=sum(1 for r in records if r["status"] == "degenerate"),
     )
 
 
 def initializer_sweep(cfg: SimConfig, tau_inits, rep_index: int = 0) -> list:
-    """Detected split for each initial fraction on one fixed dataset."""
+    """Detection on one fixed dataset for each initial fraction: per fraction
+    a row of ``tau_init``, the ``DetectionResult.record()`` and the true ``k0``."""
     Y, k0 = gen_dataset(cfg, rep_index)
-    rows = []
-    for tau in tau_inits:
-        det = detect_change(Y, tau_init=float(tau))
-        rows.append({
-            "tau_init": float(tau),
-            "k_hat": det.estimate.k,
-            "changed": det.changed,
-            "k0": k0,
-        })
-    return rows
+    return [{"tau_init": float(tau), **detect_change(Y, tau_init=float(tau)).record(), "k0": k0}
+            for tau in tau_inits]

@@ -96,20 +96,29 @@ def bic_gamma(Y, initial_means: MeanPair, grid=None, lambda_for_refit: float | N
     return _bic_gamma(s, loss, grid, lambda_for_refit)
 
 
+def _split(loss: np.ndarray, gamma):
+    """The penalized arg-min split of a loss profile, for each penalty in gamma.
+
+    With j the interior arg-min of ``loss`` (smallest on ties), the split is
+    T when ``loss[-1] <= loss[j - 1] + gamma`` (ties go to T), else j; j is
+    taken of the loss itself, so rounding in loss + gamma never moves it.
+    """
+    j = int(np.argmin(loss[:-1])) + 1
+    return np.where(loss[-1] <= loss[j - 1] + np.asarray(gamma), loss.size, j)
+
+
 def _bic_gamma(s: SeriesStats, loss: np.ndarray, grid, lambda_for_refit):
-    """``bic_gamma`` given the unpenalized loss profile of the initial means."""
-    T = s.T
+    """``bic_gamma`` given the unpenalized loss profile of the initial means.
+
+    Every penalty picks one of at most two splits, so the criterion is
+    evaluated once per distinct split.
+    """
     grid = _validated_grid(grid, DEFAULT_GAMMAS)
     lam_grid = _validated_grid(None if lambda_for_refit is None else [lambda_for_refit],
                                DEFAULT_LAMBDAS)
-    interior_min = loss[:-1].min()
-    log_t = np.log(T)
-
-    cache: dict[int, float] = {}
+    splits = _split(loss, grid)
     profile = np.empty(grid.size)
-    for i, gamma in enumerate(grid):
-        k = T if loss[-1] <= interior_min + gamma else int(np.argmin(loss[:-1])) + 1
-        if k not in cache:
-            cache[k] = float(_lambda_criterion(s, k, lam_grid).min()) + (k < T) * log_t
-        profile[i] = cache[k]
+    for k in np.unique(splits).tolist():
+        profile[splits == k] = (float(_lambda_criterion(s, k, lam_grid).min())
+                                + (k < s.T) * np.log(s.T))
     return _select(grid, profile), profile

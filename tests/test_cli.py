@@ -237,6 +237,36 @@ class TestCommands:
         header = csv_out.read_text().splitlines()[0]
         assert "k_hat" in header
 
+    def test_simulate_bad_level_is_error(self, capsys):
+        for estimator in ("al1", "pls", "pls_ci"):
+            code = main(["simulate", "--T", "30", "--p", "8", "--s", "2", "--tau0", "0.5",
+                         "--reps", "2", "--alpha", "1.5", "--estimator", estimator])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "level must lie in (0, 1)" in json.loads(captured.err)["error"]
+
+    def test_reports_carry_the_run_record(self, shifted_csv, capsys):
+        path, Y, _ = shifted_csv
+        res = full_pipeline(Y, with_ci=False)
+        det_report, _ = run_cli(["detect", "--input", str(path)], capsys)
+        est_report, _ = run_cli(["estimate", "--input", str(path)], capsys)
+        assert det_report == {"schema": "cpinfer/1", "command": "detect", **res.detection.record()}
+        assert est_report == {"schema": "cpinfer/1", "command": "estimate", **res.record()}
+        assert est_report["xi_sq"] is est_report["sigma_sq"] is None
+
+    def test_non_finite_cell_is_error(self, shifted_csv, tmp_path, capsys):
+        _, Y, _ = shifted_csv
+        Y = Y.copy()
+        Y[3, 2] = np.nan
+        path = tmp_path / "nan.csv"
+        write_csv(path, Y)
+        code = main(["infer", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "non-finite" in json.loads(captured.err)["error"]
+
     def test_simulate_no_change_design_reports_perfect_tnr(self, capsys):
         args = ["simulate", "--T", "225", "--p", "500", "--tau0", "1", "--reps", "100",
                 "--seed", "7", "--estimator", "al1"]

@@ -80,6 +80,16 @@ class TestPenalizedArgmin:
         est = penalized_argmin(Y, MeanPair([0.0], [1.0]), gamma=0.0)
         assert est.k == 1
 
+    def test_near_tie_decided_by_the_loss_not_the_penalized_sum(self):
+        # 1 + 2**-52 + 1.5 and 1.0 + 1.5 round to the same double, yet
+        # k = 2 has the strictly smaller loss; detector and tuner agree on it
+        from cpinfer.detect import _penalize
+        from cpinfer.tune import _split
+
+        loss = np.array([1 + 2**-52, 1.0, 5.0])
+        assert _penalize(loss, 1.5)[1] == 2
+        np.testing.assert_array_equal(_split(loss, np.array([1.5, 3.9, 4.0, 5.0])), [2, 2, 3, 3])
+
 
 class TestDetectChange:
     def test_noiseless_exact_recovery_any_initializer(self):

@@ -210,6 +210,29 @@ class TestFullPipeline:
         assert res.status == "ok"
         assert peak <= 0.25 * Y.nbytes
 
+    def test_record_fields(self):
+        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
+        res = full_pipeline(two_level(20, 10, mu1, mu2) + np.arange(20)[:, None] % 3 * 0.1)
+        rec = res.record()
+        det = res.detection
+        assert rec == {**det.record(), "status": res.status, "k_tilde": res.pls_estimate.k,
+                       "tau_tilde": res.pls_estimate.tau, "xi_sq": res.inference.xi_sq_hat,
+                       "sigma_sq": res.inference.sigma_sq_hat}
+        assert det.record() == {"changed": det.changed, "k_hat": det.estimate.k,
+                                "tau_hat": det.estimate.tau, "lambda": det.lambda_used,
+                                "gamma": det.gamma_used}
+        assert {type(v) for v in rec.values()} <= {bool, int, float, str}
+
+    def test_record_of_stages_that_did_not_run_is_none(self):
+        rng = np.random.default_rng(4)
+        rec = full_pipeline(rng.normal(size=(60, 10)), c_alpha=11.03).record()
+        assert rec["status"] == "no_change" and rec["changed"] is False
+        assert rec["k_tilde"] is rec["tau_tilde"] is rec["xi_sq"] is rec["sigma_sq"] is None
+        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
+        rec = full_pipeline(two_level(20, 10, mu1, mu2), with_ci=False).record()
+        assert rec["k_tilde"] == 10
+        assert rec["xi_sq"] is rec["sigma_sq"] is None
+
     def test_center_option_matches_manual_centering(self):
         from cpinfer.core import center_columns
 

@@ -26,6 +26,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(T=10, p=10, s=2, tau0=0.5, rho=1.0)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    def test_level_checked_at_construction(self, alpha):
+        with pytest.raises(ValueError, match="level must lie in"):
+            SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2, alpha=alpha)
+
+    @pytest.mark.parametrize("tau_init", [2.0, 1.0, 0.01, 0.0])
+    def test_initial_split_checked_at_construction(self, tau_init):
+        with pytest.raises(ValueError, match="initial fraction"):
+            SimConfig(T=30, p=8, s=2, tau0=0.5, tau_init=tau_init)
+
+    def test_extreme_valid_initial_splits(self):
+        assert SimConfig(T=2, p=2, s=1, tau0=0.5, tau_init=0.5).tau_init == 0.5
+        assert SimConfig(T=30, p=8, s=2, tau0=0.5, tau_init=0.99).tau_init == 0.99
+
     def test_k0_encoding(self):
         assert SimConfig(T=10, p=4, s=1, tau0=1.0).k0 == 10
         assert SimConfig(T=10, p=4, s=1, tau0=0.45).k0 == 4
@@ -151,15 +165,6 @@ class TestRunMonteCarlo:
         parallel = run_monte_carlo(cfg, estimator="pls", n_jobs=2)
         assert serial.per_rep_records == parallel.per_rep_records
         assert serial.rmse == parallel.rmse
-
-    def test_estimator_plugin_slot(self):
-        def oracle(Y, cfg):
-            return {"changed": True, "k_hat": cfg.k0, "tau_hat": cfg.k0 / cfg.T,
-                    "k_tilde": cfg.k0, "tau_tilde": cfg.k0 / cfg.T, "status": "ok"}
-
-        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=4, seed=1)
-        report = run_monte_carlo(cfg, estimator=oracle)
-        assert report.bias == 0.0 and report.rmse == 0.0
 
     def test_unknown_estimator_rejected(self):
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
