@@ -6,13 +6,10 @@ from .core import (
     DegenerateJumpError,
     MeanPair,
     center_columns,
-    loss_1d,
-    loss_pd,
-    project_series,
     soft_threshold,
     stopped_means,
 )
-from .detect import DetectionResult, detect_change, penalized_argmin, thresholded_means
+from .detect import DetectionResult, detect_change, thresholded_means
 from .infer import (
     InferenceResult,
     QuantileMCSettings,
@@ -39,13 +36,9 @@ __all__ = [
     "MetricsReport",
     "SimConfig",
     "center_columns",
-    "loss_1d",
-    "loss_pd",
-    "project_series",
     "soft_threshold",
     "stopped_means",
     "thresholded_means",
-    "penalized_argmin",
     "detect_change",
     "pls_estimate",
     "full_pipeline",

@@ -6,7 +6,9 @@ operations are pure; inputs are never mutated.
 
 The functions the pipeline calls accept the series as an array or as the
 ``SeriesStats`` built from it, so one pipeline validates its input once and
-every criterion reads the same statistics.
+every criterion reads the same statistics.  ``loss_profile_pd`` is the one
+two-segment loss; the detector and the projected least-squares locator both
+read it.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ __all__ = [
     "SeriesStats",
     "series_stats",
     "center_columns",
-    "loss_1d",
-    "loss_pd",
-    "loss_profile_1d",
     "loss_profile_pd",
     "stopped_means",
     "soft_threshold",
-    "project_series",
 ]
 
 
@@ -165,55 +163,13 @@ def center_columns(Y) -> np.ndarray:
     return Y - Y.mean(axis=0, keepdims=True)
 
 
-def _check_split(k: int, T: int) -> int:
-    k = int(k)
-    if not (1 <= k <= T):
-        raise ValueError(f"split index k={k} outside 1..T={T}")
-    return k
-
-
-def loss_1d(z, k: int, theta1: float, theta2: float) -> float:
-    """Two-segment squared-error loss of a scalar series at split k.
-
-    Returns (1/T) [ sum_{t<=k} (z_t - theta1)^2 + sum_{t>k} (z_t - theta2)^2 ];
-    the second sum is empty at k = T.
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    T = z.size
-    k = _check_split(k, T)
-    left = z[:k] - theta1
-    right = z[k:] - theta2
-    return (float(left @ left) + float(right @ right)) / T
-
-
-def loss_pd(Y, k: int, mu1, mu2) -> float:
-    """Two-segment squared-error loss of a vector series at split k."""
-    Y = as_series(Y)
-    T, p = Y.shape
-    k = _check_split(k, T)
-    mu1 = np.asarray(mu1, dtype=float).ravel()
-    mu2 = np.asarray(mu2, dtype=float).ravel()
-    if mu1.size != p or mu2.size != p:
-        raise ValueError(f"mean vectors must have length p={p}")
-    left = Y[:k] - mu1
-    right = Y[k:] - mu2
-    return (float(np.einsum("tj,tj->", left, left)) + float(np.einsum("tj,tj->", right, right))) / T
-
-
-def loss_profile_1d(z, theta1: float, theta2: float) -> np.ndarray:
-    """loss_1d at every split: entry k-1 holds the loss at split k, k = 1..T."""
-    z = np.asarray(z, dtype=float).ravel()
-    a = np.cumsum((z - theta1) ** 2)
-    b = np.cumsum((z - theta2) ** 2)
-    return (a + (b[-1] - b)) / z.size
-
-
 def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
-    """loss_pd at every split: entry k-1 holds the loss at split k, k = 1..T.
+    """The two-segment loss L(k) = (1/T) [sum_{t<=k} ||y_t - mu1||^2 +
+    sum_{t>k} ||y_t - mu2||^2] at every split: entry k-1 holds L(k), k = 1..T.
 
-    The loss at k is the fit of mu2 to every row, ss + T ||mu2 - c||^2, plus
-    the excess of mu1 over mu2 on rows 1..k, -2 (mu1 - mu2)'(y_t - (mu1 +
-    mu2) / 2); one matrix-vector product reads the data.
+    T L(k) is the fit of mu2 to every row, ss + T ||mu2 - c||^2, plus the
+    excess of mu1 over mu2 on rows 1..k, -2 (mu1 - mu2)'(y_t - (mu1 + mu2) / 2);
+    one matrix-vector product reads the data.
     """
     s = series_stats(Y)
     mu1 = np.asarray(mu1, dtype=float).ravel()
@@ -234,18 +190,18 @@ def stopped_means(Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+def _check_tuning(value, name: str) -> np.ndarray:
+    """``value``, a tuning level or grid, as a float array; ValueError unless
+    every entry is finite and nonnegative."""
+    v = np.asarray(value, dtype=float)
+    ok = np.isfinite(v) & (v >= 0)
+    if not ok.all():
+        raise ValueError(f"{name} must be finite and nonnegative, got {v[~ok].flat[0]}")
+    return v
+
+
 def soft_threshold(x, lam: float) -> np.ndarray:
     """Componentwise shrinkage sign(x) * max(|x| - lam, 0)."""
-    if lam < 0:
-        raise ValueError(f"threshold must be nonnegative, got {lam}")
+    _check_tuning(lam, "shrinkage level")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
-def project_series(Y, eta) -> np.ndarray:
-    """Scalar surrogate series z_t = eta' y_t."""
-    Y = series_stats(Y).Y
-    eta = np.asarray(eta, dtype=float).ravel()
-    if eta.size != Y.shape[1]:
-        raise ValueError(f"projection vector has length {eta.size}, expected {Y.shape[1]}")
-    return Y @ eta

@@ -15,6 +15,7 @@ import numpy as np
 from .core import (
     ChangePointEstimate,
     MeanPair,
+    _check_tuning,
     loss_profile_pd,
     series_stats,
     soft_threshold,
@@ -25,7 +26,6 @@ from .tune import _bic_gamma, _split, bic_lambda
 __all__ = [
     "DetectionResult",
     "thresholded_means",
-    "penalized_argmin",
     "detect_change",
 ]
 
@@ -79,14 +79,6 @@ def _penalize(loss: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
     return obj, int(_split(loss, gamma))
 
 
-def penalized_argmin(Y, means: MeanPair, gamma: float) -> ChangePointEstimate:
-    """Arg-min over k in {1, ..., T} of loss_pd(Y, k, means) + gamma * 1{k < T}."""
-    if gamma < 0:
-        raise ValueError(f"penalty must be nonnegative, got {gamma}")
-    obj, k = _penalize(loss_profile_pd(Y, means.mu1, means.mu2), gamma)
-    return ChangePointEstimate(k, obj.size)
-
-
 def detect_change(
     Y,
     tau_init: float = 0.5,
@@ -97,8 +89,11 @@ def detect_change(
     the penalized grid minimization.
 
     ``lam`` and ``gamma`` default to information-criterion selections on the
-    data at hand; explicit values always win.
+    data at hand; explicit values always win, and each must be finite and
+    nonnegative.
     """
+    if gamma is not None:
+        _check_tuning(gamma, "penalty")
     s = series_stats(Y)
     k_init = _initial_split(s.T, tau_init)
 
@@ -109,8 +104,6 @@ def detect_change(
     loss = loss_profile_pd(s, means.mu1, means.mu2)
     if gamma is None:
         gamma, _ = _bic_gamma(s, loss, None, user_lam)
-    elif gamma < 0:
-        raise ValueError(f"penalty must be nonnegative, got {gamma}")
 
     obj, k = _penalize(loss, gamma)
     return DetectionResult(

@@ -40,8 +40,7 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
-    loss_1d,
-    project_series,
+    series_stats,
     stopped_means,
 )
 
@@ -88,27 +87,20 @@ class InferenceResult:
     c_alpha: float
     interval_int: tuple
     interval_frac: tuple
-    interval_rounded: tuple
     alpha: float
-
-
-def _as_index_array(support) -> np.ndarray:
-    if isinstance(support, (set, frozenset)):
-        support = sorted(support)
-    return np.asarray(list(support) if not hasattr(support, "ndim") else support, dtype=int).ravel()
 
 
 def refit_means(Y, k: int, support1, support2) -> MeanPair:
     """Unshrunk stopped-time means restricted to the given supports.
 
     Coordinates outside the supports are set to zero; the supports are
-    0-based column indices (any iterable, including sets).
+    0-based column indices (arrays or sequences).
     """
     left, right = stopped_means(Y, k)
     mu1 = np.zeros_like(left)
     mu2 = np.zeros_like(right)
-    s1 = _as_index_array(support1)
-    s2 = _as_index_array(support2)
+    s1 = np.asarray(support1, dtype=int).ravel()
+    s2 = np.asarray(support2, dtype=int).ravel()
     mu1[s1] = left[s1]
     mu2[s2] = right[s2]
     return MeanPair(mu1, mu2)
@@ -124,16 +116,19 @@ def plugin_xi_sq(means: MeanPair) -> float:
 def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     """Plugin projected-noise variance ratio at split k.
 
-    Builds the surrogate series from the given (refitted) means and returns
-    its two-segment loss at k divided by the plugin squared jump size.
+    Projects the series onto the jump of the given (refitted) means,
+    z_t = eta'y_t, and returns the mean squared residual of z about the
+    projected levels, split at k, divided by the plugin squared jump size.
     """
     xi_sq = plugin_xi_sq(means)
     if xi_sq <= 0.0:
         raise DegenerateJumpError("zero jump vector: variance ratio undefined")
-    eta = means.jump()
-    z = project_series(Y, eta)
+    z = series_stats(Y).Y @ means.jump()
+    k = ChangePointEstimate(int(k), z.size).k
     theta1, theta2 = means.projected_levels()
-    return loss_1d(z, k, theta1, theta2) / xi_sq
+    left = z[:k] - theta1
+    right = z[k:] - theta2
+    return (float(left @ left) + float(right @ right)) / z.size / xi_sq
 
 
 def _refine_factor(n_fine: int, step: float) -> int:
@@ -267,6 +262,12 @@ def _check_level(alpha: float) -> None:
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
 
 
+def _check_critical_value(c_alpha: float) -> None:
+    """Raise ValueError unless the critical value is finite and positive."""
+    if not (0.0 < c_alpha < math.inf):
+        raise ValueError(f"critical value must be finite and positive, got {c_alpha}")
+
+
 def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> float:
     """Critical value c with P(|V| <= c) = 1 - alpha under the arg-min law.
 
@@ -282,7 +283,9 @@ def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> 
 def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
                         c_alpha: float, T: int, alpha: float = 0.05) -> InferenceResult:
     """Interval k_tilde +/- c_alpha * sigma_sq_hat / xi_sq_hat on the integer
-    scale, clamped to [1, T], with the fraction view divided by T."""
+    scale, clamped to [1, T], with the fraction view divided by T.
+    ``c_alpha`` must be finite and positive."""
+    _check_critical_value(c_alpha)
     if xi_sq_hat <= 0.0:
         raise DegenerateJumpError("zero squared jump: interval undefined")
     estimate = ChangePointEstimate(int(k_tilde), int(T))
@@ -296,6 +299,5 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
         c_alpha=float(c_alpha),
         interval_int=(lo, hi),
         interval_frac=(lo / T, hi / T),
-        interval_rounded=(int(np.floor(lo)), int(np.ceil(hi))),
         alpha=float(alpha),
     )

@@ -1,9 +1,12 @@
 """Projected least-squares location of the change point, and the full
 detect -> re-estimate -> locate -> infer pipeline.
 
-The locator projects the series onto the estimated jump direction and
-minimizes the scalar two-segment loss over interior splits {1, ..., T-1};
-declaring "no change" is the detector's job.
+The locator minimizes over interior splits {1, ..., T-1} the scalar loss S(k)
+of z_t = eta'y_t about the levels eta'mu1 and eta'mu2, eta = mu1 - mu2;
+declaring "no change" is the detector's job.  S(k) - S(T) = ||eta||^2 (L(k) -
+L(T)) for the detector's loss L at the same means (both sides equal
+-2 ||eta||^2 sum_{t<=k} eta'(y_t - (mu1 + mu2) / 2) / T), so the locator reads
+``loss_profile_pd``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from .core import (
     DegenerateJumpError,
     MeanPair,
     center_columns,
-    loss_profile_1d,
-    project_series,
+    loss_profile_pd,
     series_stats,
 )
 from .detect import DetectionResult, detect_change, thresholded_means
 from .infer import (
     InferenceResult,
+    _check_critical_value,
     _check_level,
     confidence_interval,
     limit_quantile,
@@ -43,14 +46,14 @@ class PipelineResult:
     ``status`` is "no_change" (detector declared no shift; location fields
     are None), "degenerate" (a shift was flagged but the jump estimate was
     numerically zero, or the interval could not be formed), or "ok".
-    ``loss_profile[k - 1]`` is the surrogate loss at split k, k = 1..T-1.
+    ``loss_profile[k - 1]`` is the two-segment loss (``loss_profile_pd``) of
+    the refined means at split k, k = 1..T-1; its arg-min is the located split.
     """
 
     detection: DetectionResult
     status: str
     refined_means: MeanPair | None = None
     pls_estimate: ChangePointEstimate | None = None
-    surrogate: np.ndarray | None = None
     loss_profile: np.ndarray | None = None
     inference: InferenceResult | None = None
 
@@ -70,25 +73,19 @@ class PipelineResult:
         }
 
 
-def _jump_is_degenerate(means: MeanPair) -> bool:
+def _pls_profile(Y, means: MeanPair) -> tuple[np.ndarray, int]:
     scale = 1.0 + np.linalg.norm(means.mu1) + np.linalg.norm(means.mu2)
-    return means.jump_size() < 1e-12 * scale
-
-
-def _pls_profile(Y, means: MeanPair) -> tuple[np.ndarray, np.ndarray, int]:
-    if _jump_is_degenerate(means):
+    if means.jump_size() < 1e-12 * scale:
         raise DegenerateJumpError("mean estimates coincide: projection is uninformative")
-    z = project_series(Y, means.jump())
-    theta1, theta2 = means.projected_levels()
-    profile = loss_profile_1d(z, theta1, theta2)[:-1]
-    return z, profile, int(np.argmin(profile)) + 1
+    profile = loss_profile_pd(Y, means.mu1, means.mu2)[:-1]
+    return profile, int(np.argmin(profile)) + 1
 
 
 def pls_estimate(Y, means: MeanPair) -> ChangePointEstimate:
-    """Arg-min over k in {1, ..., T-1} of the surrogate loss built from the
-    given means (smallest k on ties)."""
-    z, _, k = _pls_profile(Y, means)
-    return ChangePointEstimate(k, z.size)
+    """Arg-min over k in {1, ..., T-1} of the projected loss built from the
+    given means, read off ``loss_profile_pd`` (smallest k on ties)."""
+    profile, k = _pls_profile(Y, means)
+    return ChangePointEstimate(k, profile.size + 1)
 
 
 def full_pipeline(
@@ -112,12 +109,14 @@ def full_pipeline(
     ``lam``/``gamma`` override the criterion-based tuning.  The critical
     value is ``c_alpha`` when supplied, else the exact ``limit_quantile(alpha)``;
     pass ``c_alpha=limit_quantile(alpha, settings)`` for a Monte Carlo value.
-    With ``with_ci`` an ``alpha`` outside (0, 1) raises ValueError up front.
+    With ``with_ci`` an ``alpha`` outside (0, 1), or a ``c_alpha`` that is
+    not finite and positive, raises ValueError up front.
     """
     if with_ci:
         _check_level(alpha)
         if c_alpha is None:
             c_alpha = limit_quantile(alpha)
+        _check_critical_value(c_alpha)
     stats = series_stats(center_columns(Y) if center else Y)  # the one validation
     T = stats.T
     det = detect_change(stats, tau_init, lam=lam, gamma=gamma)
@@ -131,7 +130,7 @@ def full_pipeline(
     means = thresholded_means(stats, k_hat, lam_refit)
 
     try:
-        z, profile, k_tilde = _pls_profile(stats, means)
+        profile, k_tilde = _pls_profile(stats, means)
     except DegenerateJumpError:
         return PipelineResult(detection=det, status="degenerate", refined_means=means)
 
@@ -140,7 +139,6 @@ def full_pipeline(
         status="ok",
         refined_means=means,
         pls_estimate=ChangePointEstimate(k_tilde, T),
-        surrogate=z,
         loss_profile=profile,
     )
     if not with_ci:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MeanPair, SeriesStats, loss_profile_pd, series_stats
+from .core import MeanPair, SeriesStats, _check_tuning, loss_profile_pd, series_stats
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -26,11 +26,9 @@ DEFAULT_LAMBDAS.flags.writeable = DEFAULT_GAMMAS.flags.writeable = False
 
 
 def _validated_grid(grid, default: np.ndarray) -> np.ndarray:
-    g = default if grid is None else np.asarray(grid, dtype=float).ravel()
+    g = default if grid is None else _check_tuning(grid, "tuning grid values").ravel()
     if g.size == 0:
         raise ValueError("tuning grid is empty")
-    if np.any(g < 0):
-        raise ValueError("tuning grid values must be nonnegative")
     return g
 
 

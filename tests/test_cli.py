@@ -215,6 +215,16 @@ class TestCommands:
         assert code == 1
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--gamma"])
+    def test_non_finite_tuning_flag_is_error(self, shifted_csv, capsys, flag):
+        # --lambda nan used to exit 0 with a change at k = 1 and a NaN in the JSON
+        path, _, _ = shifted_csv
+        code = main(["detect", "--input", str(path), flag, "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "finite and nonnegative" in json.loads(captured.err)["error"]
+
     def test_explicit_overrides_forwarded(self, shifted_csv, capsys):
         path, Y, _ = shifted_csv
         report, _ = run_cli(["detect", "--input", str(path),

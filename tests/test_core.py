@@ -6,15 +6,12 @@ from cpinfer.core import (
     MeanPair,
     as_series,
     center_columns,
-    loss_1d,
-    loss_pd,
-    loss_profile_1d,
     loss_profile_pd,
-    project_series,
     series_stats,
     soft_threshold,
     stopped_means,
 )
+from loss_oracles import loss_1d, loss_pd, loss_profile_1d, project_series
 
 
 def naive_loss_1d(z, k, t1, t2):
@@ -189,6 +186,11 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold([1.0], -0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            soft_threshold([1.0], lam)
 
     def test_support_shrinks(self):
         rng = np.random.default_rng(7)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from cpinfer.core import MeanPair
-from cpinfer.detect import (
-    detect_change,
-    penalized_argmin,
-    thresholded_means,
-)
+from cpinfer.core import MeanPair, loss_profile_pd
+from cpinfer.detect import _penalize, detect_change, thresholded_means
+
+
+def penalized_split(Y, means, gamma):
+    """The detector's arg-min over k in {1, ..., T} of the loss of the given
+    means plus gamma at interior splits."""
+    return _penalize(loss_profile_pd(Y, means.mu1, means.mu2), gamma)[1]
 
 
 def two_level_series(T, k0, mu1, mu2):
@@ -44,46 +46,36 @@ class TestPenalizedArgmin:
     def test_constant_series_prefers_no_change(self):
         row = np.array([1.0, -2.0])
         Y = np.tile(row, (8, 1))
-        est = penalized_argmin(Y, MeanPair(row, row), gamma=0.5)
-        assert est.no_change
+        assert penalized_split(Y, MeanPair(row, row), gamma=0.5) == 8
 
     def test_noiseless_shift_recovers_truth(self):
         mu1, mu2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         Y = two_level_series(12, 7, mu1, mu2)
-        est = penalized_argmin(Y, MeanPair(mu1, mu2), gamma=0.01)
-        assert est.k == 7
+        assert penalized_split(Y, MeanPair(mu1, mu2), gamma=0.01) == 7
 
     def test_hand_profile(self):
         Y = np.array([[0.0], [0.0], [1.0], [1.0]])
-        est = penalized_argmin(Y, MeanPair([0.0], [1.0]), gamma=0.1)
-        assert est.k == 2
-        from cpinfer.core import loss_profile_pd
-        from cpinfer.detect import _penalize
-
         obj, k = _penalize(loss_profile_pd(Y, [0.0], [1.0]), 0.1)
         np.testing.assert_allclose(obj, [0.35, 0.1, 0.35, 0.5])
         assert k == 2
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            penalized_argmin(np.zeros((3, 1)), MeanPair([0.0], [0.0]), gamma=-1.0)
+        with pytest.raises(ValueError, match="penalty must be finite and nonnegative"):
+            detect_change(np.arange(3.0)[:, None], lam=0.0, gamma=-1.0)
 
     def test_boundary_tie_prefers_no_change(self):
         # residuals identical under either mean: every split ties, boundary wins
         Y = np.array([[1.0], [0.0], [0.0], [1.0]])
-        est = penalized_argmin(Y, MeanPair([1.0], [1.0]), gamma=0.0)
-        assert est.no_change
+        assert penalized_split(Y, MeanPair([1.0], [1.0]), gamma=0.0) == 4
 
     def test_interior_tie_takes_smallest_k(self):
         # losses tie exactly at k = 1 and k = 3, strictly below k = 2 and k = 4
         Y = np.array([[0.0], [1.0], [0.0], [1.0]])
-        est = penalized_argmin(Y, MeanPair([0.0], [1.0]), gamma=0.0)
-        assert est.k == 1
+        assert penalized_split(Y, MeanPair([0.0], [1.0]), gamma=0.0) == 1
 
     def test_near_tie_decided_by_the_loss_not_the_penalized_sum(self):
         # 1 + 2**-52 + 1.5 and 1.0 + 1.5 round to the same double, yet
         # k = 2 has the strictly smaller loss; detector and tuner agree on it
-        from cpinfer.detect import _penalize
         from cpinfer.tune import _split
 
         loss = np.array([1 + 2**-52, 1.0, 5.0])
@@ -134,9 +126,7 @@ class TestDetectChange:
         rng = np.random.default_rng(3)
         Y = rng.normal(size=(25, 3))
         det = detect_change(Y, gamma=0.0, lam=0.05)
-        mp = det.initial_means
-        expected = penalized_argmin(Y, mp, 0.0)
-        assert det.estimate.k == expected.k
+        assert det.estimate.k == penalized_split(Y, det.initial_means, 0.0)
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpinfer.core import DegenerateJumpError, MeanPair, loss_1d, project_series
+from cpinfer.core import DegenerateJumpError, MeanPair
 from cpinfer.infer import (
     QuantileMCSettings,
     confidence_interval,
@@ -11,6 +11,7 @@ from cpinfer.infer import (
     refit_means,
     simulate_argmin_locations,
 )
+from loss_oracles import loss_1d, project_series
 
 FAST_MC = QuantileMCSettings(grid_half_width=40.0, grid_step=0.01, paths=8000, seed=5)
 
@@ -64,12 +65,6 @@ class TestRefitMeans:
         with pytest.raises(ValueError):
             refit_means(np.zeros((4, 2)) + np.arange(4)[:, None], 4, [0], [0])
 
-    def test_supports_accept_sets(self):
-        Y = np.array([[2.0, 9.0], [0.0, 9.0], [0.0, 1.0], [0.0, 1.0]])
-        mp = refit_means(Y, 2, {0}, frozenset({1}))
-        np.testing.assert_allclose(mp.mu1, [1.0, 0.0])
-        np.testing.assert_allclose(mp.mu2, [0.0, 1.0])
-
 
 class TestPluginXiSq:
     def test_zero_jump(self):
@@ -106,6 +101,11 @@ class TestPluginSigmaSq:
     def test_zero_jump_raises(self):
         with pytest.raises(DegenerateJumpError):
             plugin_sigma_sq(np.ones((4, 2)), 2, MeanPair([1.0, 0.0], [1.0, 0.0]))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_split_out_of_range(self, k):
+        with pytest.raises(ValueError, match="outside 1..T=4"):
+            plugin_sigma_sq(np.eye(4, 2), k, MeanPair([1.0, 0.0], [0.0, 1.0]))
 
     def test_scaling_recomputation(self):
         rng = np.random.default_rng(2)
@@ -233,7 +233,6 @@ class TestConfidenceInterval:
         assert lo == pytest.approx(68.2352)
         assert hi == pytest.approx(71.7648)
         np.testing.assert_allclose(res.interval_frac, (lo / 350, hi / 350))
-        assert res.interval_rounded == (68, 72)
 
     def test_clamped_to_grid(self):
         res = confidence_interval(2, 1.0, 10.0, 11.03, 50)
@@ -251,3 +250,9 @@ class TestConfidenceInterval:
     def test_zero_jump_rejected(self):
         with pytest.raises(DegenerateJumpError):
             confidence_interval(5, 0.0, 1.0, 11.03, 10)
+
+    @pytest.mark.parametrize("c_alpha", [-11.0, 0.0, np.nan, np.inf])
+    def test_bad_critical_value_rejected(self, c_alpha):
+        # -11 used to give the inverted interval (71.76, 68.24), nan and inf [1, T]
+        with pytest.raises(ValueError, match="critical value must be finite and positive"):
+            confidence_interval(70, 1.0, 0.16, c_alpha, 350)

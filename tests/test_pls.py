@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cpinfer.core import DegenerateJumpError, MeanPair, loss_1d
+from cpinfer.core import DegenerateJumpError, MeanPair, loss_profile_pd
 from cpinfer.pls import _pls_profile, full_pipeline, pls_estimate
+from loss_oracles import loss_pd, loss_profile_1d, project_series
 
 
 def naive_pls(Y, mu1, mu2):
@@ -41,8 +44,9 @@ class TestPlsEstimate:
     def test_hand_profile(self):
         Y = np.array([[0.0], [0.0], [1.0], [1.0]])
         mp = MeanPair([0.0], [1.0])
-        z, prof, k = _pls_profile(Y, mp)
-        # theta levels are (eta mu1, eta mu2) = (0, -1); z = -y
+        prof, k = _pls_profile(Y, mp)
+        # p = 1 and ||eta|| = 1, so the loss equals the scalar loss of
+        # z = -y about the levels (eta mu1, eta mu2) = (0, -1)
         assert k == 2
         np.testing.assert_allclose(prof, [0.25, 0.0, 0.25])
 
@@ -95,8 +99,13 @@ class TestPlsEstimate:
             expected, losses = naive_pls(Y, mu1, mu2)
             mp = MeanPair(mu1, mu2)
             assert pls_estimate(Y, mp).k == expected
-            _, prof, _ = _pls_profile(Y, mp)
-            np.testing.assert_allclose(prof, losses, rtol=1e-10)
+            # the scalar loss is the p-dimensional one scaled by ||eta||^2,
+            # up to a constant: compare the differences to the last split
+            prof, _ = _pls_profile(Y, mp)
+            xi_sq = float(mp.jump() @ mp.jump())
+            np.testing.assert_allclose(xi_sq * (prof - prof[-1]),
+                                       np.subtract(losses, losses[-1]),
+                                       atol=1e-10 * max(map(abs, losses)))
 
     def test_step_function_structure(self):
         # evaluating the loss at any real fraction equals the profile entry
@@ -104,11 +113,52 @@ class TestPlsEstimate:
         rng = np.random.default_rng(3)
         Y = rng.normal(size=(11, 2))
         mp = MeanPair([1.0, 0.0], [0.0, 1.0])
-        z, prof, _ = _pls_profile(Y, mp)
-        t1, t2 = mp.projected_levels()
+        prof, _ = _pls_profile(Y, mp)
         for tau in rng.uniform(1 / 11, 1.0 - 1e-9, size=25):
             k = int(np.floor(11 * tau))
-            assert loss_1d(z, k, t1, t2) == pytest.approx(prof[k - 1], rel=1e-12)
+            assert loss_pd(Y, k, mp.mu1, mp.mu2) == pytest.approx(prof[k - 1], rel=1e-12)
+
+
+def _draw(seed, T, p):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(T, p)), rng.normal(size=p), rng.normal(size=p)
+
+
+_cases = dict(seed=st.integers(0, 2**32 - 1), T=st.integers(3, 60), p=st.integers(1, 8))
+
+
+class TestProjectedLossIdentity:
+    """S(k) - S(T) = ||eta||^2 (L(k) - L(T)): the scalar loss S of the
+    projected series, computed by the oracle, against the library's L."""
+
+    @given(**_cases)
+    def test_scalar_loss_is_scaled_vector_loss(self, seed, T, p):
+        Y, mu1, mu2 = _draw(seed, T, p)
+        mp = MeanPair(mu1, mu2)
+        t1, t2 = mp.projected_levels()
+        S = loss_profile_1d(project_series(Y, mp.jump()), t1, t2)
+        L = loss_profile_pd(Y, mu1, mu2)
+        xi_sq = float(mp.jump() @ mp.jump())
+        np.testing.assert_allclose(S - S[-1], xi_sq * (L - L[-1]),
+                                   rtol=0, atol=1e-10 * np.max(np.abs(S)))
+
+    @given(**_cases)
+    def test_locator_is_interior_argmin_of_scalar_loss(self, seed, T, p):
+        Y, mu1, mu2 = _draw(seed, T, p)
+        mp = MeanPair(mu1, mu2)
+        t1, t2 = mp.projected_levels()
+        S = loss_profile_1d(project_series(Y, mp.jump()), t1, t2)
+        assert pls_estimate(Y, mp).k == int(np.argmin(S[:-1])) + 1
+
+    @given(**_cases)
+    def test_power_of_two_scaling_is_exact(self, seed, T, p):
+        Y, mu1, mu2 = _draw(seed, T, p)
+        base = loss_profile_pd(Y, mu1, mu2)
+        k = pls_estimate(Y, MeanPair(mu1, mu2)).k
+        for j in (-30, -7, 9, 40):
+            c = 2.0**j
+            assert np.array_equal(loss_profile_pd(c * Y, c * mu1, c * mu2), 4.0**j * base)
+            assert pls_estimate(c * Y, MeanPair(c * mu1, c * mu2)).k == k
 
 
 class TestFullPipeline:
@@ -132,6 +182,24 @@ class TestFullPipeline:
         res = full_pipeline(two_level(20, 10, mu1, mu2), alpha=alpha, with_ci=False)
         assert res.status == "ok"
 
+    @pytest.mark.parametrize("c_alpha", [-11.0, 0.0, np.nan, np.inf])
+    def test_critical_value_checked_before_any_work(self, c_alpha):
+        with pytest.raises(ValueError, match="critical value must be finite and positive"):
+            full_pipeline(np.full((10, 2), np.nan), c_alpha=c_alpha)
+        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
+        with pytest.raises(ValueError, match="critical value must be finite and positive"):
+            full_pipeline(two_level(20, 10, mu1, mu2), c_alpha=c_alpha)
+        res = full_pipeline(two_level(20, 10, mu1, mu2), c_alpha=c_alpha, with_ci=False)
+        assert res.status == "ok"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("knob", ["lam", "gamma"])
+    def test_non_finite_tuning_value_rejected(self, knob, value):
+        # no-change data, on which a NaN lam or gamma used to report a change at k = 1
+        Y = np.random.default_rng(11).normal(size=(100, 50))
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            full_pipeline(Y, c_alpha=11.03, **{knob: value})
+
     def test_noiseless_shift_recovers_and_collapses_interval(self):
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])
         mu2 = np.array([0.0, 2.0, 0.0, 0.0])
@@ -152,7 +220,6 @@ class TestFullPipeline:
         assert res.status == "ok"
         k = res.pls_estimate.k
         assert res.loss_profile[k - 1] == res.loss_profile.min()
-        assert res.surrogate.shape == (40,)
         assert res.loss_profile.shape == (39,)
 
     def test_explicit_overrides_propagate(self):

@@ -166,6 +166,13 @@ class TestRunMonteCarlo:
         assert serial.per_rep_records == parallel.per_rep_records
         assert serial.rmse == parallel.rmse
 
+    @pytest.mark.parametrize("c_alpha", [np.nan, -11.0])
+    def test_bad_critical_value_rejected(self, c_alpha):
+        # a NaN critical value used to give [1, T] and report coverage 1.0
+        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2, gamma_off=True)
+        with pytest.raises(ValueError, match="critical value must be finite and positive"):
+            run_monte_carlo(cfg, estimator="pls_ci", c_alpha=c_alpha)
+
     def test_unknown_estimator_rejected(self):
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
         with pytest.raises(ValueError):

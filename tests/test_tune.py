@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cpinfer.core import series_stats
-from cpinfer.detect import penalized_argmin, thresholded_means
+from cpinfer.core import loss_profile_pd, series_stats
+from cpinfer.detect import _penalize, thresholded_means
 from cpinfer.tune import (
     DEFAULT_GAMMAS,
     DEFAULT_LAMBDAS,
@@ -112,6 +112,14 @@ class TestBicLambda:
         with pytest.raises(ValueError):
             bic_lambda(np.zeros((4, 1)) + np.arange(4)[:, None], 2, [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_non_finite_or_negative_grid_rejected(self, bad):
+        Y = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match="tuning grid values must be finite and nonnegative"):
+            bic_lambda(Y, 2, [0.1, bad])
+        with pytest.raises(ValueError, match="tuning grid values must be finite and nonnegative"):
+            bic_gamma(Y, thresholded_means(Y, 2, 0.0), [0.1, bad])
+
 
 class TestBicGamma:
     def test_pure_noise_lands_in_no_change_region(self):
@@ -121,8 +129,8 @@ class TestBicGamma:
         lam, _ = bic_lambda(Y, 30)
         means = thresholded_means(Y, 30, lam)
         gamma, _ = bic_gamma(Y, means)
-        est = penalized_argmin(Y, means, gamma)
-        assert est.no_change
+        _, k = _penalize(loss_profile_pd(Y, means.mu1, means.mu2), gamma)
+        assert k == Y.shape[0]
 
     def test_noiseless_shift_flat_profile_tie_breaks_small(self):
         mu1 = np.array([3.0, 0.0])
@@ -143,7 +151,8 @@ class TestBicGamma:
         lam, _ = bic_lambda(Y, 20)
         means = thresholded_means(Y, 20, lam)
         grid = DEFAULT_GAMMAS
-        splits = [penalized_argmin(Y, means, float(g)).k for g in grid]
+        loss = loss_profile_pd(Y, means.mu1, means.mu2)
+        splits = [_penalize(loss, float(g))[1] for g in grid]
         changes = sum(1 for a, b in zip(splits, splits[1:]) if a != b)
         assert changes <= 1  # interior split is gamma-free; single jump to T
 
