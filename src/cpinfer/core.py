@@ -6,15 +6,18 @@ operations are pure; inputs are never mutated.
 
 The functions the pipeline calls accept the series as an array or as the
 ``SeriesStats`` built from it, so one pipeline validates its input once and
-every criterion reads the same statistics.  ``loss_profile_pd`` is the one
-two-segment loss; the detector and the projected least-squares locator both
-read it.
+every criterion reads the same statistics.  One blocked pass over Y builds
+them and checks finiteness; after it, criteria read Y only through the one
+block a split cuts and through ``SeriesStats.project``.  Centring the
+columns is virtual: the statistics of Y - c are read from those of Y, and no
+copy is made.  ``loss_profile_pd`` is the one two-segment loss; the detector
+and the projected least-squares locator both read it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +39,9 @@ class DegenerateJumpError(ValueError):
     """Raised when the estimated jump vector is (numerically) zero."""
 
 
-def as_series(data) -> np.ndarray:
-    """Validate and return a T x p float array (1-D input becomes T x 1)."""
+def _shaped(data) -> np.ndarray:
+    """``data`` as a T x p float array (1-D input becomes T x 1); ValueError
+    unless T >= 2 and p >= 1."""
     Y = np.asarray(data, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
@@ -48,55 +52,117 @@ def as_series(data) -> np.ndarray:
         raise ValueError(f"need at least 2 observations, got T={T}")
     if p < 1:
         raise ValueError("need at least one column")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("time series contains non-finite entries")
     return Y
 
 
-_BLOCK = 1 << 15  # elements per row block of the sum of squares (256 KiB)
+def _check_finite(Y: np.ndarray) -> None:
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("time series contains non-finite entries")
+
+
+def as_series(data) -> np.ndarray:
+    """Validate and return a T x p float array (1-D input becomes T x 1)."""
+    Y = _shaped(data)
+    _check_finite(Y)
+    return Y
+
+
+_BLOCK = 1 << 15  # elements per row block of the pass (256 KiB)
+_MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes / 16
 
 
 class SeriesStats:
     """A validated T x p series with the statistics every criterion reads.
 
-    ``center`` holds the column means c and ``ss`` the sum of squares of
-    Y - c, accumulated by row blocks so that no T x p temporary exists.
-    Criteria expand their squares about c, so large column offsets do not
-    cancel.  The segment column sums at a split are computed once per split.
+    One pass over row blocks of Y builds them.  Each block's column sums are
+    kept, and its sum of squares about its own mean is merged into ``ss`` by
+    the pairwise update of Chan, Golub & LeVeque (1979); ``center`` is the
+    total of the block sums over T.  So ``ss`` is the sum of squares of
+    Y - c about the column means c, and criteria expand their squares about
+    c, so large column offsets do not cancel.  NaN and inf propagate into
+    these sums: only when one comes out non-finite is Y scanned for
+    non-finite entries (finite entries whose squares overflow go on).  The
+    segment sums at a split add the whole-block sums on each side and read
+    at most the one block the split cuts, once per split.
+
+    The criteria read every row less ``offset``: 0 for the series as given,
+    c for the centred series Y - c that ``full_pipeline(center=True)``
+    analyses without a copy (its ``center`` is 0 and its ``ss`` the same).
+    ``project`` is the one matrix-vector product with the rows.
     """
 
     def __init__(self, Y: np.ndarray):
         self.Y = Y
         self.T, self.p = Y.shape
+        self._rows = max(_MIN_ROWS, _BLOCK // self.p)
+        nb = max(1, self.T // self._rows)  # the last block takes the ragged rows
+        self._bounds = [i * self._rows for i in range(nb)] + [self.T]
+        self._block_sums = np.empty((nb, self.p))
+        with np.errstate(all="ignore"):
+            self.ss = self._pass()
+            self.center = self._block_sums.sum(axis=0) / self.T
+        if not (np.isfinite(self.ss) and np.isfinite(self.center).all()):
+            _check_finite(Y)
+        self.offset = np.zeros(self.p)
         self._sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    @cached_property
-    def center(self) -> np.ndarray:
-        return self.Y.sum(axis=0) / self.T
+    def _pass(self) -> float:
+        """Fill the block sums; return the merged sum of squares."""
+        buf = np.empty((self.T - self._bounds[-2], self.p))  # the largest block
+        mean = np.zeros(self.p)
+        ss, n = 0.0, 0
+        for b, sums in enumerate(self._block_sums):
+            block = self.Y[self._bounds[b] : self._bounds[b + 1]]
+            m = block.shape[0]
+            bm = np.sum(block, axis=0, out=sums) / m
+            d = np.subtract(block, bm, out=buf[:m]).ravel()
+            delta = bm - mean
+            n += m
+            ss += float(d @ d)
+            if n > m:  # merge with the blocks before
+                ss += (n - m) * m / n * float(delta @ delta)
+            mean += delta * (m / n)
+        return ss
 
-    @cached_property
-    def ss(self) -> float:
-        rows = max(1, _BLOCK // self.p)
-        total = 0.0
-        for i in range(0, self.T, rows):
-            d = self.Y[i : i + rows] - self.center
-            total += float(np.einsum("tj,tj->", d, d))
-        return total
+    def _segment_sums(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column sums of rows 1..k and k+1..T; reads only the block cut at k."""
+        b = min(k // self._rows, len(self._block_sums) - 1)
+        lo, hi = self._bounds[b], self._bounds[b + 1]
+        left = self._block_sums[:b].sum(axis=0)
+        right = self._block_sums[b + 1 :].sum(axis=0)
+        if k == lo:
+            right += self._block_sums[b]
+        else:
+            left += self.Y[lo:k].sum(axis=0)
+            right += self.Y[k:hi].sum(axis=0)
+        return left, right
 
     def segment_means(self, k: int) -> list[tuple[int, np.ndarray]]:
         """(rows, column means) of each segment at split k; one segment at k = T."""
         if k == self.T:
             return [(self.T, self.center)]
         if k not in self._sums:
-            self._sums[k] = (self.Y[:k].sum(axis=0), self.Y[k:].sum(axis=0))
+            self._sums[k] = self._segment_sums(k)
         left, right = self._sums[k]
-        return [(k, left / k), (self.T - k, right / (self.T - k))]
+        return [(k, left / k - self.offset), (self.T - k, right / (self.T - k) - self.offset)]
+
+    def project(self, eta: np.ndarray) -> np.ndarray:
+        """The projections (y_t - offset)'eta of the rows, t = 1..T."""
+        return self.Y @ eta - self.offset @ eta
+
+
+def _centered(s: SeriesStats) -> SeriesStats:
+    """The statistics of Y - c, read from those of Y without a copy of Y."""
+    out = copy.copy(s)
+    out.offset = s.offset + s.center
+    out.center = np.zeros(s.p)
+    return out
 
 
 def series_stats(data) -> SeriesStats:
     """``data`` itself when it is a SeriesStats, else the statistics of the
-    series that ``as_series`` validates from it."""
-    return data if isinstance(data, SeriesStats) else SeriesStats(as_series(data))
+    series ``data``; ValueError on the inputs ``as_series`` rejects."""
+    return data if isinstance(data, SeriesStats) else SeriesStats(_shaped(data))
 
 
 @dataclass(frozen=True)
@@ -176,7 +242,7 @@ def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
     mu2 = np.asarray(mu2, dtype=float).ravel()
     v2 = mu2 - s.center
     eta = mu1 - mu2
-    excess = -2.0 * (s.Y @ eta - eta @ (0.5 * (mu1 + mu2)))
+    excess = -2.0 * (s.project(eta) - eta @ (0.5 * (mu1 + mu2)))
     return (s.ss + s.T * (v2 @ v2) + np.cumsum(excess)) / s.T
 
 

@@ -32,6 +32,7 @@ cell (about 1e-14 at DELTA = 4), far beneath Monte Carlo noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,13 @@ class QuantileMCSettings:
     seed: int = 171717
 
     def __post_init__(self):
-        if self.grid_half_width <= 0 or self.grid_step <= 0 or self.paths <= 0:
-            raise ValueError("grid half-width, step and path count must be positive")
+        for name, value in (("grid half-width", self.grid_half_width), ("grid step", self.grid_step)):
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (isinstance(self.paths, numbers.Integral) and self.paths > 0):
+            raise ValueError(f"path count must be a positive integer, got {self.paths!r}")
         n = self.grid_half_width / self.grid_step
-        if abs(n - round(n)) > 1e-8:
+        if not (n < math.inf and abs(n - round(n)) <= 1e-8):
             raise ValueError("grid half-width must be an integer multiple of the step")
 
 
@@ -123,7 +127,7 @@ def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     xi_sq = plugin_xi_sq(means)
     if xi_sq <= 0.0:
         raise DegenerateJumpError("zero jump vector: variance ratio undefined")
-    z = series_stats(Y).Y @ means.jump()
+    z = series_stats(Y).project(means.jump())
     k = ChangePointEstimate(int(k), z.size).k
     theta1, theta2 = means.projected_levels()
     left = z[:k] - theta1

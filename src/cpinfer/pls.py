@@ -19,7 +19,7 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
-    center_columns,
+    _centered,
     loss_profile_pd,
     series_stats,
 )
@@ -106,6 +106,8 @@ def full_pipeline(
     The shrinkage steps assume the segment means are sparse in the given
     coordinates, so the data is used as supplied; pass ``center=True`` (or
     pre-apply ``center_columns``) when only the mean *change* is sparse.
+    ``center=True`` makes no copy: the statistics of the centred series are
+    read from those of Y.
     ``lam``/``gamma`` override the criterion-based tuning.  The critical
     value is ``c_alpha`` when supplied, else the exact ``limit_quantile(alpha)``;
     pass ``c_alpha=limit_quantile(alpha, settings)`` for a Monte Carlo value.
@@ -117,7 +119,9 @@ def full_pipeline(
         if c_alpha is None:
             c_alpha = limit_quantile(alpha)
         _check_critical_value(c_alpha)
-    stats = series_stats(center_columns(Y) if center else Y)  # the one validation
+    stats = series_stats(Y)  # the one validation
+    if center:
+        stats = _centered(stats)
     T = stats.T
     det = detect_change(stats, tau_init, lam=lam, gamma=gamma)
     if not det.changed:

@@ -291,6 +291,15 @@ class TestCommands:
         assert code == 0
         assert 0.5 < report["c_alpha"] < 4.0
 
+    @pytest.mark.parametrize("flags", [["--grid-R", "inf"], ["--grid-h", "inf"],
+                                       ["--grid-R", "nan"], ["--grid-h", "nan"]])
+    def test_quantile_rejects_non_finite_grid(self, flags, capsys):
+        code = main(["quantile", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "finite and positive" in json.loads(captured.err)["error"]
+
     def test_output_file(self, shifted_csv, tmp_path, capsys):
         path, _, _ = shifted_csv
         out = tmp_path / "report.json"

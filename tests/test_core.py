@@ -1,6 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import cpinfer.core as core
 from cpinfer.core import (
     ChangePointEstimate,
     MeanPair,
@@ -137,16 +141,19 @@ class TestLossPd:
         assert np.max(np.abs(prof - ref)) <= 1e-6 * np.mean(np.abs(np.diff(ref)))
 
     def test_series_stats_blocks(self, monkeypatch):
-        import cpinfer.core as core
-
-        # blocks of 8 elements: several rows, one row, and a ragged last block
+        # blocks of 8 elements: several rows, one row, one block, and a ragged last block
         monkeypatch.setattr(core, "_BLOCK", 8)
+        monkeypatch.setattr(core, "_MIN_ROWS", 1)
         rng = np.random.default_rng(7)
-        for shape in [(10, 3), (5, 20), (2, 1)]:
+        for shape in [(10, 3), (5, 20), (2, 1), (14, 2)]:
             Y = rng.normal(size=shape) + 1e3
             s = series_stats(Y)
             assert series_stats(s) is s
             assert s.ss == pytest.approx(np.sum((Y - Y.mean(0)) ** 2), rel=1e-9)
+            for k in range(1, shape[0]):
+                (_, left), (_, right) = s.segment_means(k)
+                np.testing.assert_allclose(left, Y[:k].mean(0), rtol=1e-13)
+                np.testing.assert_allclose(right, Y[k:].mean(0), rtol=1e-13)
 
     def test_profile_1d_agrees_pointwise(self):
         rng = np.random.default_rng(6)
@@ -154,6 +161,88 @@ class TestLossPd:
         prof = loss_profile_1d(z, 0.5, -0.5)
         for k in range(1, 18):
             assert prof[k - 1] == pytest.approx(loss_1d(z, k, 0.5, -0.5), rel=1e-12)
+
+
+class TestSeriesStatsPass:
+    # (100, 1000) has row blocks [0, 32), [32, 64) and [64, 100)
+    SHAPE = (100, 1000)
+
+    @staticmethod
+    def rows(p):
+        return max(core._MIN_ROWS, core._BLOCK // p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "last", "before_boundary", "after_boundary"])
+    def test_non_finite_entry_rejected_without_warning(self, value, where):
+        T, p = self.SHAPE
+        row = {"first": 0, "last": T - 1, "before_boundary": self.rows(p) - 1,
+               "after_boundary": self.rows(p)}[where]
+        Y = np.random.default_rng(0).normal(size=self.SHAPE)
+        Y[row, 7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                series_stats(Y)
+
+    @pytest.mark.parametrize("rows", [(1, 2), (0, 99)])
+    def test_opposite_infinities_in_one_column_rejected(self, rows):
+        Y = np.random.default_rng(1).normal(size=self.SHAPE)
+        Y[rows[0], 3], Y[rows[1], 3] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                series_stats(Y)
+
+    def test_finite_input_whose_squares_overflow_is_not_rejected(self):
+        Y = 1e200 * np.random.default_rng(2).normal(size=self.SHAPE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = series_stats(Y)
+        assert np.isfinite(s.center).all()
+        assert s.ss == np.inf
+
+    def test_block_sums_are_a_sixteenth_of_the_input_at_most(self):
+        for shape in [(17, 3000), (4000, 500), (500, 20000), (16, 1)]:
+            s = series_stats(np.zeros(shape))
+            assert s._block_sums.nbytes <= np.zeros(shape).nbytes / 16
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    def test_sums_match_an_exact_oracle(self, offset):
+        # plain row-by-row sums, Y[:k].sum(axis=0), err by 5e-9 at offset 1e6
+        T, p = 5000, 200
+        Y = np.random.default_rng(3).normal(size=(T, p)) + offset * np.linspace(-1.0, 1.0, p)
+        cols = Y.T.tolist()
+        s = series_stats(Y)
+        bound = 1.5e-15 * np.max(np.abs(Y))
+        center = np.array([math.fsum(c) for c in cols]) / T
+        assert np.max(np.abs(s.center - center)) <= bound
+        rows = self.rows(p)
+        for k in (1, rows - 1, rows, rows + 1, T // 2, T - 1):
+            (_, left), (_, right) = s.segment_means(k)
+            exact_left = np.array([math.fsum(c[:k]) for c in cols]) / k
+            exact_right = np.array([math.fsum(c[k:]) for c in cols]) / (T - k)
+            assert np.max(np.abs(left - exact_left)) <= bound
+            assert np.max(np.abs(right - exact_right)) <= bound
+
+    def test_centered_statistics_read_the_centred_series(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK", 8)
+        monkeypatch.setattr(core, "_MIN_ROWS", 3)
+        rng = np.random.default_rng(5)
+        Y = rng.normal(size=(14, 4)) + 50.0
+        Yc = center_columns(Y)
+        s = series_stats(Y)
+        c = core._centered(s)
+        assert core._centered(c).offset.tolist() == c.offset.tolist()
+        assert c.ss == s.ss
+        np.testing.assert_array_equal(c.center, np.zeros(4))
+        eta = rng.normal(size=4)
+        np.testing.assert_allclose(c.project(eta), Yc @ eta, atol=1e-12)
+        np.testing.assert_array_equal(s.project(eta), Y @ eta)
+        for k in (1, 5, 13):
+            for (_, m), (_, e) in zip(c.segment_means(k), series_stats(Yc).segment_means(k)):
+                np.testing.assert_allclose(m, e, atol=1e-12)
+        np.testing.assert_allclose(loss_profile_pd(c, eta, -eta), loss_profile_pd(Yc, eta, -eta),
+                                   rtol=1e-12)
 
 
 class TestStoppedMeans:

@@ -137,6 +137,14 @@ class TestLimitQuantile:
         with pytest.raises(ValueError):
             QuantileMCSettings(grid_step=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_half_width": np.inf}, {"grid_half_width": np.nan}, {"grid_step": np.inf},
+        {"grid_step": np.nan}, {"paths": 2.5}, {"paths": np.inf},
+    ])
+    def test_non_finite_or_fractional_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite and positive|positive integer"):
+            QuantileMCSettings(**kwargs)
+
     def test_quantile_tends_to_zero_as_alpha_grows(self):
         c = limit_quantile(0.98, FAST_MC)
         assert 0.0 <= c < 0.5

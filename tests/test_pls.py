@@ -300,6 +300,36 @@ class TestFullPipeline:
         assert rec["k_tilde"] == 10
         assert rec["xi_sq"] is rec["sigma_sq"] is None
 
+    def test_centring_makes_no_copy(self):
+        Y = np.random.default_rng(10).normal(size=(4000, 500)) + 3.0
+        Y[1600:, :5] += 1.0
+        tracemalloc.start()
+        try:
+            res = full_pipeline(Y, center=True, c_alpha=11.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "ok"
+        assert peak <= 0.25 * Y.nbytes
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    def test_center_option_matches_centred_copy_on_paper_cells(self, offset):
+        from cpinfer.core import center_columns
+        from cpinfer.simbench import SimConfig, gen_dataset
+
+        def outcome(res):
+            det = res.detection
+            return (res.status, det.estimate.k, det.lambda_used, det.gamma_used,
+                    res.pls_estimate.k if res.pls_estimate else None)
+
+        for T, p in [(100, 500), (225, 500), (350, 500), (100, 750)]:
+            for tau0 in (0.2, 0.4, 0.8):
+                Y, _ = gen_dataset(SimConfig(T=T, p=p, s=5, tau0=tau0, seed=5), 1)
+                Y += offset * np.linspace(-1.0, 1.0, p)
+                a = full_pipeline(Y, center=True, c_alpha=11.03)
+                b = full_pipeline(center_columns(Y), c_alpha=11.03)
+                assert outcome(a) == outcome(b)
+
     def test_center_option_matches_manual_centering(self):
         from cpinfer.core import center_columns
 
