@@ -1,9 +1,10 @@
 """Synthetic designs, estimator metrics, and the Monte Carlo harness.
 
 Noise rows follow an AR(1)-in-coordinates Gaussian law with covariance
-rho^{|i-j|} and unit marginals, generated by the exact O(p) recursion.
-Replications draw from per-replication substreams of the master seed, so
-serial and parallel runs agree bit for bit.
+rho^{|i-j|} and unit marginals, generated in place by the exact O(p)
+recursion over columns, so one replication holds one T x p array and needs
+numpy alone.  Replications draw from per-replication substreams of the
+master seed, so serial and parallel runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class SimConfig:
     alpha: float = 0.05
     tau_init: float = 0.5
     gamma_off: bool = False
-    noise_scale: float = 1.0  # test hook; 0 gives the noiseless mean layout
 
     def __post_init__(self):
         if self.T < 2 or self.p < 1 or self.s < 1 or self.reps < 1:
@@ -55,6 +55,11 @@ class SimConfig:
             raise ValueError(f"designed supports overlap: need 2s <= p, got s={self.s}, p={self.p}")
         if not (0.0 < self.tau0 <= 1.0):
             raise ValueError(f"tau0 must lie in (0, 1], got {self.tau0}")
+        if self.tau0 < 1.0 and self.k0 < 1:
+            raise ValueError(f"tau0 < 1 needs a true split floor(T * tau0) >= 1, "
+                             f"got T={self.T}, tau0={self.tau0}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (-1.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
         _check_level(self.alpha)
@@ -110,11 +115,11 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
 
 
 def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    from scipy.signal import lfilter  # deferred: importing it costs over a second
-
     w = rng.standard_normal((T, p))
     w[:, 1:] *= np.sqrt(1.0 - rho * rho)
-    return lfilter([1.0], [1.0, -rho], w, axis=1)
+    for j in range(1, p):
+        w[:, j] += rho * w[:, j - 1]
+    return w
 
 
 def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
@@ -127,7 +132,6 @@ def gen_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, int]:
     mu1, mu2 = design_means(cfg.p, cfg.s)
     k0 = cfg.k0
     Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, rng)
-    Y *= cfg.noise_scale
     Y[:k0] += mu1
     Y[k0:] += mu2
     return Y, k0
@@ -171,10 +175,13 @@ def run_monte_carlo(
     ``rep``, ``k0`` and ``tau0``, the run's ``PipelineResult.record()``, and
     ``se``, ``ci_lo``, ``ci_hi`` and ``covered`` (None without an interval).
     The critical value for "pls_ci" is the exact limiting-law quantile at
-    ``cfg.alpha`` unless supplied.
+    ``cfg.alpha`` unless supplied.  ``n_jobs`` >= 1 worker processes run the
+    replications; 1 runs them in this process.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if estimator == "pls_ci" and c_alpha is None:
         c_alpha = limit_quantile(cfg.alpha)
 

@@ -256,6 +256,15 @@ class TestCommands:
             assert captured.out == ""
             assert "level must lie in (0, 1)" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_simulate_nonpositive_jobs_is_error(self, capsys, jobs):
+        code = main(["simulate", "--T", "30", "--p", "8", "--s", "2", "--tau0", "0.5",
+                     "--reps", "2", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "n_jobs must be >= 1" in json.loads(captured.err)["error"]
+
     def test_reports_carry_the_run_record(self, shifted_csv, capsys):
         path, Y, _ = shifted_csv
         res = full_pipeline(Y, with_ci=False)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cpinfer import simbench
 from cpinfer.infer import limit_quantile
 from cpinfer.simbench import (
     MetricsReport,
@@ -15,6 +20,12 @@ from cpinfer.simbench import (
     metrics_from_records,
     run_monte_carlo,
 )
+
+
+@pytest.fixture
+def noiseless(monkeypatch):
+    """gen_dataset without noise: the data is the design's mean layout."""
+    monkeypatch.setattr(simbench, "_ar1_noise", lambda T, p, rho, rng: np.zeros((T, p)))
 
 
 class TestConfig:
@@ -43,6 +54,19 @@ class TestConfig:
     def test_k0_encoding(self):
         assert SimConfig(T=10, p=4, s=1, tau0=1.0).k0 == 10
         assert SimConfig(T=10, p=4, s=1, tau0=0.45).k0 == 4
+        assert SimConfig(T=10, p=4, s=1, tau0=0.1).k0 == 1
+
+    @pytest.mark.parametrize("T, tau0", [(10, 0.05), (10, 0.09), (2, 0.4), (99, 0.01)])
+    def test_change_design_needs_a_true_split(self, T, tau0):
+        # floor(T * tau0) = 0 puts no change in the data, yet such a design
+        # used to report tpr and coverage as if it had one
+        with pytest.raises(ValueError, match="true split"):
+            SimConfig(T=T, p=4, s=1, tau0=tau0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(T=10, p=4, s=1, tau0=0.5, seed=-1)
+        assert SimConfig(T=10, p=4, s=1, tau0=0.5, seed=0).seed == 0
 
     def test_design_means_layout(self):
         mu1, mu2 = design_means(7, 2)
@@ -75,17 +99,31 @@ class TestNoise:
         big = _ar1_noise(60_000, 6, 0.5, rng)
         np.testing.assert_allclose(big.var(axis=0), np.ones(6), atol=0.02)
 
+    @pytest.mark.parametrize("T, p, rho", [
+        (200_000, 5, 0.5), (350, 500, 0.5), (7, 1, 0.5), (10, 9, 0.0),
+        (50, 40, -0.9), (3, 300, 0.999), (1, 4, 0.3),
+    ])
+    def test_matches_lfilter_bit_for_bit(self, T, p, rho):
+        # the column recursion is the filter 1 / (1 - rho z^-1) along each row
+        from scipy.signal import lfilter
+
+        w = np.random.default_rng(7).standard_normal((T, p))
+        w[:, 1:] *= np.sqrt(1.0 - rho * rho)
+        expected = lfilter([1.0], [1.0, -rho], w, axis=1)
+        got = _ar1_noise(T, p, rho, np.random.default_rng(7))
+        assert np.array_equal(got, expected)
+
 
 class TestGenDataset:
-    def test_noiseless_layout(self):
-        cfg = SimConfig(T=4, p=4, s=1, tau0=0.5, noise_scale=0.0)
+    def test_noiseless_layout(self, noiseless):
+        cfg = SimConfig(T=4, p=4, s=1, tau0=0.5)
         Y, k0 = gen_dataset(cfg, 0)
         assert k0 == 2
         mu1, mu2 = design_means(4, 1)
         np.testing.assert_array_equal(Y, np.vstack([mu1, mu1, mu2, mu2]))
 
-    def test_no_change_layout(self):
-        cfg = SimConfig(T=3, p=4, s=1, tau0=1.0, noise_scale=0.0)
+    def test_no_change_layout(self, noiseless):
+        cfg = SimConfig(T=3, p=4, s=1, tau0=1.0)
         Y, k0 = gen_dataset(cfg, 0)
         assert k0 == 3
         mu1, _ = design_means(4, 1)
@@ -100,17 +138,16 @@ class TestGenDataset:
         assert not np.array_equal(a, c)
 
     def test_peak_allocation(self):
-        # noise, scale and means are applied in place: the AR(1) filter's
-        # input and output are the only T x p arrays alive at once
+        # the AR(1) recursion and the means run in place on the array of
+        # normals, so Y is the only T x p array; a column temporary is small
         cfg = SimConfig(T=350, p=500, s=5, tau0=0.4, seed=1)
-        gen_dataset(cfg, 0)  # imports the filter outside the traced call
         tracemalloc.start()
         try:
             Y, _ = gen_dataset(cfg, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * Y.nbytes
+        assert peak <= 1.25 * Y.nbytes
 
     def test_aggregate_means_match_design(self):
         cfg = SimConfig(T=8, p=6, s=2, tau0=0.5, seed=5)
@@ -126,8 +163,8 @@ class TestGenDataset:
 
 
 class TestRunMonteCarlo:
-    def test_noiseless_perfect_recovery(self):
-        cfg = SimConfig(T=20, p=6, s=2, tau0=0.5, reps=3, noise_scale=0.0)
+    def test_noiseless_perfect_recovery(self, noiseless):
+        cfg = SimConfig(T=20, p=6, s=2, tau0=0.5, reps=3)
         report = run_monte_carlo(cfg, estimator="pls_ci", c_alpha=11.03)
         assert report.bias == 0.0
         assert report.rmse == 0.0
@@ -166,6 +203,21 @@ class TestRunMonteCarlo:
         assert serial.per_rep_records == parallel.per_rep_records
         assert serial.rmse == parallel.rmse
 
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_nonpositive_worker_count_rejected(self, n_jobs):
+        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_monte_carlo(cfg, estimator="pls", n_jobs=n_jobs)
+
+    def test_replications_leave_scipy_unloaded(self):
+        code = ("import sys; from cpinfer.simbench import SimConfig, run_monte_carlo; "
+                "run_monte_carlo(SimConfig(T=20, p=6, s=2, tau0=0.5, reps=2)); "
+                "print('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(simbench.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("c_alpha", [np.nan, -11.0])
     def test_bad_critical_value_rejected(self, c_alpha):
         # a NaN critical value used to give [1, T] and report coverage 1.0
@@ -201,8 +253,8 @@ class TestLowDimensionalInference:
 
 
 class TestInitializerSweep:
-    def test_noiseless_constant_row(self):
-        cfg = SimConfig(T=24, p=8, s=2, tau0=0.5, noise_scale=0.0)
+    def test_noiseless_constant_row(self, noiseless):
+        cfg = SimConfig(T=24, p=8, s=2, tau0=0.5)
         rows = initializer_sweep(cfg, [0.2, 0.35, 0.5, 0.65, 0.8])
         ks = {r["k_hat"] for r in rows}
         assert ks == {12}
