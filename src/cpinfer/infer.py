@@ -94,17 +94,31 @@ class InferenceResult:
     alpha: float
 
 
+def _support(indices, p: int) -> np.ndarray:
+    """``indices`` as an integer array; ValueError unless each is an integer in 0..p-1."""
+    s = np.asarray(indices).ravel()
+    if s.size == 0:
+        return s.astype(int)
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"support indices must be integers, got {s.dtype} {s[0]!r}")
+    bad = s[(s < 0) | (s >= p)]
+    if bad.size:
+        raise ValueError(f"support index {bad[0]} outside 0..{p - 1}")
+    return s
+
+
 def refit_means(Y, k: int, support1, support2) -> MeanPair:
     """Unshrunk stopped-time means restricted to the given supports.
 
     Coordinates outside the supports are set to zero; the supports are
-    0-based column indices (arrays or sequences).
+    0-based column indices (arrays or sequences).  ValueError unless every
+    index is an integer in 0..p-1.
     """
     left, right = stopped_means(Y, k)
     mu1 = np.zeros_like(left)
     mu2 = np.zeros_like(right)
-    s1 = np.asarray(support1, dtype=int).ravel()
-    s2 = np.asarray(support2, dtype=int).ravel()
+    s1 = _support(support1, left.size)
+    s2 = _support(support2, left.size)
     mu1[s1] = left[s1]
     mu2[s2] = right[s2]
     return MeanPair(mu1, mu2)

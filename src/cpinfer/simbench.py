@@ -187,7 +187,8 @@ def run_monte_carlo(
 
     run = partial(_run_rep, cfg, estimator=estimator, c_alpha=c_alpha)
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        # the pool starts all its workers at once: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(n_jobs, cfg.reps)) as pool:
             records = list(pool.map(run, range(cfg.reps)))
     else:
         records = [run(i) for i in range(cfg.reps)]

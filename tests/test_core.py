@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -224,6 +225,45 @@ class TestSeriesStatsPass:
             assert np.max(np.abs(left - exact_left)) <= bound
             assert np.max(np.abs(right - exact_right)) <= bound
 
+    @staticmethod
+    def exact_ss(Y):
+        """The sum of squares about the column means by math.fsum.  y - m is
+        exact when the offset dominates the spread (Sterbenz), so large
+        offsets cost the oracle no precision."""
+        T = Y.shape[0]
+        sums = []
+        for c in Y.T.tolist():
+            m = math.fsum(c) / T
+            sums.append(math.fsum((v - m) ** 2 for v in c))
+        return math.fsum(sums)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e4, 1e6, "from_row_900"])
+    def test_sum_of_squares_matches_an_exact_oracle(self, offset):
+        T, p = 2000, 100  # six row blocks, the last of 365 rows
+        rng = np.random.default_rng(4)
+        Y = rng.normal(size=(T, p))
+        if offset == "from_row_900":
+            # the third block holds 81 offset rows: it and the blocks before
+            # take the one-read expansion, the blocks after it fall back
+            Y[900:, : p // 2] += 1e6
+            bounds = series_stats(Y)._bounds
+            blocks = [Y[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            fast = [2 * len(b) * (b.mean(axis=0) @ b.mean(axis=0)) <= (b * b).sum() for b in blocks]
+            assert fast == [True] * 3 + [False] * 3
+        else:
+            Y += offset * rng.uniform(-1.0, 1.0, size=p)
+        exact = self.exact_ss(Y)
+        assert abs(series_stats(Y).ss - exact) <= 1e-12 * exact
+
+    def test_one_read_expansion_agrees_with_the_centred_block(self):
+        # one block, offsets small enough that the guard takes the expansion
+        rng = np.random.default_rng(6)
+        Y = rng.normal(size=(30, 50)) + rng.uniform(-0.5, 0.5, size=50)
+        bm = np.ones(30) @ Y / 30
+        assert 2 * 30 * (bm @ bm) <= Y.ravel() @ Y.ravel()
+        d = (Y - bm).ravel()
+        assert series_stats(Y).ss == pytest.approx(d @ d, rel=1e-13, abs=0)
+
     def test_centered_statistics_read_the_centred_series(self, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK", 8)
         monkeypatch.setattr(core, "_MIN_ROWS", 3)
@@ -323,6 +363,54 @@ class TestProjectSeries:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             project_series(np.ones((3, 2)), [1.0, 2.0, 3.0])
+
+
+class TestSeriesStatsProject:
+    SHAPE = (300, 400)
+
+    @pytest.mark.parametrize("nonzeros", [0, 1, 5, 400])  # 400: the dense product
+    @pytest.mark.parametrize("center", [False, True])
+    def test_matches_the_dense_product(self, nonzeros, center):
+        rng = np.random.default_rng(11)
+        Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
+        s = series_stats(Y)
+        if center:
+            s = core._centered(s)
+        eta = np.zeros(self.SHAPE[1])
+        eta[rng.choice(eta.size, nonzeros, replace=False)] = rng.normal(size=nonzeros)
+        expect = Y @ eta - s.offset @ eta
+        bound = 1e-13 * np.max(np.abs(Y)) * np.sum(np.abs(eta))
+        np.testing.assert_allclose(s.project(eta), expect, rtol=0, atol=bound)
+
+    def test_sparse_projection_reads_only_its_support(self):
+        rng = np.random.default_rng(12)
+        Y = rng.normal(size=self.SHAPE)
+        s = series_stats(Y)
+        eta = np.zeros(self.SHAPE[1])
+        eta[[3, 250]] = [1.0, -2.0]
+        Y[:, 4:250] = np.nan  # after the pass: the projection must not read these
+        np.testing.assert_array_equal(s.project(eta), Y[:, 3] - 2.0 * Y[:, 250])
+
+    def test_sparse_projection_allocates_the_support_only(self):
+        T, p = 4000, 500
+        s = series_stats(np.random.default_rng(13).normal(size=(T, p)))
+        eta = np.zeros(p)
+        eta[[0, 7, 8, 300, 499]] = 1.0
+        tracemalloc.start()
+        try:
+            s.project(eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * T * (5 + 1) + 8 * p  # the gathered columns, the output, slack
+
+    @pytest.mark.parametrize("length", [1, 399, 401])
+    def test_length_mismatch_rejected(self, length):
+        s = series_stats(np.ones(self.SHAPE))
+        eta = np.zeros(length)
+        eta[0] = 1.0  # a support the gather could read
+        with pytest.raises(ValueError):
+            s.project(eta)
 
 
 class TestChangePointEstimate:

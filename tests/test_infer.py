@@ -61,6 +61,14 @@ class TestRefitMeans:
         np.testing.assert_allclose(mp.mu1, [1.0, 0.0])
         np.testing.assert_allclose(mp.mu2, [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [[-1], [2], [0.7], [0, 1.0], [True], ["0"]])
+    def test_bad_support_index_rejected(self, bad):
+        Y = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match="support ind"):
+            refit_means(Y, 2, bad, [0])
+        with pytest.raises(ValueError, match="support ind"):
+            refit_means(Y, 2, [0], bad)
+
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError):
             refit_means(np.zeros((4, 2)) + np.arange(4)[:, None], 4, [0], [0])

@@ -203,6 +203,28 @@ class TestRunMonteCarlo:
         assert serial.per_rep_records == parallel.per_rep_records
         assert serial.rmse == parallel.rmse
 
+    def test_pool_starts_no_more_workers_than_replications(self, monkeypatch):
+        class SerialPool:  # records the requested size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        sizes = []
+        monkeypatch.setattr(simbench, "ProcessPoolExecutor", SerialPool)
+        cfg = SimConfig(T=40, p=10, s=2, tau0=0.5, reps=3, seed=8)
+        pooled = run_monte_carlo(cfg, estimator="pls", n_jobs=64)
+        run_monte_carlo(SimConfig(T=40, p=10, s=2, tau0=0.5, reps=5, seed=8), "pls", n_jobs=2)
+        assert sizes == [3, 2]
+        assert pooled.per_rep_records == run_monte_carlo(cfg, estimator="pls").per_rep_records
+
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_nonpositive_worker_count_rejected(self, n_jobs):
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
