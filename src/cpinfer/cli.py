@@ -38,15 +38,16 @@ __all__ = [
 def read_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a rectangular numeric CSV as a T x p array.
 
-    Raises ValueError naming the offending row/column on ragged or
-    non-numeric input.  Finiteness is left to the pipeline, which validates
-    the array once.
+    A leading UTF-8 byte-order mark, which spreadsheet "CSV UTF-8" exports
+    write, is skipped.  Raises ValueError naming the offending row/column on
+    ragged or non-numeric input.  Finiteness is left to the pipeline, which
+    validates the array once.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt only warns on an empty file
             data = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                              skiprows=int(has_header), encoding="utf-8")
+                              skiprows=int(has_header), encoding="utf-8-sig")
     except (ValueError, UserWarning):
         data = _scan_csv(path, has_header)
     if data.shape[0] < 2:
@@ -57,7 +58,7 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
 def _scan_csv(path, has_header: bool) -> np.ndarray:
     """Cell-by-cell parse that names the row and column of the first bad cell."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for line_no, cells in enumerate(reader, start=1):
             if has_header and line_no == 1:

@@ -70,21 +70,23 @@ def as_series(data) -> np.ndarray:
 
 _BLOCK = 1 << 15  # elements per row block of the pass (256 KiB)
 _MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes / 16
-_GATHER = 32      # project gathers a support of at most p / 32 columns
+_GATHER = 32      # project gathers a support that touches at most p / 32 of a row's cache lines
 
 
 class SeriesStats:
     """A validated T x p series with the statistics every criterion reads.
 
     One pass over row blocks of Y builds them, and a block is read from
-    memory once while it is in cache.  Each block's column sums, a BLAS
+    memory once while it is in cache.  Each block's column sums s, a BLAS
     product with a vector of ones, are kept; its sum of squares about its
-    own mean m is the expansion ||B||^2 - rows * ||m||^2 from one dot product
+    own mean is the expansion ||B||^2 - ||s||^2 / rows from one dot product
     when that loses at most one bit (Higham 2002, sec. 1.9), and else the
-    dot product of the centred block.  The block sums of squares are merged
-    into ``ss`` by the pairwise update of Chan, Golub & LeVeque (1979);
-    ``center`` is the total of the block sums over T.  So ``ss`` is the sum
-    of squares of Y - c about the column means c, and criteria expand their
+    dot product of the centred block.  A block costs its BLAS calls and no
+    merge: ``center`` c is the total of the block sums over T, and the
+    between-block term sum_b rows_b ||s_b / rows_b - c||^2 is the expansion
+    sum_b ||s_b||^2 / rows_b - T ||c||^2 when that loses at most one bit,
+    and else is read from the stored block sums.  So ``ss`` is the sum of
+    squares of Y - c about the column means c, and criteria expand their
     squares about c, so large column offsets do not cancel.  NaN and inf
     propagate into these sums: only when one comes out non-finite is Y
     scanned for non-finite entries (finite entries whose squares overflow
@@ -95,7 +97,7 @@ class SeriesStats:
     c for the centred series Y - c that ``full_pipeline(center=True)``
     analyses without a copy (its ``center`` is 0 and its ``ss`` the same).
     ``project`` is the one matrix-vector product with the rows; for a sparse
-    vector it reads only the columns of its support.
+    vector it reads only the cache lines of its support.
     """
 
     def __init__(self, Y: np.ndarray):
@@ -106,38 +108,41 @@ class SeriesStats:
         self._bounds = [i * self._rows for i in range(nb)] + [self.T]
         self._block_sums = np.empty((nb, self.p))
         with np.errstate(all="ignore"):
-            self.ss = self._pass()
-            self.center = self._block_sums.sum(axis=0) / self.T
+            self.ss, self.center = self._pass()
         if not (np.isfinite(self.ss) and np.isfinite(self.center).all()):
             _check_finite(Y)
         self.offset = np.zeros(self.p)
         self._sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _pass(self) -> float:
-        """Fill the block sums; return the merged sum of squares."""
+    def _pass(self) -> tuple[float, np.ndarray]:
+        """Fill the block sums; return the sum of squares and the column means c.
+
+        W adds each block's sum of squares about its own mean and A each
+        block's rows * ||mean||^2, so with B = T ||c||^2 the between-block
+        term is A - B."""
         m_max = self.T - self._bounds[-2]  # the last block is the largest
         ones = np.ones(m_max)
         buf = np.empty((m_max, self.p))
-        mean = np.zeros(self.p)
-        ss, n = 0.0, 0
+        within = means_sq = 0.0  # W and A
         for b, sums in enumerate(self._block_sums):
             block = self.Y[self._bounds[b] : self._bounds[b + 1]]
             m = block.shape[0]
-            bm = np.matmul(ones[:m], block, out=sums) / m
+            np.matmul(ones[:m], block, out=sums)
             flat = block.ravel()
-            raw, shift = float(flat @ flat), m * float(bm @ bm)
-            if 2.0 * shift <= raw < np.inf:  # the expansion loses at most one bit
-                within = raw - shift
+            raw, q = float(flat @ flat), float(sums @ sums) / m
+            if 2.0 * q <= raw < np.inf:  # the expansion loses at most one bit
+                within += raw - q
             else:  # large offsets, NaN or inf, or squares that overflow
-                d = np.subtract(block, bm, out=buf[:m]).ravel()
-                within = float(d @ d)
-            delta = bm - mean
-            n += m
-            ss += within
-            if n > m:  # merge with the blocks before
-                ss += (n - m) * m / n * float(delta @ delta)
-            mean += delta * (m / n)
-        return ss
+                d = np.subtract(block, sums / m, out=buf[:m]).ravel()
+                within += float(d @ d)
+            means_sq += q
+        center = self._block_sums.sum(axis=0) / self.T
+        grand_sq = self.T * float(center @ center)  # B <= A (Jensen)
+        if 2.0 * grand_sq <= within + means_sq < np.inf:
+            return within + (means_sq - grand_sq), center
+        rows = np.diff(self._bounds)  # some block fell back: A - B about c
+        dev = self._block_sums / rows[:, None] - center
+        return within + float(np.einsum("b,bj,bj->", rows, dev, dev)), center
 
     def _segment_sums(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Column sums of rows 1..k and k+1..T; reads only the block cut at k."""
@@ -164,14 +169,17 @@ class SeriesStats:
     def project(self, eta: np.ndarray) -> np.ndarray:
         """The projections (y_t - offset)'eta of the rows, t = 1..T.
 
-        A gather of the support's columns touches a cache line per element
-        where the dense product streams all of Y, so it is taken only when
-        the support is at most 1/32 of the columns.  ValueError unless
-        ``eta`` has p entries."""
+        A gather of the support's columns pays for the 64-byte cache lines
+        (8 float64 columns each) it touches in every row, where the dense
+        product streams all of Y, so it is taken only when the support
+        touches at most 1/32 of a row's lines.  ValueError unless ``eta`` has
+        p entries."""
         if eta.shape != (self.p,):
             raise ValueError(f"projection vector has shape {eta.shape}, expected ({self.p},)")
         cols = np.flatnonzero(eta)
-        if _GATHER * cols.size <= self.p:
+        lines = cols // 8  # 8 float64 columns to a 64-byte line; cols is sorted
+        touched = np.count_nonzero(lines[1:] != lines[:-1]) + (lines.size > 0)
+        if _GATHER * touched <= self.p:
             z = self.Y[:, cols] @ eta[cols]
         else:
             z = self.Y @ eta

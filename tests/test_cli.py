@@ -82,6 +82,22 @@ class TestReadCsv:
             read_csv(path)
         assert not recwarn.list
 
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_byte_order_mark_skipped(self, tmp_path, has_header):
+        Y = np.random.default_rng(8).normal(size=(6, 3))
+        lines = [",".join(repr(v) for v in row) for row in Y.tolist()]
+        if has_header:
+            lines.insert(0, "a,b,c")
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff".encode() + "\n".join(lines).encode() + b"\n")
+        np.testing.assert_array_equal(read_csv(path, has_header=has_header), Y)
+
+    def test_bad_cell_named_after_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom_bad.csv"
+        path.write_bytes("\ufeff1,2\n3,oops\n".encode())
+        with pytest.raises(ValueError, match="row 2, column 2: 'oops'"):
+            read_csv(path)
+
     def test_roundtrip_exact(self, tmp_path, shifted_csv):
         path, Y, _ = shifted_csv
         back = read_csv(path)

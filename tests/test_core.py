@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cpinfer.core as core
 from cpinfer.core import (
@@ -264,6 +266,42 @@ class TestSeriesStatsPass:
         d = (Y - bm).ravel()
         assert series_stats(Y).ss == pytest.approx(d @ d, rel=1e-13, abs=0)
 
+    def test_between_block_term_read_from_the_block_sums(self):
+        # the level shift of from_row_900 makes the global expansion
+        # W + A - B lose more than one bit, so the pass reads the between-block
+        # term sum_b rows_b ||s_b / rows_b - c||^2 from the stored block sums
+        T, p = 2000, 100
+        Y = np.random.default_rng(4).normal(size=(T, p))
+        Y[900:, : p // 2] += 1e6
+        s = series_stats(Y)
+        blocks = [Y[lo:hi] for lo, hi in zip(s._bounds, s._bounds[1:])]
+        within = sum(((b - b.mean(axis=0)) ** 2).sum() for b in blocks)
+        between = sum(len(b) * (b.mean(axis=0) @ b.mean(axis=0)) for b in blocks)
+        assert 2 * T * (s.center @ s.center) > within + between
+        exact = self.exact_ss(Y)
+        assert abs(s.ss - exact) <= 1e-12 * exact
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(2, 70), p=st.integers(1, 12),
+           block=st.integers(1, 40), offset=st.floats(0.0, 1e6), shift=st.floats(0.0, 1e6),
+           start=st.floats(0.0, 1.0))
+    def test_sum_of_squares_property(self, seed, T, p, block, offset, shift, start):
+        # small blocks: several per series, a ragged last one, single rows
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(T, p)) + offset * rng.uniform(0.0, 1.0, size=p)
+        Y[int(start * (T - 1)) + 1 :, : (p + 1) // 2] += shift
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", block)
+            mp.setattr(core, "_MIN_ROWS", 1)
+            s = series_stats(Y)
+        exact = self.exact_ss(Y)
+        # A block mean of `rows` entries is rounded by up to rows * eps * max|Y|
+        # however it is summed, and that moves the block terms to first
+        # order: by at most 2 eps rows max|Y| sqrt(T p ss) (Cauchy-Schwarz).
+        # With offsets far above the spread and few rows this exceeds 1e-12 ss.
+        rows = int(np.diff(s._bounds).max())
+        rounding = 2 * np.finfo(float).eps * rows * np.max(np.abs(Y)) * math.sqrt(T * p * exact)
+        assert abs(s.ss - exact) <= 1e-12 * exact + rounding
+
     def test_centered_statistics_read_the_centred_series(self, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK", 8)
         monkeypatch.setattr(core, "_MIN_ROWS", 3)
@@ -403,6 +441,30 @@ class TestSeriesStatsProject:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * T * (5 + 1) + 8 * p  # the gathered columns, the output, slack
+
+    @pytest.mark.parametrize("cols, gathers", [
+        (list(range(10)) + [77], True),   # 11 columns in 3 of a row's 25 cache lines
+        (list(range(0, 128, 8)), False),  # 16 columns in 16 lines: the dense product
+    ])
+    def test_gather_rule_counts_cache_lines(self, cols, gathers):
+        T, p = 4000, 200
+        rng = np.random.default_rng(14)
+        Y = rng.normal(size=(T, p)) + 1e4 * rng.uniform(-1.0, 1.0, size=p)
+        s = core._centered(series_stats(Y))
+        eta = np.zeros(p)
+        eta[cols] = rng.normal(size=len(cols))
+        tracemalloc.start()
+        try:
+            z = s.project(eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if gathers:
+            assert 8 * T * len(cols) <= peak <= 8 * T * (len(cols) + 1) + 8 * p
+        else:
+            assert peak <= 8 * T * 2 + 8 * p  # the product and the output, no T x nnz gather
+        bound = 1e-13 * np.max(np.abs(Y)) * np.sum(np.abs(eta))
+        np.testing.assert_allclose(z, Y @ eta - s.offset @ eta, rtol=0, atol=bound)
 
     @pytest.mark.parametrize("length", [1, 399, 401])
     def test_length_mismatch_rejected(self, length):
