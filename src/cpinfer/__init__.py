@@ -5,7 +5,6 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
-    center_columns,
     soft_threshold,
     stopped_means,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "QuantileMCSettings",
     "MetricsReport",
     "SimConfig",
-    "center_columns",
     "soft_threshold",
     "stopped_means",
     "thresholded_means",

@@ -25,7 +25,6 @@ SCHEMA = "cpinfer/1"
 
 __all__ = [
     "read_csv",
-    "write_csv",
     "cmd_detect",
     "cmd_estimate",
     "cmd_infer",
@@ -81,17 +80,6 @@ def _scan_csv(path, has_header: bool) -> np.ndarray:
                     f"{path}: non-numeric cell at row {line_no}, column {j + 1}: {cell!r}"
                 ) from None
     return data
-
-
-def write_csv(path, Y, header=None) -> None:
-    """Write a matrix at full float precision (round-trips through read_csv)."""
-    Y = np.asarray(Y, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in Y:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def cmd_detect(args) -> tuple[dict, int]:
@@ -173,8 +161,6 @@ def cmd_quantile(args) -> tuple[dict, int]:
         "alpha": args.alpha,
         "c_alpha": c,
         "paths": mc.paths,
-        "grid_R": mc.grid_half_width,
-        "grid_h": mc.grid_step,
         "seed": mc.seed,
     }
     return report, 0
@@ -205,9 +191,9 @@ def _add_mc_options(sub, description: str):
     group.add_argument("--paths", type=int, default=None,
                        help=f"paths (default {d.paths})")
     group.add_argument("--grid-R", type=float, default=None, dest="grid_R",
-                       help=f"grid half-width (default {d.grid_half_width:g})")
+                       help="accepted for compatibility; no effect on the exact draws")
     group.add_argument("--grid-h", type=float, default=None, dest="grid_h",
-                       help=f"grid step (default {d.grid_step:g})")
+                       help="accepted for compatibility; no effect on the exact draws")
     group.add_argument("--seed", type=int, default=None,
                        help=f"seed (default {d.seed})")
 
@@ -229,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--alpha", type=float, default=0.05)
     _add_mc_options(p_inf, "By default the critical value is exact, from the closed-form "
                            "limiting law. Any of --paths, --grid-R, --grid-h or --seed "
-                           "simulates it instead, the other settings at their defaults.")
+                           "estimates it instead from exact draws of the arg-min (Williams "
+                           "1974), the other settings at their defaults.")
     p_inf.set_defaults(func=cmd_infer)
 
     p_sim = subs.add_parser("simulate", help="run a Monte Carlo design cell")
@@ -254,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_q = subs.add_parser("quantile", help="Monte Carlo critical value of the limiting law")
     p_q.add_argument("--output", default=None)
     p_q.add_argument("--alpha", type=float, default=0.05)
-    _add_mc_options(p_q, "The critical value is simulated; unset settings take their defaults.")
+    _add_mc_options(p_q, "The critical value is the empirical quantile of exact draws of the "
+                         "arg-min (Williams 1974); unset settings take their defaults.")
     p_q.set_defaults(func=cmd_quantile)
     return parser
 

@@ -29,7 +29,6 @@ __all__ = [
     "as_series",
     "SeriesStats",
     "series_stats",
-    "center_columns",
     "loss_profile_pd",
     "stopped_means",
     "soft_threshold",
@@ -256,12 +255,6 @@ class MeanPair:
         """Inner products of the jump with each mean (the two surrogate levels)."""
         eta = self.jump()
         return float(eta @ self.mu1), float(eta @ self.mu2)
-
-
-def center_columns(Y) -> np.ndarray:
-    """Subtract the empirical mean of each column.  Idempotent."""
-    Y = as_series(Y)
-    return Y - Y.mean(axis=0, keepdims=True)
 
 
 def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:

@@ -16,17 +16,13 @@ complementary error function so that no term overflows or underflows.
 ``limit_quantile(alpha)`` is the one way to get a critical value;
 ``full_pipeline`` takes it as a number.  Explicit ``QuantileMCSettings``
 select the Monte Carlo estimate instead, the oracle that the closed form is
-tested against.  Each half-line carries a random walk with independent
-N(0, h) increments on a step-h grid out to half-width R, and the arg-min
-location is recorded per path.
-
-The simulation is hierarchical but exact in law: a coarse walk (step H, a
-multiple of h) is drawn first, and the fine grid is filled in by Brownian
-bridge resampling only inside cells whose best possible objective value
-could beat the coarse minimum.  A cell is skipped only when its objective
-cannot come within 2 * DELTA * sqrt(H) of the running minimum; the chance a
-skipped cell actually contained the arg-min is below exp(-2 * DELTA^2) per
-cell (about 1e-14 at DELTA = 4), far beneath Monte Carlo noise.
+tested against.  Its draws are exact, with no grid: for v >= 0,
+(v - 2 W(v)) / 2 is a Brownian motion with drift 1/2, whose overall minimum
+is -I with I ~ Exp(1), and by Williams' path decomposition (Williams 1974,
+Proc. London Math. Soc.) the path up to that minimum is a Brownian motion
+with drift -1/2 run until it first hits -I.  So the arg-min on a half-line
+is inverse Gaussian with mean 2 I and shape I^2, and V lies on the side
+with the larger I.
 """
 
 from __future__ import annotations
@@ -56,14 +52,21 @@ __all__ = [
     "confidence_interval",
 ]
 
-_DELTA = 4.0          # bridge-excursion margin, in units of sqrt(cell length)
-_TARGET_CELL = 0.5    # coarse cell length aimed for (multiple of the fine step)
-_BATCH_PATHS = 2048   # fixed chunk size; per-chunk RNG substreams keep runs reproducible
+_BATCH_PATHS = 2048  # fixed chunk size; per-chunk RNG substreams keep runs reproducible
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class QuantileMCSettings:
-    """Grid and path budget for the arg-min law simulation."""
+    """Path budget and seed for the Monte Carlo estimate of the arg-min law.
+
+    ``grid_half_width`` and ``grid_step`` are accepted for compatibility and
+    still checked, but the draws are exact and use no grid, so they have no
+    effect.
+    """
 
     grid_half_width: float = 200.0
     grid_step: float = 0.01
@@ -74,11 +77,13 @@ class QuantileMCSettings:
         for name, value in (("grid half-width", self.grid_half_width), ("grid step", self.grid_step)):
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (isinstance(self.paths, numbers.Integral) and self.paths > 0):
-            raise ValueError(f"path count must be a positive integer, got {self.paths!r}")
         n = self.grid_half_width / self.grid_step
         if not (n < math.inf and abs(n - round(n)) <= 1e-8):
             raise ValueError("grid half-width must be an integer multiple of the step")
+        if not _is_integer(self.paths) or self.paths < 1:
+            raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -149,80 +154,23 @@ def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     return (float(left @ left) + float(right @ right)) / z.size / xi_sq
 
 
-def _refine_factor(n_fine: int, step: float) -> int:
-    """Fine steps per coarse cell: near the target length and dividing the grid."""
-    m = max(1, int(round(_TARGET_CELL / step)))
-    m = min(m, n_fine)
-    while n_fine % m:
-        m -= 1
-    return m
-
-
 def simulate_argmin_locations(settings: QuantileMCSettings | None = None) -> np.ndarray:
-    """Per-path signed locations of the grid arg-min of |v| - 2 W(v).
+    """Per-path signed arg-min locations of |v| - 2 W(v), drawn exactly.
 
-    Locations are tracked as signed integer grid indices and converted once
-    at the end, so every emitted value is exactly ``h * index``.
+    Each half-line's overall minimum of (|v| - 2 W(v)) / 2 is -I with
+    I ~ Exp(1); the arg-min lies on the side with the deeper minimum, at an
+    inverse Gaussian distance with mean 2 I and shape I^2 (Williams 1974).
     """
     s = settings or QuantileMCSettings()
-    n_fine = int(round(s.grid_half_width / s.grid_step))
-    h = s.grid_step
-    m = _refine_factor(n_fine, h)
-    n_coarse = n_fine // m
-    cell = m * h
-    margin = 2.0 * _DELTA * np.sqrt(cell)
-
-    out = np.empty(s.paths, dtype=np.int64)
-    fine_v = h * np.arange(1, n_fine + 1)        # canonical grid values
-    coarse_v = fine_v[m - 1 :: m]                # v at each cell's right end
-    start_v = np.concatenate([[0.0], coarse_v[:-1]])  # v at each cell's left end
-
+    out = np.empty(s.paths)
     for batch, lo in enumerate(range(0, s.paths, _BATCH_PATHS)):
         nb = min(_BATCH_PATHS, s.paths - lo)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=s.seed, spawn_key=(batch,)))
-
-        inc = rng.standard_normal((nb, 2, n_coarse)) * np.sqrt(cell)
-        walk = np.cumsum(inc, axis=2)
-        coarse_obj = coarse_v - 2.0 * walk
-
-        flat = coarse_obj.reshape(nb, -1)
-        coarse_arg = np.argmin(flat, axis=1)
-        coarse_min = flat[np.arange(nb), coarse_arg]
-        side = np.where(coarse_arg < n_coarse, 1, -1)
-        coarse_idx = side * m * (coarse_arg % n_coarse + 1)
-        best0 = np.minimum(coarse_min, 0.0)
-        idx0 = np.where(coarse_min < 0.0, coarse_idx, 0)
-
-        if m == 1:
-            out[lo : lo + nb] = idx0
-            continue
-
-        walk_prev = np.concatenate([np.zeros((nb, 2, 1)), walk[:, :, :-1]], axis=2)
-        bound = start_v - 2.0 * (np.maximum(walk_prev, walk) + margin)
-        pi, si, ci = np.nonzero(bound < best0[:, None, None])
-
-        if pi.size:
-            u = rng.standard_normal((pi.size, m)) * np.sqrt(h)
-            u += (inc[pi, si, ci] - u.sum(axis=1))[:, None] / m
-            fine_walk = walk_prev[pi, si, ci, None] + np.cumsum(u, axis=1)
-            offsets = m * ci[:, None] + np.arange(1, m + 1)  # fine grid indices in cell
-            obj = fine_v[offsets - 1] - 2.0 * fine_walk
-            pos = np.argmin(obj, axis=1)
-            rows = np.arange(pi.size)
-            val = obj[rows, pos]
-            idx = np.where(si == 0, 1, -1) * offsets[rows, pos]
-
-            order = np.lexsort((np.abs(idx), val, pi))
-            first = np.unique(pi[order], return_index=True)[1]
-            win_path = pi[order][first]
-            win_val = val[order][first]
-            win_idx = idx[order][first]
-
-            improve = win_val < best0[win_path]
-            idx0[win_path[improve]] = win_idx[improve]
-
-        out[lo : lo + nb] = idx0
-    return h * out
+        depth = rng.standard_exponential((2, nb))
+        m = depth.max(0)
+        side = np.where(depth[0] >= depth[1], 1.0, -1.0)
+        out[lo : lo + nb] = side * rng.wald(2.0 * m, m * m)
+    return out
 
 
 _ERFCX_SERIES_FROM = 20.0  # erfc(y) is far from underflow below; the series is exact above

@@ -104,8 +104,8 @@ def full_pipeline(
     interval.
 
     The shrinkage steps assume the segment means are sparse in the given
-    coordinates, so the data is used as supplied; pass ``center=True`` (or
-    pre-apply ``center_columns``) when only the mean *change* is sparse.
+    coordinates, so the data is used as supplied; pass ``center=True`` when
+    only the mean *change* is sparse.
     ``center=True`` makes no copy: the statistics of the centred series are
     read from those of Y.
     ``lam``/``gamma`` override the criterion-based tuning.  The critical

@@ -3,8 +3,9 @@
 The library computes every two-segment loss through ``loss_profile_pd``.
 These are the direct evaluations, one split at a time, and the scalar
 projected series and its loss that the projected least-squares locator is
-defined by.  Split indices are 1-based, k in {1, ..., T}; the second segment
-is empty at k = T.
+defined by.  ``center_columns`` is the explicit copy that
+``full_pipeline(center=True)`` stands in for without copying.  Split indices
+are 1-based, k in {1, ..., T}; the second segment is empty at k = T.
 """
 
 import numpy as np
@@ -58,3 +59,9 @@ def project_series(Y, eta) -> np.ndarray:
     if eta.size != Y.shape[1]:
         raise ValueError(f"projection vector has length {eta.size}, expected {Y.shape[1]}")
     return Y @ eta
+
+
+def center_columns(Y) -> np.ndarray:
+    """Subtract the empirical mean of each column.  Idempotent."""
+    Y = as_series(Y)
+    return Y - Y.mean(axis=0, keepdims=True)

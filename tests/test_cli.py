@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 
 from cpinfer import cli
-from cpinfer.cli import _mc_settings, build_parser, main, read_csv, write_csv
+from cpinfer.cli import _mc_settings, build_parser, main, read_csv
 from cpinfer.infer import QuantileMCSettings, limit_quantile
 from cpinfer.pls import full_pipeline
 from cpinfer.simbench import SimConfig, gen_dataset
+
+
+def write_csv(path, Y):
+    """Write Y at full precision, so that read_csv gives it back exactly."""
+    np.savetxt(path, Y, fmt="%.17g", delimiter=",")
 
 
 def run_cli(argv, capsys):
@@ -175,7 +180,9 @@ class TestCommands:
         report, code = run_cli(["quantile"], capsys)
         assert code == 0
         assert calls == [QuantileMCSettings()]
-        assert report["paths"] == QuantileMCSettings().paths
+        assert report == {"schema": "cpinfer/1", "command": "quantile", "alpha": 0.05,
+                          "c_alpha": 11.0, "paths": QuantileMCSettings().paths,
+                          "seed": QuantileMCSettings().seed}
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--T", "30", "--p", "8", "--tau0", "0.5", "--paths", "100"],
@@ -315,6 +322,18 @@ class TestCommands:
         report, code = run_cli(args, capsys)
         assert code == 0
         assert 0.5 < report["c_alpha"] < 4.0
+        # the grid flags are checked but shape nothing, and the report omits them
+        assert report["c_alpha"] == limit_quantile(0.5, QuantileMCSettings(paths=4000, seed=9))
+        assert set(report) == {"schema", "command", "alpha", "c_alpha", "paths", "seed"}
+
+    @pytest.mark.parametrize("flags, field", [(["--seed", "-1"], "seed"),
+                                              (["--paths", "0"], "paths")])
+    def test_quantile_rejects_unusable_settings(self, flags, field, capsys):
+        code = main(["quantile", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(f"{field} must be")
 
     @pytest.mark.parametrize("flags", [["--grid-R", "inf"], ["--grid-h", "inf"],
                                        ["--grid-R", "nan"], ["--grid-h", "nan"]])

@@ -12,13 +12,12 @@ from cpinfer.core import (
     ChangePointEstimate,
     MeanPair,
     as_series,
-    center_columns,
     loss_profile_pd,
     series_stats,
     soft_threshold,
     stopped_means,
 )
-from loss_oracles import loss_1d, loss_pd, loss_profile_1d, project_series
+from loss_oracles import center_columns, loss_1d, loss_pd, loss_profile_1d, project_series
 
 
 def naive_loss_1d(z, k, t1, t2):
@@ -37,6 +36,8 @@ class TestAsSeries:
 
 
 class TestCenterColumns:
+    """The oracle that ``center=True`` is compared against."""
+
     def test_mean_removal(self):
         np.testing.assert_allclose(center_columns([[1.0], [3.0]]), [[-1.0], [1.0]])
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cpinfer.core import DegenerateJumpError, MeanPair, loss_profile_pd
 from cpinfer.pls import _pls_profile, full_pipeline, pls_estimate
-from loss_oracles import loss_pd, loss_profile_1d, project_series
+from loss_oracles import center_columns, loss_pd, loss_profile_1d, project_series
 
 
 def naive_pls(Y, mu1, mu2):
@@ -314,7 +314,6 @@ class TestFullPipeline:
 
     @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
     def test_center_option_matches_centred_copy_on_paper_cells(self, offset):
-        from cpinfer.core import center_columns
         from cpinfer.simbench import SimConfig, gen_dataset
 
         def outcome(res):
@@ -331,8 +330,6 @@ class TestFullPipeline:
                 assert outcome(a) == outcome(b)
 
     def test_center_option_matches_manual_centering(self):
-        from cpinfer.core import center_columns
-
         rng = np.random.default_rng(7)
         Y = rng.normal(size=(30, 4)) + 5.0
         Y[18:, 0] += 2.0
