@@ -64,8 +64,8 @@ class QuantileMCSettings:
     """Path budget and seed for the Monte Carlo estimate of the arg-min law.
 
     ``grid_half_width`` and ``grid_step`` are accepted for compatibility and
-    still checked, but the draws are exact and use no grid, so they have no
-    effect.
+    must be finite and positive, but the draws are exact and use no grid, so
+    they have no effect and need not fit each other.
     """
 
     grid_half_width: float = 200.0
@@ -77,9 +77,6 @@ class QuantileMCSettings:
         for name, value in (("grid half-width", self.grid_half_width), ("grid step", self.grid_step)):
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        n = self.grid_half_width / self.grid_step
-        if not (n < math.inf and abs(n - round(n)) <= 1e-8):
-            raise ValueError("grid half-width must be an integer multiple of the step")
         if not _is_integer(self.paths) or self.paths < 1:
             raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
         if not _is_integer(self.seed) or self.seed < 0:

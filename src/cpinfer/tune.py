@@ -4,7 +4,10 @@ Both criteria are of BIC type: an unnormalized residual sum of squares plus
 log(T) per selected model dimension.  Grids default to 50 equally spaced
 values strictly inside (0, 0.5) for the shrinkage level and (0, 1) for the
 penalty.  Ties always go to the smallest grid value, independent of the
-order in which the grid is supplied.
+order in which the grid is supplied.  The shrinkage criterion on the default
+grid is memoized per split on the ``SeriesStats``, so a pipeline scores each
+split once: re-tuning the level at the detected split reads the evaluation
+that the penalty criterion made there.
 """
 
 from __future__ import annotations
@@ -61,6 +64,16 @@ def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
     return rss + support * np.log(s.T)
 
 
+def _criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
+    """``_lambda_criterion``, memoized per split on ``s`` for the default grid.
+    The memo's arrays are shared: callers must not modify them."""
+    if grid is not DEFAULT_LAMBDAS:
+        return _lambda_criterion(s, k, grid)
+    if k not in s._criteria:
+        s._criteria[k] = _lambda_criterion(s, k, grid)
+    return s._criteria[k]
+
+
 def bic_lambda(Y, k: int, grid=None):
     """Select the soft-threshold level for the stopped means at split k.
 
@@ -73,7 +86,7 @@ def bic_lambda(Y, k: int, grid=None):
     if not (1 <= k <= s.T - 1):
         raise ValueError(f"split k={k} leaves an empty segment (T={s.T})")
     grid = _validated_grid(grid, DEFAULT_LAMBDAS)
-    profile = _lambda_criterion(s, k, grid)
+    profile = _criterion(s, k, grid).copy()
     return _select(grid, profile), profile
 
 
@@ -117,6 +130,6 @@ def _bic_gamma(s: SeriesStats, loss: np.ndarray, grid, lambda_for_refit):
     splits = _split(loss, grid)
     profile = np.empty(grid.size)
     for k in np.unique(splits).tolist():
-        profile[splits == k] = (float(_lambda_criterion(s, k, lam_grid).min())
+        profile[splits == k] = (float(_criterion(s, k, lam_grid).min())
                                 + (k < s.T) * np.log(s.T))
     return _select(grid, profile), profile

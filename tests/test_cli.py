@@ -326,6 +326,14 @@ class TestCommands:
         assert report["c_alpha"] == limit_quantile(0.5, QuantileMCSettings(paths=4000, seed=9))
         assert set(report) == {"schema", "command", "alpha", "c_alpha", "paths", "seed"}
 
+    def test_quantile_accepts_grid_flags_that_do_not_fit_each_other(self, capsys):
+        # 1 is no multiple of 0.3, but no grid is built
+        with_grid, code = run_cli(["quantile", "--paths", "1000", "--grid-R", "1",
+                                   "--grid-h", "0.3"], capsys)
+        assert code == 0
+        without, _ = run_cli(["quantile", "--paths", "1000"], capsys)
+        assert with_grid["c_alpha"] == without["c_alpha"]
+
     @pytest.mark.parametrize("flags, field", [(["--seed", "-1"], "seed"),
                                               (["--paths", "0"], "paths")])
     def test_quantile_rejects_unusable_settings(self, flags, field, capsys):

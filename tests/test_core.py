@@ -446,6 +446,8 @@ class TestSeriesStatsProject:
     @pytest.mark.parametrize("cols, gathers", [
         (list(range(10)) + [77], True),   # 11 columns in 3 of a row's 25 cache lines
         (list(range(0, 128, 8)), False),  # 16 columns in 16 lines: the dense product
+        (list(range(0, 72, 8)), True),    # 9 columns in 9 lines
+        (list(range(56)), False),         # 56 columns in 7 lines: above p / 4 columns
     ])
     def test_gather_rule_counts_cache_lines(self, cols, gathers):
         T, p = 4000, 200
@@ -466,6 +468,41 @@ class TestSeriesStatsProject:
             assert peak <= 8 * T * 2 + 8 * p  # the product and the output, no T x nnz gather
         bound = 1e-13 * np.max(np.abs(Y)) * np.sum(np.abs(eta))
         np.testing.assert_allclose(z, Y @ eta - s.offset @ eta, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_kept_block_serves_the_support_and_its_subsets(self, center):
+        rng = np.random.default_rng(15)
+        Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
+        Y0 = Y.copy()
+
+        def stats(data):
+            return core._centered(series_stats(data)) if center else series_stats(data)
+
+        s = stats(Y)
+        support = [3, 4, 17, 250, 251]
+        eta = np.zeros(self.SHAPE[1])
+        eta[support] = rng.normal(size=len(support))
+        sub = np.zeros(self.SHAPE[1])
+        sub[[4, 250]] = [1.5, -0.5]
+        first = s.project(eta)
+        Y[:, support] = np.nan  # the later projections must not read these
+        for vector in (eta, sub, 2.0 * eta):
+            z = s.project(vector)
+            assert np.isfinite(z).all()
+            np.testing.assert_array_equal(z, stats(Y0).project(vector))
+        np.testing.assert_array_equal(first, stats(Y0).project(eta))
+
+    def test_support_outside_the_block_gathers_again(self):
+        rng = np.random.default_rng(16)
+        Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
+        s = series_stats(Y)
+        bound = 1e-13 * np.max(np.abs(Y))
+        for cols in ([3, 250], [3, 251], [3, 250, 399], [4, 251]):
+            eta = np.zeros(self.SHAPE[1])
+            eta[cols] = rng.normal(size=len(cols))
+            np.testing.assert_allclose(s.project(eta), Y @ eta, rtol=0,
+                                       atol=bound * np.sum(np.abs(eta)))
+            assert s._kept[0].tolist() == cols
 
     @pytest.mark.parametrize("length", [1, 399, 401])
     def test_length_mismatch_rejected(self, length):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cpinfer.core import DegenerateJumpError, MeanPair, loss_profile_pd
+from cpinfer.core import DegenerateJumpError, MeanPair, loss_profile_pd, series_stats
 from cpinfer.pls import _pls_profile, full_pipeline, pls_estimate
 from loss_oracles import center_columns, loss_pd, loss_profile_1d, project_series
 
@@ -328,6 +328,19 @@ class TestFullPipeline:
                 a = full_pipeline(Y, center=True, c_alpha=11.03)
                 b = full_pipeline(center_columns(Y), c_alpha=11.03)
                 assert outcome(a) == outcome(b)
+
+    def test_centred_run_does_not_read_the_uncentred_memo(self):
+        # the lambda criterion reads the offset, so a memo that the centred
+        # statistics shared with the uncentred ones would move k_hat and lambda
+        from cpinfer.simbench import SimConfig, gen_dataset
+
+        Y, _ = gen_dataset(SimConfig(T=225, p=500, s=5, tau0=0.4, seed=5), 0)
+        Y += 3.0 * np.random.default_rng(5).uniform(-1.0, 1.0, Y.shape[1])
+        expect = {c: full_pipeline(Y.copy(), center=c, c_alpha=11.03).record()
+                  for c in (False, True)}
+        for order in ((False, True), (True, False)):
+            s = series_stats(Y)
+            assert {c: full_pipeline(s, center=c, c_alpha=11.03).record() for c in order} == expect
 
     def test_center_option_matches_manual_centering(self):
         rng = np.random.default_rng(7)

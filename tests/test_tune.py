@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cpinfer.tune as tune
 from cpinfer.core import loss_profile_pd, series_stats
-from cpinfer.detect import _penalize, thresholded_means
+from cpinfer.detect import _penalize, detect_change, thresholded_means
 from cpinfer.tune import (
     DEFAULT_GAMMAS,
     DEFAULT_LAMBDAS,
@@ -182,3 +183,51 @@ class TestBicGamma:
         with pytest.raises(ValueError):
             bic_gamma(np.zeros((4, 1)) + np.arange(4)[:, None],
                       thresholded_means(np.arange(4.0)[:, None], 2, 0.0), [])
+
+
+class TestCriterionMemo:
+    @staticmethod
+    def shifted(seed=9):
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(80, 20))
+        Y[50:, :3] += 1.5
+        return Y
+
+    def test_profile_does_not_alias_the_memo(self):
+        Y = self.shifted()
+        s = series_stats(Y)
+        lam, profile = bic_lambda(s, 40)
+        expect = profile.copy()
+        profile[:] = -1.0
+        again = bic_lambda(s, 40)
+        assert again[0] == lam
+        np.testing.assert_array_equal(again[1], expect)
+        np.testing.assert_array_equal(expect, bic_lambda(Y, 40)[1])
+
+    def test_caller_grid_bypasses_the_memo(self, monkeypatch):
+        calls = []
+
+        def counted(s, k, grid):
+            calls.append(k)
+            return _lambda_criterion(s, k, grid)
+
+        monkeypatch.setattr(tune, "_lambda_criterion", counted)
+        s = series_stats(self.shifted())
+        bic_lambda(s, 40)
+        bic_lambda(s, 40)
+        assert calls == [40]
+        _, profile = bic_lambda(s, 40, grid=DEFAULT_LAMBDAS)  # equal values, a caller's grid
+        _, short = bic_lambda(s, 40, grid=[0.1, 0.2])
+        assert calls == [40, 40, 40]
+        assert short.size == 2 and 40 in s._criteria
+        np.testing.assert_array_equal(profile, bic_lambda(s, 40)[1])
+
+    def test_refit_level_after_detection_matches_a_fresh_evaluation(self):
+        Y = self.shifted()
+        s = series_stats(Y)
+        k_hat = detect_change(s).estimate.k
+        assert k_hat < Y.shape[0] and k_hat in s._criteria  # the detector scored this split
+        lam, profile = bic_lambda(s, k_hat)
+        lam_fresh, profile_fresh = bic_lambda(series_stats(Y), k_hat)
+        assert lam == lam_fresh
+        np.testing.assert_array_equal(profile, profile_fresh)
