@@ -85,18 +85,15 @@ class SeriesStats:
     """A validated T x p series with the statistics every criterion reads.
 
     One pass over row blocks of Y builds them, and a block is read from
-    memory once while it is in cache.  Each block's column sums s, a BLAS
-    product with a vector of ones, are kept; its sum of squares about its
-    own mean is the expansion ||B||^2 - ||s||^2 / rows from one dot product
-    when that loses at most one bit (Higham 2002, sec. 1.9), and else the
-    dot product of the centred block.  A block costs its BLAS calls and no
-    merge: ``center`` c is the total of the block sums over T, and the
-    between-block term sum_b rows_b ||s_b / rows_b - c||^2 is the expansion
-    sum_b ||s_b||^2 / rows_b - T ||c||^2 when that loses at most one bit,
-    and else is read from the stored block sums.  So ``ss`` is the sum of
-    squares of Y - c about the column means c, and criteria expand their
-    squares about c, so large column offsets do not cancel.  NaN and inf
-    propagate into these sums: only when one comes out non-finite is Y
+    memory once while it is in cache.  Each block's column sums, a BLAS
+    product with a vector of ones, are kept, and a dot product adds the
+    block to ||Y||^2.  ``center`` c is the total of the block sums over T,
+    and ``ss``, the sum of squares of Y - c, is ||Y||^2 - T ||c||^2 when
+    that loses at most one bit (Higham 2002, sec. 1.9); otherwise a second
+    read of Y sums ||B - c||^2 over the blocks (the two-pass algorithm, so
+    an error in c enters ``ss`` only at second order).  Criteria expand
+    their squares about c, so large column offsets do not cancel.  NaN and
+    inf propagate into these sums: only when one comes out non-finite is Y
     scanned for non-finite entries (finite entries whose squares overflow
     go on).  The segment sums at a split add the whole-block sums on each
     side and read at most the one block the split cuts, once per split.
@@ -130,34 +127,27 @@ class SeriesStats:
         self._kept: tuple[np.ndarray, np.ndarray] | None = None  # (S, Y[:, S])
 
     def _pass(self) -> tuple[float, np.ndarray]:
-        """Fill the block sums; return the sum of squares and the column means c.
-
-        W adds each block's sum of squares about its own mean and A each
-        block's rows * ||mean||^2, so with B = T ||c||^2 the between-block
-        term is A - B."""
+        """Fill the block sums; return the sum of squares about the column
+        means c, and c."""
         m_max = self.T - self._bounds[-2]  # the last block is the largest
         ones = np.ones(m_max)
-        buf = np.empty((m_max, self.p))
-        within = means_sq = 0.0  # W and A
-        for b, sums in enumerate(self._block_sums):
-            block = self.Y[self._bounds[b] : self._bounds[b + 1]]
-            m = block.shape[0]
-            np.matmul(ones[:m], block, out=sums)
+        total_sq = 0.0
+        for lo, hi, sums in zip(self._bounds, self._bounds[1:], self._block_sums):
+            block = self.Y[lo:hi]
+            np.matmul(ones[: hi - lo], block, out=sums)
             flat = block.ravel()
-            raw, q = float(flat @ flat), float(sums @ sums) / m
-            if 2.0 * q <= raw < np.inf:  # the expansion loses at most one bit
-                within += raw - q
-            else:  # large offsets, NaN or inf, or squares that overflow
-                d = np.subtract(block, sums / m, out=buf[:m]).ravel()
-                within += float(d @ d)
-            means_sq += q
+            total_sq += float(flat @ flat)
         center = self._block_sums.sum(axis=0) / self.T
-        grand_sq = self.T * float(center @ center)  # B <= A (Jensen)
-        if 2.0 * grand_sq <= within + means_sq < np.inf:
-            return within + (means_sq - grand_sq), center
-        rows = np.diff(self._bounds)  # some block fell back: A - B about c
-        dev = self._block_sums / rows[:, None] - center
-        return within + float(np.einsum("b,bj,bj->", rows, dev, dev)), center
+        grand_sq = self.T * float(center @ center)
+        if 2.0 * grand_sq <= total_sq < np.inf:  # the expansion loses at most one bit
+            return total_sq - grand_sq, center
+        # large offsets, NaN or inf, or squares that overflow: read Y again
+        buf = np.empty((m_max, self.p))
+        ss = 0.0
+        for lo, hi in zip(self._bounds, self._bounds[1:]):
+            d = np.subtract(self.Y[lo:hi], center, out=buf[: hi - lo]).ravel()
+            ss += float(d @ d)
+        return ss, center
 
     def _segment_sums(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Column sums of rows 1..k and k+1..T; reads only the block cut at k."""

@@ -153,7 +153,7 @@ class TestLossPd:
             Y = rng.normal(size=shape) + 1e3
             s = series_stats(Y)
             assert series_stats(s) is s
-            assert s.ss == pytest.approx(np.sum((Y - Y.mean(0)) ** 2), rel=1e-9)
+            assert s.ss == pytest.approx(np.sum((Y - Y.mean(0)) ** 2), rel=1e-12)
             for k in range(1, shape[0]):
                 (_, left), (_, right) = s.segment_means(k)
                 np.testing.assert_allclose(left, Y[:k].mean(0), rtol=1e-13)
@@ -247,7 +247,8 @@ class TestSeriesStatsPass:
         Y = rng.normal(size=(T, p))
         if offset == "from_row_900":
             # the third block holds 81 offset rows: it and the blocks before
-            # take the one-read expansion, the blocks after it fall back
+            # pass the one-bit test on their own, the blocks after it fail it,
+            # and the pass's one guard over all of Y sends it to the second read
             Y[900:, : p // 2] += 1e6
             bounds = series_stats(Y)._bounds
             blocks = [Y[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -255,8 +256,16 @@ class TestSeriesStatsPass:
             assert fast == [True] * 3 + [False] * 3
         else:
             Y += offset * rng.uniform(-1.0, 1.0, size=p)
+        tracemalloc.start()
+        try:
+            ss = series_stats(Y).ss
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if offset in (0.0, 1.0):  # the one-read branch allocates no row block
+            assert peak < self.rows(p) * p * 8
         exact = self.exact_ss(Y)
-        assert abs(series_stats(Y).ss - exact) <= 1e-12 * exact
+        assert abs(ss - exact) <= 1e-12 * exact
 
     def test_one_read_expansion_agrees_with_the_centred_block(self):
         # one block, offsets small enough that the guard takes the expansion
@@ -267,10 +276,11 @@ class TestSeriesStatsPass:
         d = (Y - bm).ravel()
         assert series_stats(Y).ss == pytest.approx(d @ d, rel=1e-13, abs=0)
 
-    def test_between_block_term_read_from_the_block_sums(self):
-        # the level shift of from_row_900 makes the global expansion
-        # W + A - B lose more than one bit, so the pass reads the between-block
-        # term sum_b rows_b ||s_b / rows_b - c||^2 from the stored block sums
+    def test_level_shift_takes_the_two_pass_branch(self):
+        # the level shift of from_row_900 makes 2 T ||c||^2 exceed ||Y||^2,
+        # the blocks' own sums of squares plus sum_b rows_b ||mean_b||^2, so
+        # the expansion ||Y||^2 - T ||c||^2 would lose more than one bit and
+        # the pass reads Y again to sum ||B - c||^2 over the blocks
         T, p = 2000, 100
         Y = np.random.default_rng(4).normal(size=(T, p))
         Y[900:, : p // 2] += 1e6
@@ -295,13 +305,18 @@ class TestSeriesStatsPass:
             mp.setattr(core, "_MIN_ROWS", 1)
             s = series_stats(Y)
         exact = self.exact_ss(Y)
-        # A block mean of `rows` entries is rounded by up to rows * eps * max|Y|
-        # however it is summed, and that moves the block terms to first
-        # order: by at most 2 eps rows max|Y| sqrt(T p ss) (Cauchy-Schwarz).
-        # With offsets far above the spread and few rows this exceeds 1e-12 ss.
-        rows = int(np.diff(s._bounds).max())
-        rounding = 2 * np.finfo(float).eps * rows * np.max(np.abs(Y)) * math.sqrt(T * p * exact)
-        assert abs(s.ss - exact) <= 1e-12 * exact + rounding
+        assert abs(s.ss - exact) <= 1e-12 * exact
+
+    def test_sum_of_squares_exact_under_offsets_on_small_blocks(self, monkeypatch):
+        # blocks of two rows: a block mean rounds by up to 2 eps |offset|, so a
+        # sum of squares built from block means errs to first order in that
+        # (6.6e-12 relative on this input); the two-pass branch errs only at
+        # second order in the error of c
+        monkeypatch.setattr(core, "_BLOCK", 4)
+        monkeypatch.setattr(core, "_MIN_ROWS", 1)
+        Y = np.random.default_rng(7).normal(size=(11, 2)) + np.array([7.6e4, -7.6e4])
+        exact = self.exact_ss(Y)
+        assert abs(series_stats(Y).ss - exact) <= 1e-12 * exact
 
     def test_centered_statistics_read_the_centred_series(self, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK", 8)
