@@ -19,6 +19,7 @@ the detector and the projected least-squares locator both read it.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,11 +74,13 @@ _MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes
 # project gathers a support that touches at most p / 16 of a row's cache lines and
 # has at most p / 4 columns, and keeps the gathered block for the next projection.
 # The refined support is projected twice (locator, then plugin), so one gather
-# replaces two dense products: at 20000x200 with one BLAS thread, 15-18
-# columns in 7-9 lines gather in about 2.9 ms from memory, the dense product
-# takes 3.5-4.0 ms and the product on the kept block 0.3 ms.  The column cap
-# holds the block to T p / 4 values, the largest gather that the rule of
-# p / 32 lines allowed.
+# replaces two dense products.  Timed with one BLAS thread, the benchmark's
+# setting, at 20000x200: 15-18 columns in 7-9 lines gather in about 2.9 ms from
+# memory, the dense product takes 3.5-4.0 ms and the product on the kept block
+# 0.3 ms.  With two threads the dense product takes 2.0 ms and a gather of 18
+# columns in 7 lines 3.1 ms, so a gather pays only when its block is read
+# again.  The cap of p / 4 columns holds the block to the largest gather that
+# the rule of p / 32 lines allowed.
 _GATHER = 16
 
 
@@ -104,10 +107,10 @@ class SeriesStats:
     ``project`` is the one matrix-vector product with the rows; for a sparse
     vector it reads only the cache lines of its support, and it keeps the
     gathered T x |S| block Y[:, S] of raw columns until a projection gathers
-    another support.  The default-grid lambda criterion at each split is
-    memoized here too, by ``tune``; it depends on ``offset``, so the centred
-    copy starts a fresh memo, while the segment sums and the kept block, read
-    from Y alone, stay shared.
+    another support.  The lambda criterion at each split is memoized here
+    too, by ``tune``; it depends on ``offset``, so the centred copy starts a
+    fresh memo, while the segment sums and the kept block, read from Y
+    alone, stay shared.
     """
 
     def __init__(self, Y: np.ndarray):
@@ -300,23 +303,35 @@ def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
     return (s.ss + s.T * (v2 @ v2) + np.cumsum(excess)) / s.T
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _split_index(k, T: int, interior: bool = True) -> int:
+    """``k`` as an int; ValueError unless k is an integer, not a bool, in
+    1..T-1 (both segments non-empty), or in 1..T when not ``interior``."""
+    if not _is_integer(k):
+        raise ValueError(f"split index must be an integer, got {k!r}")
+    if interior and not 1 <= k <= T - 1:
+        raise ValueError(f"split k={k} leaves an empty segment (T={T})")
+    if not 1 <= k <= T:
+        raise ValueError(f"split index k={k} outside 1..T={T}")
+    return int(k)
+
+
 def stopped_means(Y, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical means of rows 1..k and rows k+1..T.  Requires 1 <= k <= T-1."""
+    """Empirical means of rows 1..k and rows k+1..T, for an integer 1 <= k <= T-1."""
     s = series_stats(Y)
-    k = int(k)
-    if not (1 <= k <= s.T - 1):
-        raise ValueError(f"split k={k} leaves an empty segment (T={s.T})")
-    (_, left), (_, right) = s.segment_means(k)
+    (_, left), (_, right) = s.segment_means(_split_index(k, s.T))
     return left, right
 
 
-def _check_tuning(value, name: str) -> np.ndarray:
-    """``value``, a tuning level or grid, as a float array; ValueError unless
-    every entry is finite and nonnegative."""
-    v = np.asarray(value, dtype=float)
-    ok = np.isfinite(v) & (v >= 0)
-    if not ok.all():
-        raise ValueError(f"{name} must be finite and nonnegative, got {v[~ok].flat[0]}")
+def _check_tuning(value, name: str) -> float:
+    """``value``, a tuning level, as a float; ValueError unless it is finite
+    and nonnegative."""
+    v = float(value)
+    if not 0.0 <= v < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     return v
 
 

@@ -65,10 +65,10 @@ def thresholded_means(Y, k: int, lam: float) -> MeanPair:
 
 def _initial_split(T: int, tau_init: float) -> int:
     """The initial split floor(T * tau_init); ValueError unless 1 <= it <= T - 1."""
-    k = int(np.floor(T * tau_init))
-    if not (1 <= k <= T - 1):
-        raise ValueError(f"initial fraction {tau_init} gives degenerate split {k}")
-    return k
+    k = np.floor(T * tau_init)
+    if not 1 <= k <= T - 1:  # also false for NaN
+        raise ValueError(f"initial fraction {tau_init} gives no split in 1..{T - 1}")
+    return int(k)
 
 
 def _penalize(loss: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
@@ -103,7 +103,7 @@ def detect_change(
     means = thresholded_means(s, k_init, lam)
     loss = loss_profile_pd(s, means.mu1, means.mu2)
     if gamma is None:
-        gamma, _ = _bic_gamma(s, loss, None, user_lam)
+        gamma, _ = _bic_gamma(s, loss, user_lam)
 
     obj, k = _penalize(loss, gamma)
     return DetectionResult(

@@ -28,7 +28,6 @@ with the larger I.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,8 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
+    _is_integer,
+    _split_index,
     series_stats,
     stopped_means,
 )
@@ -53,10 +54,6 @@ __all__ = [
 ]
 
 _BATCH_PATHS = 2048  # fixed chunk size; per-chunk RNG substreams keep runs reproducible
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     if xi_sq <= 0.0:
         raise DegenerateJumpError("zero jump vector: variance ratio undefined")
     z = series_stats(Y).project(means.jump())
-    k = ChangePointEstimate(int(k), z.size).k
+    k = _split_index(k, z.size, interior=False)
     theta1, theta2 = means.projected_levels()
     left = z[:k] - theta1
     right = z[k:] - theta2
@@ -251,7 +248,7 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
     _check_critical_value(c_alpha)
     if xi_sq_hat <= 0.0:
         raise DegenerateJumpError("zero squared jump: interval undefined")
-    estimate = ChangePointEstimate(int(k_tilde), int(T))
+    estimate = ChangePointEstimate(_split_index(k_tilde, int(T), interior=False), int(T))
     half = c_alpha * sigma_sq_hat / xi_sq_hat
     lo = max(1.0, estimate.k - half)
     hi = min(float(T), estimate.k + half)

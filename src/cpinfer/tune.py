@@ -1,20 +1,20 @@
 """Information-criterion selection of the shrinkage level and detection penalty.
 
 Both criteria are of BIC type: an unnormalized residual sum of squares plus
-log(T) per selected model dimension.  Grids default to 50 equally spaced
-values strictly inside (0, 0.5) for the shrinkage level and (0, 1) for the
-penalty.  Ties always go to the smallest grid value, independent of the
-order in which the grid is supplied.  The shrinkage criterion on the default
-grid is memoized per split on the ``SeriesStats``, so a pipeline scores each
-split once: re-tuning the level at the detected split reads the evaluation
-that the penalty criterion made there.
+log(T) per selected model dimension.  Each is scored over one fixed grid of 50
+equally spaced values strictly inside (0, 0.5) for the shrinkage level
+(``DEFAULT_LAMBDAS``) and (0, 1) for the penalty (``DEFAULT_GAMMAS``); ties
+go to the smallest grid value.  The shrinkage criterion is memoized per split
+on the ``SeriesStats``, so a pipeline scores each split once: re-tuning the
+level at the detected split reads the evaluation that the penalty criterion
+made there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import MeanPair, SeriesStats, _check_tuning, loss_profile_pd, series_stats
+from .core import MeanPair, SeriesStats, _split_index, loss_profile_pd, series_stats
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -26,13 +26,6 @@ __all__ = [
 DEFAULT_LAMBDAS = 0.5 * np.arange(1, 51) / 51
 DEFAULT_GAMMAS = 1.0 * np.arange(1, 51) / 51
 DEFAULT_LAMBDAS.flags.writeable = DEFAULT_GAMMAS.flags.writeable = False
-
-
-def _validated_grid(grid, default: np.ndarray) -> np.ndarray:
-    g = default if grid is None else _check_tuning(grid, "tuning grid values").ravel()
-    if g.size == 0:
-        raise ValueError("tuning grid is empty")
-    return g
 
 
 def _select(grid: np.ndarray, values: np.ndarray) -> float:
@@ -64,47 +57,44 @@ def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
     return rss + support * np.log(s.T)
 
 
-def _criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
-    """``_lambda_criterion``, memoized per split on ``s`` for the default grid.
-    The memo's arrays are shared: callers must not modify them."""
-    if grid is not DEFAULT_LAMBDAS:
-        return _lambda_criterion(s, k, grid)
+def _criterion(s: SeriesStats, k: int, lam: float | None = None) -> np.ndarray:
+    """``_lambda_criterion`` at split k over ``DEFAULT_LAMBDAS``, memoized per
+    split on ``s``, or at the one level ``lam`` when given.  The memo's arrays
+    are shared: callers must not modify them."""
+    if lam is not None:
+        return _lambda_criterion(s, k, np.array([lam]))
     if k not in s._criteria:
-        s._criteria[k] = _lambda_criterion(s, k, grid)
+        s._criteria[k] = _lambda_criterion(s, k, DEFAULT_LAMBDAS)
     return s._criteria[k]
 
 
-def bic_lambda(Y, k: int, grid=None):
+def bic_lambda(Y, k: int):
     """Select the soft-threshold level for the stopped means at split k.
 
-    Criterion per grid value: the residual sum of squares of the two
-    thresholded segment means plus log(T) per coordinate in the union of
-    their supports.  Returns (selected value, criterion profile in the
-    input grid order).
+    Criterion per value of ``DEFAULT_LAMBDAS``: the residual sum of squares
+    of the two thresholded segment means plus log(T) per coordinate in the
+    union of their supports.  ValueError unless k is an integer in 1..T-1.
+    Returns (selected value, criterion profile over the grid).
     """
     s = series_stats(Y)
-    if not (1 <= k <= s.T - 1):
-        raise ValueError(f"split k={k} leaves an empty segment (T={s.T})")
-    grid = _validated_grid(grid, DEFAULT_LAMBDAS)
-    profile = _criterion(s, k, grid).copy()
-    return _select(grid, profile), profile
+    profile = _criterion(s, _split_index(k, s.T)).copy()
+    return _select(DEFAULT_LAMBDAS, profile), profile
 
 
-def bic_gamma(Y, initial_means: MeanPair, grid=None, lambda_for_refit: float | None = None):
+def bic_gamma(Y, initial_means: MeanPair):
     """Select the detection penalty.
 
-    For each grid value the penalized arg-min split is computed with the
-    given initial means, the segment means are re-estimated on that split by
-    soft thresholding, and the criterion charges log(T) per union-support
-    coordinate plus log(T) when the split is interior.  At k = T the single
-    mean is the thresholded full-sample mean.  The refit shrinkage level is
-    re-selected by ``bic_lambda`` on each candidate partition unless
-    ``lambda_for_refit`` fixes it.  Returns (selected value, criterion
-    profile in the input grid order).
+    For each value of ``DEFAULT_GAMMAS`` the penalized arg-min split is
+    computed with the given initial means, and the criterion is the
+    smallest ``bic_lambda`` criterion on that split (the segment means
+    re-estimated by soft thresholding, log(T) per union-support coordinate)
+    plus log(T) when the split is interior.  At k = T the single mean is the
+    thresholded full-sample mean.  Returns (selected value, criterion
+    profile over the grid).
     """
     s = series_stats(Y)
     loss = loss_profile_pd(s, initial_means.mu1, initial_means.mu2)
-    return _bic_gamma(s, loss, grid, lambda_for_refit)
+    return _bic_gamma(s, loss)
 
 
 def _split(loss: np.ndarray, gamma):
@@ -118,18 +108,15 @@ def _split(loss: np.ndarray, gamma):
     return np.where(loss[-1] <= loss[j - 1] + np.asarray(gamma), loss.size, j)
 
 
-def _bic_gamma(s: SeriesStats, loss: np.ndarray, grid, lambda_for_refit):
-    """``bic_gamma`` given the unpenalized loss profile of the initial means.
+def _bic_gamma(s: SeriesStats, loss: np.ndarray, lam: float | None = None):
+    """``bic_gamma`` given the unpenalized loss profile of the initial means;
+    the refit level is ``lam`` when given, else re-selected on each split.
 
     Every penalty picks one of at most two splits, so the criterion is
     evaluated once per distinct split.
     """
-    grid = _validated_grid(grid, DEFAULT_GAMMAS)
-    lam_grid = _validated_grid(None if lambda_for_refit is None else [lambda_for_refit],
-                               DEFAULT_LAMBDAS)
-    splits = _split(loss, grid)
-    profile = np.empty(grid.size)
+    splits = _split(loss, DEFAULT_GAMMAS)
+    profile = np.empty(DEFAULT_GAMMAS.size)
     for k in np.unique(splits).tolist():
-        profile[splits == k] = (float(_criterion(s, k, lam_grid).min())
-                                + (k < s.T) * np.log(s.T))
-    return _select(grid, profile), profile
+        profile[splits == k] = float(_criterion(s, k, lam).min()) + (k < s.T) * np.log(s.T)
+    return _select(DEFAULT_GAMMAS, profile), profile

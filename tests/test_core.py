@@ -17,6 +17,9 @@ from cpinfer.core import (
     soft_threshold,
     stopped_means,
 )
+from cpinfer.detect import thresholded_means
+from cpinfer.infer import confidence_interval, plugin_sigma_sq, refit_means
+from cpinfer.tune import bic_lambda
 from loss_oracles import center_columns, loss_1d, loss_pd, loss_profile_1d, project_series
 
 
@@ -356,6 +359,33 @@ class TestStoppedMeans:
             stopped_means(Y, 4)
         with pytest.raises(ValueError):
             stopped_means(Y, 0)
+
+
+_SPLIT_ENTRY_POINTS = {
+    "stopped_means": lambda Y, k: stopped_means(Y, k),
+    "bic_lambda": lambda Y, k: bic_lambda(Y, k),
+    "thresholded_means": lambda Y, k: thresholded_means(Y, k, 0.1),
+    "refit_means": lambda Y, k: refit_means(Y, k, [0], [1]),
+    "plugin_sigma_sq": lambda Y, k: plugin_sigma_sq(Y, k, MeanPair([1.0, 0.0], [0.0, 1.0])),
+    "confidence_interval": lambda Y, k: confidence_interval(k, 1.0, 0.2, 11.03, Y.shape[0]),
+}
+
+
+class TestSplitIndex:
+    """Every entry point that takes a split index checks it the same way."""
+
+    @pytest.mark.parametrize("name", sorted(_SPLIT_ENTRY_POINTS))
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_non_integer_split_rejected(self, name, k):
+        Y = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="split index must be an integer"):
+            _SPLIT_ENTRY_POINTS[name](Y, k)
+
+    @pytest.mark.parametrize("name", sorted(_SPLIT_ENTRY_POINTS))
+    def test_numpy_integer_split_accepted(self, name):
+        Y = np.random.default_rng(0).normal(size=(10, 2))
+        a, b = _SPLIT_ENTRY_POINTS[name](Y, np.int64(4)), _SPLIT_ENTRY_POINTS[name](Y, 4)
+        assert repr(a) == repr(b)
 
 
 class TestSoftThreshold:

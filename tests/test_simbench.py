@@ -42,7 +42,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="level must lie in"):
             SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2, alpha=alpha)
 
-    @pytest.mark.parametrize("tau_init", [2.0, 1.0, 0.01, 0.0])
+    @pytest.mark.parametrize("tau_init", [2.0, 1.0, 0.01, 0.0, np.nan, np.inf])
     def test_initial_split_checked_at_construction(self, tau_init):
         with pytest.raises(ValueError, match="initial fraction"):
             SimConfig(T=30, p=8, s=2, tau0=0.5, tau_init=tau_init)

@@ -9,10 +9,13 @@ from cpinfer.detect import _penalize, detect_change, thresholded_means
 from cpinfer.tune import (
     DEFAULT_GAMMAS,
     DEFAULT_LAMBDAS,
+    _bic_gamma,
     _lambda_criterion,
+    _select,
     bic_gamma,
     bic_lambda,
 )
+from loss_oracles import loss_pd
 
 
 def naive_bic_lambda(Y, k, grid):
@@ -51,17 +54,17 @@ class TestBicLambda:
         #   lam = 0.45: means -> (0.55, 0.55);
         #     RSS = (1.45)^2 + (.55)^2 + 2 (.45)^2 = 2.81, support 1
         Y = np.array([[2.0], [0.0], [1.0], [1.0]])
-        lam, prof = bic_lambda(Y, 2, [0.25, 0.45])
-        assert lam == 0.25
+        grid = np.array([0.25, 0.45])
+        prof = _lambda_criterion(series_stats(Y), 2, grid)
+        assert _select(grid, prof) == 0.25
         np.testing.assert_allclose(prof, [2.25 + np.log(4), 2.81 + np.log(4)], rtol=1e-12)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(20, 6))
         Y[12:, :2] += 1.0
-        grid = DEFAULT_LAMBDAS
-        _, prof = bic_lambda(Y, 9, grid)
-        np.testing.assert_allclose(prof, naive_bic_lambda(Y, 9, grid), rtol=1e-9)
+        _, prof = bic_lambda(Y, 9)
+        np.testing.assert_allclose(prof, naive_bic_lambda(Y, 9, DEFAULT_LAMBDAS), rtol=1e-9)
 
     @given(
         T=st.integers(2, 12),
@@ -77,49 +80,28 @@ class TestBicLambda:
         k = 1 + int(round(split * (T - 2)))
         means = np.concatenate([Y[:k].mean(0), Y[k:].mean(0), Y.mean(0)])
         grid = np.concatenate([0.5 * np.arange(1, 11) / 11, np.abs(means), [0.0, 5.0]])
-        _, prof = bic_lambda(Y, k, grid)
+        s = series_stats(Y)
+        prof = _lambda_criterion(s, k, grid)
         np.testing.assert_allclose(prof, naive_bic_lambda(Y, k, grid), rtol=1e-9)
-        full = _lambda_criterion(series_stats(Y), T, grid)
+        full = _lambda_criterion(s, T, grid)
         np.testing.assert_allclose(full, naive_bic_lambda(Y, T, grid), rtol=1e-9)
 
     def test_noiseless_support_recovery_plateau(self):
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])
         mu2 = np.array([0.0, 2.0, 0.0, 0.0])
         Y = np.vstack([np.tile(mu1, (6, 1)), np.tile(mu2, (6, 1))])
-        grid = DEFAULT_LAMBDAS
-        lam, prof = bic_lambda(Y, 6, grid)
+        lam, prof = bic_lambda(Y, 6)
         mp = thresholded_means(Y, 6, lam)
         assert list(mp.support1) == [0]
         assert list(mp.support2) == [1]
         # noiseless: residuals grow with shrinkage, so the smallest value wins
-        assert lam == grid[0]
+        assert lam == DEFAULT_LAMBDAS[0]
 
     def test_full_shrinkage_gives_total_sum_of_squares(self):
         rng = np.random.default_rng(1)
         Y = rng.normal(size=(10, 3)) * 0.1
-        lam, prof = bic_lambda(Y, 5, [50.0])
+        prof = _lambda_criterion(series_stats(Y), 5, np.array([50.0]))
         assert prof[0] == pytest.approx(np.sum(Y**2), rel=1e-12)
-
-    def test_selection_invariant_to_grid_order(self):
-        rng = np.random.default_rng(2)
-        Y = rng.normal(size=(30, 5))
-        Y[15:, 0] += 1.0
-        grid = DEFAULT_LAMBDAS
-        lam_fwd, _ = bic_lambda(Y, 15, grid)
-        lam_rev, _ = bic_lambda(Y, 15, grid[::-1])
-        assert lam_fwd == lam_rev
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            bic_lambda(np.zeros((4, 1)) + np.arange(4)[:, None], 2, [])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
-    def test_non_finite_or_negative_grid_rejected(self, bad):
-        Y = np.arange(8.0).reshape(4, 2)
-        with pytest.raises(ValueError, match="tuning grid values must be finite and nonnegative"):
-            bic_lambda(Y, 2, [0.1, bad])
-        with pytest.raises(ValueError, match="tuning grid values must be finite and nonnegative"):
-            bic_gamma(Y, thresholded_means(Y, 2, 0.0), [0.1, bad])
 
 
 class TestBicGamma:
@@ -137,13 +119,12 @@ class TestBicGamma:
         mu1 = np.array([3.0, 0.0])
         mu2 = np.array([0.0, 3.0])
         Y = np.vstack([np.tile(mu1, (8, 1)), np.tile(mu2, (8, 1))])
-        grid = DEFAULT_GAMMAS
         lam, _ = bic_lambda(Y, 8)
         means = thresholded_means(Y, 8, lam)
-        gamma, prof = bic_gamma(Y, means, grid, lambda_for_refit=lam)
+        gamma, prof = _bic_gamma(series_stats(Y), loss_profile_pd(Y, means.mu1, means.mu2), lam)
         # every gamma below the loss gap picks the same split, so the
         # criterion is flat there and the smallest grid value wins
-        assert gamma == grid[0]
+        assert gamma == DEFAULT_GAMMAS[0]
 
     def test_split_is_piecewise_constant_in_gamma(self):
         rng = np.random.default_rng(6)
@@ -157,17 +138,6 @@ class TestBicGamma:
         changes = sum(1 for a, b in zip(splits, splits[1:]) if a != b)
         assert changes <= 1  # interior split is gamma-free; single jump to T
 
-    def test_selection_invariant_to_grid_order(self):
-        rng = np.random.default_rng(7)
-        Y = rng.normal(size=(30, 4))
-        Y[18:, 1] += 0.8
-        lam, _ = bic_lambda(Y, 15)
-        means = thresholded_means(Y, 15, lam)
-        grid = DEFAULT_GAMMAS
-        g_fwd, _ = bic_gamma(Y, means, grid)
-        g_rev, _ = bic_gamma(Y, means, grid[::-1])
-        assert g_fwd == g_rev
-
     def test_bit_identical_across_runs(self):
         rng = np.random.default_rng(8)
         Y = rng.normal(size=(50, 10))
@@ -179,10 +149,38 @@ class TestBicGamma:
         assert g1 == g2
         np.testing.assert_array_equal(prof1, prof2)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            bic_gamma(np.zeros((4, 1)) + np.arange(4)[:, None],
-                      thresholded_means(np.arange(4.0)[:, None], 2, 0.0), [])
+    @pytest.mark.parametrize("lam", [None, 0.2])
+    def test_profile_matches_a_brute_force_reference(self, lam):
+        # per gamma: the penalized split from the direct losses, then the
+        # smallest lambda criterion there (or the one at the fixed level)
+        # plus log(T) when the split is interior
+        rng = np.random.default_rng(10)
+        kinds = set()
+        for _ in range(40):
+            T, p = int(rng.integers(6, 40)), int(rng.integers(1, 12))
+            Y = rng.normal(size=(T, p))
+            Y[int(rng.integers(1, T)):, : int(rng.integers(1, p + 1))] += rng.uniform(0.0, 2.0)
+            k_init = T // 2
+            level = bic_lambda(Y, k_init)[0] if lam is None else lam
+            means = thresholded_means(Y, k_init, level)
+            loss = np.array([loss_pd(Y, k, means.mu1, means.mu2) for k in range(1, T + 1)])
+            lams = DEFAULT_LAMBDAS if lam is None else [lam]
+            criterion, expect = {}, []
+            for g in DEFAULT_GAMMAS:
+                obj = loss + g * (np.arange(1, T + 1) < T)
+                k = T if obj[-1] <= obj.min() else int(np.argmin(obj)) + 1
+                if k not in criterion:
+                    criterion[k] = naive_bic_lambda(Y, k, lams).min() + (k < T) * np.log(T)
+                kinds.add(k < T)
+                expect.append(criterion[k])
+            if lam is None:
+                gamma, profile = bic_gamma(Y, means)
+            else:
+                loss_lib = loss_profile_pd(Y, means.mu1, means.mu2)
+                gamma, profile = _bic_gamma(series_stats(Y), loss_lib, lam)
+            np.testing.assert_allclose(profile, expect, rtol=1e-9)
+            assert gamma == DEFAULT_GAMMAS[np.argmin(expect)]
+        assert kinds == {True, False}  # both interior splits and k = T were scored
 
 
 class TestCriterionMemo:
@@ -204,23 +202,22 @@ class TestCriterionMemo:
         np.testing.assert_array_equal(again[1], expect)
         np.testing.assert_array_equal(expect, bic_lambda(Y, 40)[1])
 
-    def test_caller_grid_bypasses_the_memo(self, monkeypatch):
+    def test_fixed_level_bypasses_the_memo(self, monkeypatch):
         calls = []
 
         def counted(s, k, grid):
-            calls.append(k)
+            calls.append((k, grid.size))
             return _lambda_criterion(s, k, grid)
 
         monkeypatch.setattr(tune, "_lambda_criterion", counted)
         s = series_stats(self.shifted())
         bic_lambda(s, 40)
         bic_lambda(s, 40)
-        assert calls == [40]
-        _, profile = bic_lambda(s, 40, grid=DEFAULT_LAMBDAS)  # equal values, a caller's grid
-        _, short = bic_lambda(s, 40, grid=[0.1, 0.2])
-        assert calls == [40, 40, 40]
-        assert short.size == 2 and 40 in s._criteria
-        np.testing.assert_array_equal(profile, bic_lambda(s, 40)[1])
+        assert calls == [(40, DEFAULT_LAMBDAS.size)]
+        fixed = series_stats(self.shifted())
+        detect_change(fixed, lam=0.2)  # gamma is tuned at the one level 0.2
+        assert calls[1:] and {size for _, size in calls[1:]} == {1}
+        assert fixed._criteria == {}
 
     def test_refit_level_after_detection_matches_a_fresh_evaluation(self):
         Y = self.shifted()
