@@ -230,14 +230,17 @@ def series_stats(data) -> SeriesStats:
 
 @dataclass(frozen=True)
 class ChangePointEstimate:
-    """A split index k in {1, ..., T}; k == T encodes "no change"."""
+    """A split index k in {1, ..., T}; k == T encodes "no change".  Both are
+    stored as ints; ValueError unless each is an integer, not a bool."""
 
     k: int
     T: int
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.T):
-            raise ValueError(f"split index k={self.k} outside 1..T={self.T}")
+        if not _is_integer(self.T) or self.T < 1:
+            raise ValueError(f"series length must be an integer >= 1, got {self.T!r}")
+        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "k", _split_index(self.k, self.T, interior=False))
 
     @property
     def tau(self) -> float:
@@ -304,7 +307,8 @@ def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the int test first: an isinstance check against the ABC costs ~1 us
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _split_index(k, T: int, interior: bool = True) -> int:

@@ -244,11 +244,13 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
                         c_alpha: float, T: int, alpha: float = 0.05) -> InferenceResult:
     """Interval k_tilde +/- c_alpha * sigma_sq_hat / xi_sq_hat on the integer
     scale, clamped to [1, T], with the fraction view divided by T.
-    ``c_alpha`` must be finite and positive."""
+    ``c_alpha`` must be finite and positive; ``k_tilde`` and ``T`` are
+    checked as ``ChangePointEstimate`` checks them."""
     _check_critical_value(c_alpha)
     if xi_sq_hat <= 0.0:
         raise DegenerateJumpError("zero squared jump: interval undefined")
-    estimate = ChangePointEstimate(_split_index(k_tilde, int(T), interior=False), int(T))
+    estimate = ChangePointEstimate(k_tilde, T)
+    T = estimate.T
     half = c_alpha * sigma_sq_hat / xi_sq_hat
     lo = max(1.0, estimate.k - half)
     hi = min(float(T), estimate.k + half)

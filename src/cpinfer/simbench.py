@@ -3,13 +3,17 @@
 Noise rows follow an AR(1)-in-coordinates Gaussian law with covariance
 rho^{|i-j|} and unit marginals, generated in place by the exact O(p)
 recursion over columns, so one replication holds one T x p array and needs
-numpy alone.  Replications draw from per-replication substreams of the
-master seed, so serial and parallel runs agree bit for bit.
+numpy alone.  When |rho| is a power of two, 2^-k, and the series is wide,
+the recursion runs as a running sum: scaling column j by rho^-j changes only
+exponents, so each step of ``np.cumsum`` rounds exactly as the column step
+does, scaled by a power of two, and the noise is the same to the bit.
+Replications draw from per-replication substreams of the master seed, so
+serial and parallel runs agree bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -114,11 +118,45 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+# Largest exponent of two by which the running sum scales a column: normal
+# draws scaled by at most 2^960 stay 2^64 below overflow.
+_SCALE_BITS = 960
+# Narrower series keep the column loop: numpy accumulates each row in its own
+# call, which costs more than the loop's steps below about 32 columns.
+_RUNNING_SUM_MIN_P = 32
+
+
 def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """T x p standard normals filtered along each row by y_j = w_j + rho y_{j-1},
+    with w_j scaled by sqrt(1 - rho^2) for j >= 1, in place.
+
+    For |rho| = 2^-k and p >= ``_RUNNING_SUM_MIN_P`` the filter runs per chunk
+    of at most ``_SCALE_BITS // k`` columns as z = cumsum(w_j rho^-j) and
+    y_j = z_j rho^j: every factor is a power of two, so each partial sum is
+    the column step's own rounding scaled by rho^-j, and y matches the column
+    loop bit for bit (unless an entry is subnormal, which no standard normal
+    draw yields).
+    Every other rho, and narrower series, take the column loop.
+    """
     w = rng.standard_normal((T, p))
-    w[:, 1:] *= np.sqrt(1.0 - rho * rho)
-    for j in range(1, p):
-        w[:, j] += rho * w[:, j - 1]
+    scale = np.sqrt(1.0 - rho * rho)
+    mantissa, exponent = math.frexp(abs(rho))
+    width = _SCALE_BITS // (1 - exponent)  # columns per chunk when |rho| = 2^(exponent - 1)
+    if mantissa != 0.5 or width < 2 or p < _RUNNING_SUM_MIN_P:
+        w[:, 1:] *= scale
+        for j in range(1, p):
+            w[:, j] += rho * w[:, j - 1]
+        return w
+    down = rho ** (np.arange(p) % width)
+    up = scale / down
+    up[0] = 1.0
+    w *= up
+    for c in range(0, p, width):
+        chunk = w[:, c : c + width]
+        if c:  # the previous chunk's last column is still scaled by rho^-(width - 1)
+            chunk[:, 0] += rho**width * w[:, c - 1]
+        np.cumsum(chunk, axis=1, out=chunk)
+    w *= down
     return w
 
 
@@ -128,12 +166,11 @@ def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
 
 def gen_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, int]:
     """One replication's data and the true split index."""
-    rng = _rep_rng(cfg.seed, rep_index)
-    mu1, mu2 = design_means(cfg.p, cfg.s)
-    k0 = cfg.k0
-    Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, rng)
-    Y[:k0] += mu1
-    Y[k0:] += mu2
+    k0, s = cfg.k0, cfg.s
+    Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, _rep_rng(cfg.seed, rep_index))
+    # the design means of design_means, added to their 2s nonzero columns only
+    Y[:k0, :s] += 1.0
+    Y[k0:, s : 2 * s] += 1.0
     return Y, k0
 
 
@@ -187,6 +224,9 @@ def run_monte_carlo(
 
     run = partial(_run_rep, cfg, estimator=estimator, c_alpha=c_alpha)
     if n_jobs > 1:
+        # imported here: multiprocessing is slow to load and serial runs never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers at once: no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(n_jobs, cfg.reps)) as pool:
             records = list(pool.map(run, range(cfg.reps)))

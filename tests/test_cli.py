@@ -203,6 +203,14 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # the process pool is imported only by a run with n_jobs > 1
+        code = "import cpinfer.cli, sys; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_infer_no_change_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = tmp_path / "null.csv"

@@ -573,6 +573,22 @@ class TestChangePointEstimate:
         with pytest.raises(ValueError):
             ChangePointEstimate(6, 5)
 
+    @pytest.mark.parametrize("k, T", [(2.5, 10), (True, 3), (3.0, 10)])
+    def test_split_must_be_an_integer(self, k, T):
+        # 2.5 used to construct with tau 0.25 and True to be kept as k
+        with pytest.raises(ValueError, match="split index must be an integer"):
+            ChangePointEstimate(k, T)
+
+    @pytest.mark.parametrize("T", [9.9, 10.0, True, 0, -3])
+    def test_length_must_be_a_positive_integer(self, T):
+        with pytest.raises(ValueError, match="series length must be an integer >= 1"):
+            ChangePointEstimate(1, T)
+
+    def test_numpy_integers_stored_as_ints(self):
+        est = ChangePointEstimate(np.int64(3), np.int32(10))
+        assert type(est.k) is int and type(est.T) is int
+        assert est == ChangePointEstimate(3, 10)
+
 
 class TestMeanPair:
     def test_supports_are_exact_nonzero_patterns(self):

@@ -248,6 +248,14 @@ class TestConfidenceInterval:
         with pytest.raises(DegenerateJumpError):
             confidence_interval(5, 0.0, 1.0, 11.03, 10)
 
+    def test_fractional_length_rejected(self):
+        # T = 9.9 used to split at int(T) = 9 but divide the fraction view by 9.9
+        with pytest.raises(ValueError, match="series length must be an integer"):
+            confidence_interval(4, 1.0, 0.2, 11.03, 9.9)
+        res = confidence_interval(4, 1.0, 0.2, 11.03, np.int64(9))
+        assert res.k_tilde.T == 9
+        assert res.interval_frac == (res.interval_int[0] / 9, res.interval_int[1] / 9)
+
     @pytest.mark.parametrize("c_alpha", [-11.0, 0.0, np.nan, np.inf])
     def test_bad_critical_value_rejected(self, c_alpha):
         # -11 used to give the inverted interval (71.76, 68.24), nan and inf [1, T]

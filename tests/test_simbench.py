@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -74,6 +75,9 @@ class TestConfig:
         np.testing.assert_array_equal(mu2, [0, 0, 1, 1, 0, 0, 0])
 
 
+CUTOFF = simbench._RUNNING_SUM_MIN_P
+
+
 class TestNoise:
     def test_rho_zero_is_iid(self):
         rng = np.random.default_rng(0)
@@ -102,9 +106,15 @@ class TestNoise:
     @pytest.mark.parametrize("T, p, rho", [
         (200_000, 5, 0.5), (350, 500, 0.5), (7, 1, 0.5), (10, 9, 0.0),
         (50, 40, -0.9), (3, 300, 0.999), (1, 4, 0.3),
+        # either side of the running sum's cutoff, at rho = -1/2 and 1/8
+        (40, CUTOFF - 1, -0.5), (40, CUTOFF, -0.5), (40, CUTOFF - 1, 0.125), (40, CUTOFF, 0.125),
+        # more columns than one chunk: 960 at rho = 1/2, 320 at rho = 1/8
+        (64, 3000, 0.5), (30, 600, 0.125), (5, 961, -0.5), (6, 640, -0.125),
+        (9, 200, -0.25), (9, 200, 1 / 16), (4, 100, 2.0**-400),
     ])
     def test_matches_lfilter_bit_for_bit(self, T, p, rho):
-        # the column recursion is the filter 1 / (1 - rho z^-1) along each row
+        # the column recursion, and for rho = +-2^-k its running sum, is the
+        # filter 1 / (1 - rho z^-1) along each row
         from scipy.signal import lfilter
 
         w = np.random.default_rng(7).standard_normal((T, p))
@@ -148,6 +158,18 @@ class TestGenDataset:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * Y.nbytes
+
+    @pytest.mark.parametrize("T, p", [(100, 500), (225, 500), (350, 500), (100, 750)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_means_added_only_where_nonzero(self, T, p, seed):
+        # adding the means to their 2s columns gives the bytes of dense rows
+        cfg = SimConfig(T=T, p=p, s=5, tau0=0.4, seed=seed)
+        mu1, mu2 = design_means(p, 5)
+        expected = _ar1_noise(T, p, 0.5, simbench._rep_rng(seed, 3))
+        expected[: cfg.k0] += mu1
+        expected[cfg.k0 :] += mu2
+        Y, _ = gen_dataset(cfg, 3)
+        assert Y.tobytes() == expected.tobytes()
 
     def test_aggregate_means_match_design(self):
         cfg = SimConfig(T=8, p=6, s=2, tau0=0.5, seed=5)
@@ -218,7 +240,7 @@ class TestRunMonteCarlo:
                 return map(fn, items)
 
         sizes = []
-        monkeypatch.setattr(simbench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = SimConfig(T=40, p=10, s=2, tau0=0.5, reps=3, seed=8)
         pooled = run_monte_carlo(cfg, estimator="pls", n_jobs=64)
         run_monte_carlo(SimConfig(T=40, p=10, s=2, tau0=0.5, reps=5, seed=8), "pls", n_jobs=2)
