@@ -79,8 +79,7 @@ _MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes
 # memory, the dense product takes 3.5-4.0 ms and the product on the kept block
 # 0.3 ms.  With two threads the dense product takes 2.0 ms and a gather of 18
 # columns in 7 lines 3.1 ms, so a gather pays only when its block is read
-# again.  The cap of p / 4 columns holds the block to the largest gather that
-# the rule of p / 32 lines allowed.
+# again.  The cap of p / 4 columns holds the kept block to T p / 4 values.
 _GATHER = 16
 
 
@@ -273,12 +272,16 @@ class MeanPair:
         self.support1 = np.flatnonzero(self.mu1)
         self.support2 = np.flatnonzero(self.mu2)
 
-    @property
-    def p(self) -> int:
-        return self.mu1.size
-
     def jump(self) -> np.ndarray:
         return self.mu1 - self.mu2
+
+    def informative_jump(self) -> np.ndarray:
+        """mu1 - mu2; DegenerateJumpError when its norm is at most 1e-12 (||mu1||
+        + ||mu2||), a rule with no units (two zero means are degenerate)."""
+        eta = self.jump()
+        if np.linalg.norm(eta) <= 1e-12 * (np.linalg.norm(self.mu1) + np.linalg.norm(self.mu2)):
+            raise DegenerateJumpError("mean estimates coincide: the jump is uninformative")
+        return eta
 
     def jump_size(self) -> float:
         return float(np.linalg.norm(self.jump()))

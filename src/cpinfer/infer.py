@@ -133,19 +133,17 @@ def plugin_xi_sq(means: MeanPair) -> float:
 def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     """Plugin projected-noise variance ratio at split k.
 
-    Projects the series onto the jump of the given (refitted) means,
+    Projects the series onto the jump eta of the given (refitted) means,
     z_t = eta'y_t, and returns the mean squared residual of z about the
-    projected levels, split at k, divided by the plugin squared jump size.
-    """
-    xi_sq = plugin_xi_sq(means)
-    if xi_sq <= 0.0:
-        raise DegenerateJumpError("zero jump vector: variance ratio undefined")
-    z = series_stats(Y).project(means.jump())
-    k = _split_index(k, z.size, interior=False)
-    theta1, theta2 = means.projected_levels()
-    left = z[:k] - theta1
-    right = z[k:] - theta2
-    return (float(left @ left) + float(right @ right)) / z.size / xi_sq
+    projected levels, split at k, divided by ||eta||^2; DegenerateJumpError
+    when ``MeanPair.informative_jump`` finds no jump."""
+    eta = means.informative_jump()
+    s = series_stats(Y)
+    k = _split_index(k, s.T, interior=False)
+    z = s.project(eta)
+    left = z[:k] - float(eta @ means.mu1)  # the projected levels
+    right = z[k:] - float(eta @ means.mu2)
+    return (float(left @ left) + float(right @ right)) / s.T / float(eta @ eta)
 
 
 def simulate_argmin_locations(settings: QuantileMCSettings | None = None) -> np.ndarray:
@@ -244,11 +242,17 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
                         c_alpha: float, T: int, alpha: float = 0.05) -> InferenceResult:
     """Interval k_tilde +/- c_alpha * sigma_sq_hat / xi_sq_hat on the integer
     scale, clamped to [1, T], with the fraction view divided by T.
-    ``c_alpha`` must be finite and positive; ``k_tilde`` and ``T`` are
-    checked as ``ChangePointEstimate`` checks them."""
+    ``c_alpha`` must be finite and positive, ``xi_sq_hat`` finite (a value
+    <= 0 raises DegenerateJumpError) and ``sigma_sq_hat`` finite and
+    nonnegative; ``k_tilde`` and ``T`` are checked as ``ChangePointEstimate``
+    checks them."""
     _check_critical_value(c_alpha)
+    if not math.isfinite(xi_sq_hat):
+        raise ValueError(f"squared jump must be finite, got {xi_sq_hat}")
     if xi_sq_hat <= 0.0:
         raise DegenerateJumpError("zero squared jump: interval undefined")
+    if not 0.0 <= sigma_sq_hat < math.inf:
+        raise ValueError(f"variance ratio must be finite and nonnegative, got {sigma_sq_hat}")
     estimate = ChangePointEstimate(k_tilde, T)
     T = estimate.T
     half = c_alpha * sigma_sq_hat / xi_sq_hat

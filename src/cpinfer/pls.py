@@ -74,9 +74,7 @@ class PipelineResult:
 
 
 def _pls_profile(Y, means: MeanPair) -> tuple[np.ndarray, int]:
-    scale = 1.0 + np.linalg.norm(means.mu1) + np.linalg.norm(means.mu2)
-    if means.jump_size() < 1e-12 * scale:
-        raise DegenerateJumpError("mean estimates coincide: projection is uninformative")
+    means.informative_jump()
     profile = loss_profile_pd(Y, means.mu1, means.mu2)[:-1]
     return profile, int(np.argmin(profile)) + 1
 

@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from .core import _is_integer
 from .detect import _initial_split, detect_change
 from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
@@ -53,6 +54,9 @@ class SimConfig:
     gamma_off: bool = False
 
     def __post_init__(self):
+        for name in ("T", "p", "s", "reps", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.T < 2 or self.p < 1 or self.s < 1 or self.reps < 1:
             raise ValueError("T >= 2, p >= 1, s >= 1 and reps >= 1 required")
         if 2 * self.s > self.p:
@@ -217,8 +221,8 @@ def run_monte_carlo(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if not _is_integer(n_jobs) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1 and an integer, got {n_jobs!r}")
     if estimator == "pls_ci" and c_alpha is None:
         c_alpha = limit_quantile(cfg.alpha)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cpinfer.core as core
 from cpinfer.core import (
     ChangePointEstimate,
+    DegenerateJumpError,
     MeanPair,
     as_series,
     loss_profile_pd,
@@ -19,6 +20,7 @@ from cpinfer.core import (
 )
 from cpinfer.detect import thresholded_means
 from cpinfer.infer import confidence_interval, plugin_sigma_sq, refit_means
+from cpinfer.simbench import design_means
 from cpinfer.tune import bic_lambda
 from loss_oracles import center_columns, loss_1d, loss_pd, loss_profile_1d, project_series
 
@@ -609,3 +611,23 @@ class TestMeanPair:
             mp = MeanPair(rng.normal(size=p), rng.normal(size=p))
             t1, t2 = mp.projected_levels()
             assert t1 - t2 == pytest.approx(mp.jump_size() ** 2, rel=1e-10)
+
+    def test_two_zero_means_are_degenerate(self):
+        with pytest.raises(DegenerateJumpError):
+            MeanPair(np.zeros(3), np.zeros(3)).informative_jump()
+
+    def test_jump_below_relative_floor_is_degenerate(self):
+        # ||mu1|| + ||mu2|| = 2 to the last bit, so these jumps are 1e-13 and
+        # 1e-11 of it: the first is degenerate, the second is returned
+        with pytest.raises(DegenerateJumpError):
+            MeanPair([1.0, 0.0], [1.0, 2e-13]).informative_jump()
+        eta = MeanPair([1.0, 0.0], [1.0, 2e-11]).informative_jump()
+        np.testing.assert_array_equal(eta, [0.0, -2e-11])
+
+    def test_tiny_units_are_not_degenerate(self):
+        # the rule has no units: the design means in units of 2^-100 keep
+        # their jump, scaled exactly
+        mu1, mu2 = design_means(500, 5)
+        c = 2.0**-100
+        eta = MeanPair(c * mu1, c * mu2).informative_jump()
+        np.testing.assert_array_equal(eta, c * (mu1 - mu2))

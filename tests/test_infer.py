@@ -248,6 +248,22 @@ class TestConfidenceInterval:
         with pytest.raises(DegenerateJumpError):
             confidence_interval(5, 0.0, 1.0, 11.03, 10)
 
+    @pytest.mark.parametrize("xi_sq", [np.nan, np.inf, -np.inf])
+    def test_non_finite_jump_rejected(self, xi_sq):
+        # nan used to give the interval (1, T) silently
+        with pytest.raises(ValueError, match="squared jump must be finite"):
+            confidence_interval(5, xi_sq, 1.0, 11.03, 10)
+
+    def test_negative_jump_is_degenerate(self):
+        with pytest.raises(DegenerateJumpError):
+            confidence_interval(5, -1.0, 1.0, 11.03, 10)
+
+    @pytest.mark.parametrize("sigma_sq", [-1.0, -1e-300, np.nan, np.inf])
+    def test_bad_variance_ratio_rejected(self, sigma_sq):
+        # -1 used to give the inverted interval (16, -6), nan the interval (1, T)
+        with pytest.raises(ValueError, match="variance ratio must be finite and nonnegative"):
+            confidence_interval(5, 1.0, sigma_sq, 11.0, 10)
+
     def test_fractional_length_rejected(self):
         # T = 9.9 used to split at int(T) = 9 but divide the fraction view by 9.9
         with pytest.raises(ValueError, match="series length must be an integer"):

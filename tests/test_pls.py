@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cpinfer.core import DegenerateJumpError, MeanPair, loss_profile_pd, series_stats
@@ -229,6 +229,27 @@ class TestFullPipeline:
         res = full_pipeline(Y, lam=0.2, gamma=0.1, with_ci=False)
         assert res.detection.lambda_used == 0.2
         assert res.detection.gamma_used == 0.1
+
+    @given(j=st.integers(-150, 150))
+    @example(j=-46)
+    @example(j=-150)
+    def test_power_of_two_units_leave_decisions_bit_identical(self, j):
+        # lambda scales with the data and gamma with its square, so at c = 2^j
+        # every step is the c = 1 step scaled exactly; the degenerate-jump rule
+        # is relative, so a tiny scale is not mistaken for a vanishing jump
+        rng = np.random.default_rng(12)
+        Y = rng.normal(size=(100, 20))
+        Y[40:, :3] += 1.0
+
+        def decisions(c):
+            res = full_pipeline(c * Y, lam=0.2 * c, gamma=0.02 * c * c, c_alpha=11.03)
+            loc, inf = res.pls_estimate, res.inference
+            return (res.status, res.detection.estimate.k, loc.k if loc else None,
+                    inf.interval_int if inf else None)
+
+        base = decisions(1.0)
+        assert base[0] == "ok"
+        assert decisions(2.0**j) == base
 
     def test_degenerate_refit_reports_unlocatable(self, monkeypatch):
         # a positive detection whose re-estimated means coincide is reported

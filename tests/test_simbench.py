@@ -69,6 +69,22 @@ class TestConfig:
             SimConfig(T=10, p=4, s=1, tau0=0.5, seed=-1)
         assert SimConfig(T=10, p=4, s=1, tau0=0.5, seed=0).seed == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("T", 40.5), ("p", 10.0), ("s", 2.5), ("reps", 2.0), ("seed", 1.5),
+        ("T", True), ("p", True), ("s", True), ("reps", True), ("seed", False),
+    ])
+    def test_non_integer_sizes_rejected(self, field, value):
+        # fractional sizes used to construct and fail later inside numpy, and
+        # reps=True ran one replication
+        kwargs = {"T": 40, "p": 10, "s": 2, "tau0": 0.5, "reps": 3, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = SimConfig(T=np.int64(40), p=np.int32(10), s=np.int64(2), tau0=0.5,
+                        reps=np.int64(3), seed=np.uint8(1))
+        assert cfg.k0 == 20
+
     def test_design_means_layout(self):
         mu1, mu2 = design_means(7, 2)
         np.testing.assert_array_equal(mu1, [1, 1, 0, 0, 0, 0, 0])
@@ -251,6 +267,13 @@ class TestRunMonteCarlo:
     def test_nonpositive_worker_count_rejected(self, n_jobs):
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
         with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_monte_carlo(cfg, estimator="pls", n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [1.5, 2.0, True])
+    def test_non_integer_worker_count_rejected(self, n_jobs):
+        # 1.5 used to end in a TypeError from the pool, and True ran serially
+        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1 and an integer"):
             run_monte_carlo(cfg, estimator="pls", n_jobs=n_jobs)
 
     def test_replications_leave_scipy_unloaded(self):
