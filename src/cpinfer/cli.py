@@ -39,8 +39,8 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
 
     A leading UTF-8 byte-order mark, which spreadsheet "CSV UTF-8" exports
     write, is skipped.  Raises ValueError naming the offending row/column on
-    ragged or non-numeric input.  Finiteness is left to the pipeline, which
-    validates the array once.
+    ragged or non-numeric input.  Shape and finiteness are left to the
+    pipeline, which validates the array once.
     """
     try:
         with warnings.catch_warnings():
@@ -49,8 +49,6 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
                               skiprows=int(has_header), encoding="utf-8-sig")
     except (ValueError, UserWarning):
         data = _scan_csv(path, has_header)
-    if data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {data.shape[0]}")
     return data
 
 

@@ -133,17 +133,20 @@ def plugin_xi_sq(means: MeanPair) -> float:
 def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     """Plugin projected-noise variance ratio at split k.
 
-    Projects the series onto the jump eta of the given (refitted) means,
-    z_t = eta'y_t, and returns the mean squared residual of z about the
-    projected levels, split at k, divided by ||eta||^2; DegenerateJumpError
-    when ``MeanPair.informative_jump`` finds no jump."""
+    Projects the series onto the unit jump u = eta / ||eta|| of the given
+    (refitted) means, z_t = u'y_t, and returns the mean squared residual of z
+    about the projected levels, split at k.  That is the residual of the
+    projection onto eta over ||eta||^2, kept on the data's squared scale, not
+    its fourth power.  DegenerateJumpError when ``MeanPair.informative_jump``
+    finds no jump."""
     eta = means.informative_jump()
     s = series_stats(Y)
     k = _split_index(k, s.T, interior=False)
-    z = s.project(eta)
-    left = z[:k] - float(eta @ means.mu1)  # the projected levels
-    right = z[k:] - float(eta @ means.mu2)
-    return (float(left @ left) + float(right @ right)) / s.T / float(eta @ eta)
+    u = eta / np.linalg.norm(eta)
+    z = s.project(u)
+    left = z[:k] - float(u @ means.mu1)  # the projected levels
+    right = z[k:] - float(u @ means.mu2)
+    return (float(left @ left) + float(right @ right)) / s.T
 
 
 def simulate_argmin_locations(settings: QuantileMCSettings | None = None) -> np.ndarray:
@@ -242,10 +245,11 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
                         c_alpha: float, T: int, alpha: float = 0.05) -> InferenceResult:
     """Interval k_tilde +/- c_alpha * sigma_sq_hat / xi_sq_hat on the integer
     scale, clamped to [1, T], with the fraction view divided by T.
-    ``c_alpha`` must be finite and positive, ``xi_sq_hat`` finite (a value
-    <= 0 raises DegenerateJumpError) and ``sigma_sq_hat`` finite and
-    nonnegative; ``k_tilde`` and ``T`` are checked as ``ChangePointEstimate``
-    checks them."""
+    ``alpha`` must lie in (0, 1), ``c_alpha`` must be finite and positive,
+    ``xi_sq_hat`` finite (a value <= 0 raises DegenerateJumpError) and
+    ``sigma_sq_hat`` finite and nonnegative; ``k_tilde`` and ``T`` are checked
+    as ``ChangePointEstimate`` checks them."""
+    _check_level(alpha)
     _check_critical_value(c_alpha)
     if not math.isfinite(xi_sq_hat):
         raise ValueError(f"squared jump must be finite, got {xi_sq_hat}")

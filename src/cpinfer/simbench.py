@@ -3,10 +3,10 @@
 Noise rows follow an AR(1)-in-coordinates Gaussian law with covariance
 rho^{|i-j|} and unit marginals, generated in place by the exact O(p)
 recursion over columns, so one replication holds one T x p array and needs
-numpy alone.  When |rho| is a power of two, 2^-k, and the series is wide,
-the recursion runs as a running sum: scaling column j by rho^-j changes only
-exponents, so each step of ``np.cumsum`` rounds exactly as the column step
-does, scaled by a power of two, and the noise is the same to the bit.
+numpy alone.  When |rho| is a power of two, 2^-k, the recursion runs as a
+running sum: scaling column j by rho^-j changes only exponents, so each step
+of ``np.cumsum`` rounds exactly as the column step does, scaled by a power of
+two, and the noise is the same to the bit.
 Replications draw from per-replication substreams of the master seed, so
 serial and parallel runs agree bit for bit.
 """
@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _is_integer
+from .core import _is_integer, series_stats
 from .detect import _initial_split, detect_change
 from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
@@ -27,7 +27,6 @@ from .pls import full_pipeline
 __all__ = [
     "SimConfig",
     "MetricsReport",
-    "design_means",
     "ar1_covariance",
     "gen_dataset",
     "run_monte_carlo",
@@ -107,16 +106,6 @@ class MetricsReport:
         return asdict(self)
 
 
-def design_means(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-change mean (1 on the first s coordinates) and post-change mean
-    (1 on the next s coordinates)."""
-    mu1 = np.zeros(p)
-    mu1[:s] = 1.0
-    mu2 = np.zeros(p)
-    mu2[s : 2 * s] = 1.0
-    return mu1, mu2
-
-
 def ar1_covariance(p: int, rho: float) -> np.ndarray:
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
@@ -125,28 +114,24 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
 # Largest exponent of two by which the running sum scales a column: normal
 # draws scaled by at most 2^960 stay 2^64 below overflow.
 _SCALE_BITS = 960
-# Narrower series keep the column loop: numpy accumulates each row in its own
-# call, which costs more than the loop's steps below about 32 columns.
-_RUNNING_SUM_MIN_P = 32
 
 
 def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     """T x p standard normals filtered along each row by y_j = w_j + rho y_{j-1},
     with w_j scaled by sqrt(1 - rho^2) for j >= 1, in place.
 
-    For |rho| = 2^-k and p >= ``_RUNNING_SUM_MIN_P`` the filter runs per chunk
-    of at most ``_SCALE_BITS // k`` columns as z = cumsum(w_j rho^-j) and
-    y_j = z_j rho^j: every factor is a power of two, so each partial sum is
-    the column step's own rounding scaled by rho^-j, and y matches the column
-    loop bit for bit (unless an entry is subnormal, which no standard normal
-    draw yields).
-    Every other rho, and narrower series, take the column loop.
+    For |rho| = 2^-k the filter runs per chunk of at most ``_SCALE_BITS // k``
+    columns as z = cumsum(w_j rho^-j) and y_j = z_j rho^j: every factor is a
+    power of two, so each partial sum is the column step's own rounding scaled
+    by rho^-j, and y matches the column loop bit for bit at any width (unless
+    an entry is subnormal, which no standard normal draw yields).  Every other
+    rho takes the column loop.
     """
     w = rng.standard_normal((T, p))
     scale = np.sqrt(1.0 - rho * rho)
     mantissa, exponent = math.frexp(abs(rho))
     width = _SCALE_BITS // (1 - exponent)  # columns per chunk when |rho| = 2^(exponent - 1)
-    if mantissa != 0.5 or width < 2 or p < _RUNNING_SUM_MIN_P:
+    if mantissa != 0.5 or width < 2:
         w[:, 1:] *= scale
         for j in range(1, p):
             w[:, j] += rho * w[:, j - 1]
@@ -172,7 +157,7 @@ def gen_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, int]:
     """One replication's data and the true split index."""
     k0, s = cfg.k0, cfg.s
     Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, _rep_rng(cfg.seed, rep_index))
-    # the design means of design_means, added to their 2s nonzero columns only
+    # the design means, 1 on the first s columns then on the next s, added there only
     Y[:k0, :s] += 1.0
     Y[k0:, s : 2 * s] += 1.0
     return Y, k0
@@ -219,8 +204,7 @@ def run_monte_carlo(
     ``cfg.alpha`` unless supplied.  ``n_jobs`` >= 1 worker processes run the
     replications; 1 runs them in this process.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    _check_estimator(estimator)
     if not _is_integer(n_jobs) or n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1 and an integer, got {n_jobs!r}")
     if estimator == "pls_ci" and c_alpha is None:
@@ -239,6 +223,12 @@ def run_monte_carlo(
     return metrics_from_records(cfg, records, estimator)
 
 
+def _check_estimator(estimator: str) -> None:
+    """Raise ValueError unless ``estimator`` is one of ``ESTIMATORS``."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+
+
 def _location(record: dict, estimator: str) -> float | None:
     if estimator == "al1":
         return record["tau_hat"] if record["changed"] else None
@@ -247,7 +237,9 @@ def _location(record: dict, estimator: str) -> float | None:
 
 def metrics_from_records(cfg: SimConfig, records: list, estimator: str = "pls_ci") -> MetricsReport:
     """Aggregate per-replication records; usable to re-summarize a run for a
-    different estimator without re-simulating."""
+    different estimator without re-simulating.  ValueError on an estimator
+    ``run_monte_carlo`` rejects."""
+    _check_estimator(estimator)
     located = [(_location(r, estimator), r["tau0"]) for r in records]
     diffs = np.array([t - t0 for t, t0 in located if t is not None])
     all_diffs = np.array([(t if t is not None else 1.0) - t0 for t, t0 in located])
@@ -275,5 +267,6 @@ def initializer_sweep(cfg: SimConfig, tau_inits, rep_index: int = 0) -> list:
     """Detection on one fixed dataset for each initial fraction: per fraction
     a row of ``tau_init``, the ``DetectionResult.record()`` and the true ``k0``."""
     Y, k0 = gen_dataset(cfg, rep_index)
-    return [{"tau_init": float(tau), **detect_change(Y, tau_init=float(tau)).record(), "k0": k0}
+    s = series_stats(Y)  # every fraction reads the same statistics
+    return [{"tau_init": float(tau), **detect_change(s, tau_init=float(tau)).record(), "k0": k0}
             for tau in tau_inits]

@@ -29,9 +29,9 @@ DEFAULT_LAMBDAS.flags.writeable = DEFAULT_GAMMAS.flags.writeable = False
 
 
 def _select(grid: np.ndarray, values: np.ndarray) -> float:
-    """Grid value minimizing the criterion; smallest grid value on ties."""
-    order = np.lexsort((grid, values))
-    return float(grid[order[0]])
+    """Grid value minimizing the criterion; the first, so the smallest of an
+    ascending grid, on ties."""
+    return float(grid[np.argmin(values)])
 
 
 def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Reference losses that the tests compare the library against.
+"""Reference losses and layouts that the tests compare the library against.
 
 The library computes every two-segment loss through ``loss_profile_pd``.
 These are the direct evaluations, one split at a time, and the scalar
 projected series and its loss that the projected least-squares locator is
 defined by.  ``center_columns`` is the explicit copy that
-``full_pipeline(center=True)`` stands in for without copying.  Split indices
-are 1-based, k in {1, ..., T}; the second segment is empty at k = T.
+``full_pipeline(center=True)`` stands in for without copying, and
+``design_means`` the dense mean vectors that ``gen_dataset`` adds to their
+nonzero columns only.  Split indices are 1-based, k in {1, ..., T}; the
+second segment is empty at k = T.
 """
 
 import numpy as np
@@ -65,3 +67,13 @@ def center_columns(Y) -> np.ndarray:
     """Subtract the empirical mean of each column.  Idempotent."""
     Y = as_series(Y)
     return Y - Y.mean(axis=0, keepdims=True)
+
+
+def design_means(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-change mean (1 on the first s coordinates) and post-change mean
+    (1 on the next s coordinates)."""
+    mu1 = np.zeros(p)
+    mu1[:s] = 1.0
+    mu2 = np.zeros(p)
+    mu2[s : 2 * s] = 1.0
+    return mu1, mu2

@@ -20,9 +20,15 @@ from cpinfer.core import (
 )
 from cpinfer.detect import thresholded_means
 from cpinfer.infer import confidence_interval, plugin_sigma_sq, refit_means
-from cpinfer.simbench import design_means
 from cpinfer.tune import bic_lambda
-from loss_oracles import center_columns, loss_1d, loss_pd, loss_profile_1d, project_series
+from loss_oracles import (
+    center_columns,
+    design_means,
+    loss_1d,
+    loss_pd,
+    loss_profile_1d,
+    project_series,
+)
 
 
 def naive_loss_1d(z, k, t1, t2):

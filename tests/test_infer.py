@@ -277,3 +277,9 @@ class TestConfidenceInterval:
         # -11 used to give the inverted interval (71.76, 68.24), nan and inf [1, T]
         with pytest.raises(ValueError, match="critical value must be finite and positive"):
             confidence_interval(70, 1.0, 0.16, c_alpha, 350)
+
+    @pytest.mark.parametrize("alpha", [7.0, 0.0, 1.0, np.nan])
+    def test_bad_level_rejected(self, alpha):
+        # 7 used to come back as the result's alpha
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            confidence_interval(5, 1.0, 1.0, 11.0, 10, alpha=alpha)

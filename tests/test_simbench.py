@@ -15,12 +15,12 @@ from cpinfer.simbench import (
     SimConfig,
     _ar1_noise,
     ar1_covariance,
-    design_means,
     gen_dataset,
     initializer_sweep,
     metrics_from_records,
     run_monte_carlo,
 )
+from loss_oracles import design_means
 
 
 @pytest.fixture
@@ -85,14 +85,6 @@ class TestConfig:
                         reps=np.int64(3), seed=np.uint8(1))
         assert cfg.k0 == 20
 
-    def test_design_means_layout(self):
-        mu1, mu2 = design_means(7, 2)
-        np.testing.assert_array_equal(mu1, [1, 1, 0, 0, 0, 0, 0])
-        np.testing.assert_array_equal(mu2, [0, 0, 1, 1, 0, 0, 0])
-
-
-CUTOFF = simbench._RUNNING_SUM_MIN_P
-
 
 class TestNoise:
     def test_rho_zero_is_iid(self):
@@ -122,8 +114,8 @@ class TestNoise:
     @pytest.mark.parametrize("T, p, rho", [
         (200_000, 5, 0.5), (350, 500, 0.5), (7, 1, 0.5), (10, 9, 0.0),
         (50, 40, -0.9), (3, 300, 0.999), (1, 4, 0.3),
-        # either side of the running sum's cutoff, at rho = -1/2 and 1/8
-        (40, CUTOFF - 1, -0.5), (40, CUTOFF, -0.5), (40, CUTOFF - 1, 0.125), (40, CUTOFF, 0.125),
+        # narrow series take the running sum too, at rho = -1/2 and 1/8
+        (40, 31, -0.5), (40, 32, -0.5), (40, 31, 0.125), (40, 32, 0.125),
         # more columns than one chunk: 960 at rho = 1/2, 320 at rho = 1/8
         (64, 3000, 0.5), (30, 600, 0.125), (5, 961, -0.5), (6, 640, -0.125),
         (9, 200, -0.25), (9, 200, 1 / 16), (4, 100, 2.0**-400),
@@ -292,10 +284,22 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="critical value must be finite and positive"):
             run_monte_carlo(cfg, estimator="pls_ci", c_alpha=c_alpha)
 
-    def test_unknown_estimator_rejected(self):
+    def test_unknown_estimator_rejected(self, monkeypatch):
+        # before any replication runs
+        def replicate(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(simbench, "_run_rep", replicate)
+        with pytest.raises(ValueError, match="unknown estimator 'nope'"):
             run_monte_carlo(cfg, estimator="nope")
+
+    def test_reaggregation_rejects_unknown_estimator(self):
+        # "bogus" used to summarize tau_tilde as "pls" does
+        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2, seed=1)
+        records = run_monte_carlo(cfg, estimator="pls").per_rep_records
+        with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+            metrics_from_records(cfg, records, "bogus")
 
     def test_reaggregation_for_other_estimator(self):
         cfg = SimConfig(T=60, p=20, s=3, tau0=0.4, reps=8, seed=2)
