@@ -128,7 +128,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         reps=args.reps, seed=args.seed,
         alpha=args.alpha, tau_init=args.tau_init, gamma_off=args.gamma_off,
     )
-    metrics = run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs).as_dict()
+    metrics = asdict(run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs))
     records = metrics.pop("per_rep_records")
     if args.records_csv:
         _write_records_csv(args.records_csv, records)

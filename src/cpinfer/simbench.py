@@ -14,7 +14,7 @@ serial and parallel runs agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -74,18 +74,21 @@ class SimConfig:
 
     @property
     def k0(self) -> int:
-        """True split index; equals T when tau0 = 1 (no change)."""
+        """True split floor(T * tau0), of the double product (T=350, tau0=0.7
+        draws the shift at 244); T when tau0 = 1 (no change).  Coverage counts
+        the intervals that contain k0; bias and RMSE are against k0 / T."""
         return int(np.floor(self.T * self.tau0))
 
 
 @dataclass
 class MetricsReport:
-    """Aggregate metrics over replications.
+    """Aggregate metrics over replications, scored against the design's k0.
 
-    bias and rmse are on the fraction scale and cover replications where the
-    selected estimator produced a location ("reps_used"); bias_all/rmse_all
-    also include the remaining replications with the estimate pinned at the
-    no-change value 1.  coverage and se_mean average over replications that
+    bias and rmse are on the fraction scale, against k0 / T, and cover
+    replications where the selected estimator produced a location
+    ("reps_used"); bias_all/rmse_all also include the remaining replications
+    with the estimate pinned at the no-change value 1.  coverage (the share
+    of intervals that contain k0) and se_mean average over replications that
     produced an interval.  tpr applies when a change exists, tnr when none
     does; the other is None.
     """
@@ -101,9 +104,6 @@ class MetricsReport:
     bias_all: float | None = None
     rmse_all: float | None = None
     degenerate_count: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def ar1_covariance(p: int, rho: float) -> np.ndarray:
@@ -183,7 +183,7 @@ def _run_rep(cfg: SimConfig, rep_index: int, estimator: str, c_alpha: float | No
         "se": inf.sigma_sq_hat / inf.xi_sq_hat if inf else None,
         "ci_lo": lo,
         "ci_hi": hi,
-        "covered": bool(lo <= cfg.T * cfg.tau0 <= hi) if inf else None,
+        "covered": bool(lo <= k0 <= hi) if inf else None,
     }
 
 
@@ -229,20 +229,19 @@ def _check_estimator(estimator: str) -> None:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
 
 
-def _location(record: dict, estimator: str) -> float | None:
-    if estimator == "al1":
-        return record["tau_hat"] if record["changed"] else None
-    return record["tau_tilde"]
-
-
 def metrics_from_records(cfg: SimConfig, records: list, estimator: str = "pls_ci") -> MetricsReport:
-    """Aggregate per-replication records; usable to re-summarize a run for a
-    different estimator without re-simulating.  ValueError on an estimator
-    ``run_monte_carlo`` rejects."""
+    """Aggregate per-replication records against ``cfg.k0``; usable to
+    re-summarize a run for a different estimator without re-simulating.
+    ValueError on an estimator ``run_monte_carlo`` rejects, or on a record
+    whose ``k0`` is not ``cfg.k0``."""
     _check_estimator(estimator)
-    located = [(_location(r, estimator), r["tau0"]) for r in records]
-    diffs = np.array([t - t0 for t, t0 in located if t is not None])
-    all_diffs = np.array([(t if t is not None else 1.0) - t0 for t, t0 in located])
+    if any(r["k0"] != cfg.k0 for r in records):
+        raise ValueError("records do not come from this design")
+    truth = cfg.k0 / cfg.T
+    field = "tau_hat" if estimator == "al1" else "tau_tilde"
+    located = [r[field] if r["changed"] else None for r in records]  # no location without a change
+    diffs = np.array([t - truth for t in located if t is not None])
+    all_diffs = np.array([(1.0 if t is None else t) - truth for t in located])
 
     changed = np.array([r["changed"] for r in records], dtype=bool)
     ses = np.array([r["se"] for r in records if r["se"] is not None], dtype=float)
@@ -251,8 +250,8 @@ def metrics_from_records(cfg: SimConfig, records: list, estimator: str = "pls_ci
     return MetricsReport(
         bias=float(np.abs(diffs.mean())) if diffs.size else None,
         rmse=float(np.sqrt(np.mean(diffs**2))) if diffs.size else None,
-        tpr=float(changed.mean()) if cfg.tau0 < 1.0 else None,
-        tnr=float((~changed).mean()) if cfg.tau0 == 1.0 else None,
+        tpr=float(changed.mean()) if cfg.k0 < cfg.T else None,
+        tnr=float((~changed).mean()) if cfg.k0 == cfg.T else None,
         coverage=float(covered.mean()) if covered.size else None,
         se_mean=float(ses.mean()) if ses.size else None,
         reps_used=int(diffs.size),

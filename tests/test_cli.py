@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -276,9 +277,14 @@ class TestCommands:
         assert report["config"]["T"] == 30
         assert len(report["records"]) == 3
         assert "rmse" in report["metrics"]
-        assert csv_out.exists()
-        header = csv_out.read_text().splitlines()[0]
-        assert "k_hat" in header
+        # the CSV header is the record keys in order, and each cell is str()
+        # of the JSON value, '' for null
+        with open(csv_out, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        records = report["records"]
+        assert header == list(records[0])
+        assert rows == [["" if v is None else str(v) for v in r.values()] for r in records]
+        assert any(None in r.values() for r in records)
 
     def test_simulate_bad_level_is_error(self, capsys):
         for estimator in ("al1", "pls", "pls_ci"):

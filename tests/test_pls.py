@@ -10,6 +10,16 @@ from cpinfer.pls import _pls_profile, full_pipeline, pls_estimate
 from loss_oracles import center_columns, loss_pd, loss_profile_1d, project_series
 
 
+def decisions_and_interval(Y, center):
+    """(status, k_hat, lambda, gamma, k_tilde) of a pipeline run, and its
+    integer interval or None."""
+    res = full_pipeline(Y, center=center, c_alpha=11.03)
+    det, loc, inf = res.detection, res.pls_estimate, res.inference
+    decisions = (res.status, det.estimate.k, det.lambda_used, det.gamma_used,
+                 loc.k if loc else None)
+    return decisions, inf.interval_int if inf else None
+
+
 def naive_pls(Y, mu1, mu2):
     """Literal evaluation of the projected two-segment loss at every interior
     split, with explicit Python sums."""
@@ -271,16 +281,26 @@ class TestFullPipeline:
         Y = rng.normal(size=(T, p))
         Y[int(T * tau0):, :3] += 1.5
         perm = rng.permutation(p)
+        base, interval = decisions_and_interval(Y, center)
+        moved, moved_interval = decisions_and_interval(Y[:, perm], center)
+        assert moved == base
+        if interval is not None:
+            np.testing.assert_allclose(moved_interval, interval, rtol=1e-9, atol=0)
 
-        def run(X):
-            res = full_pipeline(X, center=center, c_alpha=11.03)
-            det, loc, inf = res.detection, res.pls_estimate, res.inference
-            decisions = (res.status, det.estimate.k, det.lambda_used, det.gamma_used,
-                         loc.k if loc else None)
-            return decisions, inf.interval_int if inf else None
-
-        base, interval = run(Y)
-        moved, moved_interval = run(Y[:, perm])
+    @given(shape=st.sampled_from([(100, 20), (60, 40), (200, 10), (40, 80)]),
+           tau0=st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
+           seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1.0, 1e2, 1e4, 1e6]))
+    def test_column_offsets_move_no_centred_decision(self, shape, tau0, seed, scale):
+        # centring removes each column's mean, so offsets of up to 1e6 move
+        # no decision and the interval only in its last bits
+        T, p = shape
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(T, p))
+        Y[int(T * tau0):, :3] += 1.5
+        offsets = scale * rng.uniform(-1.0, 1.0, p)
+        base, interval = decisions_and_interval(Y, center=True)
+        moved, moved_interval = decisions_and_interval(Y + offsets, center=True)
         assert moved == base
         if interval is not None:
             np.testing.assert_allclose(moved_interval, interval, rtol=1e-9, atol=0)

@@ -203,13 +203,22 @@ class TestRunMonteCarlo:
         assert report.se_mean == 0.0
         assert report.reps_used == 3
 
+    def test_noiseless_recovery_is_scored_at_the_drawn_split(self, noiseless):
+        # T * tau0 = 10.5 but the data change at k0 = 10, where the interval
+        # collapses; scored against 10.5 this run read coverage 0 and bias 0.0238
+        cfg = SimConfig(T=21, p=6, s=2, tau0=0.5, reps=3)
+        report = run_monte_carlo(cfg, estimator="pls_ci", c_alpha=11.03)
+        assert report.coverage == 1.0
+        assert report.bias == 0.0
+        assert report.rmse == 0.0
+
     def test_metric_algebra_and_record_consistency(self):
         cfg = SimConfig(T=60, p=20, s=3, tau0=0.5, reps=12, seed=3, gamma_off=True)
         report = run_monte_carlo(cfg, estimator="pls_ci", c_alpha=11.03)
         assert report.rmse >= abs(report.bias)
         # coverage is recomputable from the per-replication records
         recs = [r for r in report.per_rep_records if r["covered"] is not None]
-        manual = np.mean([r["ci_lo"] <= cfg.T * cfg.tau0 <= r["ci_hi"] for r in recs])
+        manual = np.mean([r["ci_lo"] <= cfg.k0 <= r["ci_hi"] for r in recs])
         assert report.coverage == pytest.approx(manual)
 
     def test_default_critical_value_is_exact(self):
@@ -300,6 +309,14 @@ class TestRunMonteCarlo:
         records = run_monte_carlo(cfg, estimator="pls").per_rep_records
         with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
             metrics_from_records(cfg, records, "bogus")
+
+    def test_reaggregation_rejects_records_of_another_design(self):
+        # records drawn at k0 = 12 used to be scored silently against 0.3
+        records = run_monte_carlo(SimConfig(T=30, p=8, s=2, tau0=0.4, reps=2, seed=1),
+                                  estimator="pls").per_rep_records
+        other = SimConfig(T=30, p=8, s=2, tau0=0.3, reps=2, seed=1)
+        with pytest.raises(ValueError, match="records do not come from this design"):
+            metrics_from_records(other, records, "pls")
 
     def test_reaggregation_for_other_estimator(self):
         cfg = SimConfig(T=60, p=20, s=3, tau0=0.4, reps=8, seed=2)
