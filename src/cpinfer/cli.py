@@ -37,47 +37,41 @@ __all__ = [
 def read_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a rectangular numeric CSV as a T x p array.
 
-    A leading UTF-8 byte-order mark, which spreadsheet "CSV UTF-8" exports
-    write, is skipped.  Raises ValueError naming the offending row/column on
-    ragged or non-numeric input.  Shape and finiteness are left to the
-    pipeline, which validates the array once.
+    The cells are what ``numpy.loadtxt`` parses.  A leading UTF-8 byte-order
+    mark, which spreadsheet "CSV UTF-8" exports write, is skipped.  Raises
+    ValueError naming the file, and the offending row/column on ragged or
+    non-numeric input.  Shape and finiteness are left to the pipeline, which
+    validates the array once.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt only warns on an empty file
-            data = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=2,
+            return np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=2,
                               skiprows=int(has_header), encoding="utf-8-sig")
-    except (ValueError, UserWarning):
-        data = _scan_csv(path, has_header)
-    return data
+    except (ValueError, UserWarning) as exc:
+        _scan_csv(path, has_header)
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _scan_csv(path, has_header: bool) -> np.ndarray:
-    """Cell-by-cell parse that names the row and column of the first bad cell."""
-    rows = []
+def _scan_csv(path, has_header: bool) -> None:
+    """Locate why loadtxt failed: raise ValueError naming an empty file, the
+    first ragged row or the first cell that ``float`` rejects."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, cells in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not cells:
-                continue
-            rows.append((line_no, cells))
+        rows = [(line_no, cells) for line_no, cells in enumerate(csv.reader(fh), start=1)
+                if cells and not (has_header and line_no == 1)]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0][1])
-    data = np.empty((len(rows), width))
-    for i, (line_no, cells) in enumerate(rows):
+    for line_no, cells in rows:
         if len(cells) != width:
             raise ValueError(f"{path}: row {line_no} has {len(cells)} cells, expected {width}")
         for j, cell in enumerate(cells):
             try:
-                data[i, j] = float(cell)
+                float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: non-numeric cell at row {line_no}, column {j + 1}: {cell!r}"
                 ) from None
-    return data
 
 
 def cmd_detect(args) -> tuple[dict, int]:

@@ -19,8 +19,9 @@ the detector and the projected least-squares locator both read it.
 from __future__ import annotations
 
 import copy
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,22 +256,26 @@ class ChangePointEstimate:
 class MeanPair:
     """Pre/post-split mean vectors with their nonzero supports.
 
-    Supports are recomputed from the vectors, so they always equal the
-    exact nonzero patterns (0-based column indices).
+    Supports are read from the vectors on each access, so they always equal
+    the exact nonzero patterns (0-based column indices).
     """
 
     mu1: np.ndarray
     mu2: np.ndarray
-    support1: np.ndarray = field(init=False)
-    support2: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.mu1 = np.asarray(self.mu1, dtype=float).ravel()
         self.mu2 = np.asarray(self.mu2, dtype=float).ravel()
         if self.mu1.shape != self.mu2.shape:
             raise ValueError("mean vectors must have equal length")
-        self.support1 = np.flatnonzero(self.mu1)
-        self.support2 = np.flatnonzero(self.mu2)
+
+    @property
+    def support1(self) -> np.ndarray:
+        return np.flatnonzero(self.mu1)
+
+    @property
+    def support2(self) -> np.ndarray:
+        return np.flatnonzero(self.mu2)
 
     def jump(self) -> np.ndarray:
         return self.mu1 - self.mu2
@@ -324,6 +329,14 @@ def _split_index(k, T: int, interior: bool = True) -> int:
     if not 1 <= k <= T:
         raise ValueError(f"split index k={k} outside 1..T={T}")
     return int(k)
+
+
+def _fraction_split(T: int, tau: float) -> int | float:
+    """floor(T * tau), but n when the double product lies within 4 ulps below an
+    integer n (350 * 0.7 gives 245, not 244); a non-finite product as it is."""
+    x = float(T * tau)
+    n = math.ceil(x) if math.isfinite(x) else x
+    return n if n - x <= 4 * math.ulp(x) else n - 1
 
 
 def stopped_means(Y, k: int) -> tuple[np.ndarray, np.ndarray]:

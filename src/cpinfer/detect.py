@@ -16,6 +16,7 @@ from .core import (
     ChangePointEstimate,
     MeanPair,
     _check_tuning,
+    _fraction_split,
     loss_profile_pd,
     series_stats,
     soft_threshold,
@@ -35,15 +36,18 @@ class DetectionResult:
     """Outcome of the penalized detector.
 
     ``objective_profile[k - 1]`` is the penalized loss at split k, k = 1..T.
-    ``changed`` is False exactly when ``estimate.k == T``.
     """
 
-    changed: bool
     estimate: ChangePointEstimate
     initial_means: MeanPair
     gamma_used: float
     lambda_used: float
     objective_profile: np.ndarray
+
+    @property
+    def changed(self) -> bool:
+        """False exactly when ``estimate.k == T`` ("no change")."""
+        return self.estimate.k < self.estimate.T
 
     def record(self) -> dict:
         """The detection's flat fields: ``changed``, the split ``k_hat`` and
@@ -64,8 +68,8 @@ def thresholded_means(Y, k: int, lam: float) -> MeanPair:
 
 
 def _initial_split(T: int, tau_init: float) -> int:
-    """The initial split floor(T * tau_init); ValueError unless 1 <= it <= T - 1."""
-    k = np.floor(T * tau_init)
+    """The initial split ``_fraction_split(T, tau_init)``; ValueError unless in 1..T-1."""
+    k = _fraction_split(T, tau_init)
     if not 1 <= k <= T - 1:  # also false for NaN
         raise ValueError(f"initial fraction {tau_init} gives no split in 1..{T - 1}")
     return int(k)
@@ -107,7 +111,6 @@ def detect_change(
 
     obj, k = _penalize(loss, gamma)
     return DetectionResult(
-        changed=k < s.T,
         estimate=ChangePointEstimate(k, s.T),
         initial_means=means,
         gamma_used=float(gamma),

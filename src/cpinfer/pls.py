@@ -130,27 +130,15 @@ def full_pipeline(
     if lam_refit is None:
         lam_refit, _ = bic_lambda(stats, k_hat)
     means = thresholded_means(stats, k_hat, lam_refit)
-
+    result = PipelineResult(detection=det, status="ok", refined_means=means)
     try:
-        profile, k_tilde = _pls_profile(stats, means)
-    except DegenerateJumpError:
-        return PipelineResult(detection=det, status="degenerate", refined_means=means)
-
-    result = PipelineResult(
-        detection=det,
-        status="ok",
-        refined_means=means,
-        pls_estimate=ChangePointEstimate(k_tilde, T),
-        loss_profile=profile,
-    )
-    if not with_ci:
-        return result
-
-    try:
-        refit = refit_means(stats, k_tilde, means.support1, means.support2)
-        xi_sq = plugin_xi_sq(refit)
-        sigma_sq = plugin_sigma_sq(stats, k_tilde, refit)
-        result.inference = confidence_interval(k_tilde, xi_sq, sigma_sq, c_alpha, T, alpha=alpha)
+        result.loss_profile, k_tilde = _pls_profile(stats, means)
+        result.pls_estimate = ChangePointEstimate(k_tilde, T)
+        if with_ci:
+            refit = refit_means(stats, k_tilde, means.support1, means.support2)
+            xi_sq = plugin_xi_sq(refit)
+            sigma_sq = plugin_sigma_sq(stats, k_tilde, refit)
+            result.inference = confidence_interval(k_tilde, xi_sq, sigma_sq, c_alpha, T, alpha=alpha)
     except DegenerateJumpError:
         result.status = "degenerate"
     return result

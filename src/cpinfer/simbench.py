@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _is_integer, series_stats
+from .core import _fraction_split, _is_integer, series_stats
 from .detect import _initial_split, detect_change
 from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
@@ -74,10 +74,10 @@ class SimConfig:
 
     @property
     def k0(self) -> int:
-        """True split floor(T * tau0), of the double product (T=350, tau0=0.7
-        draws the shift at 244); T when tau0 = 1 (no change).  Coverage counts
-        the intervals that contain k0; bias and RMSE are against k0 / T."""
-        return int(np.floor(self.T * self.tau0))
+        """True split ``core._fraction_split(T, tau0)`` (T=350, tau0=0.7 draws
+        the shift at 245); T when tau0 = 1 (no change).  Coverage counts the
+        intervals that contain k0; bias and RMSE are against k0 / T."""
+        return int(_fraction_split(self.T, self.tau0))
 
 
 @dataclass

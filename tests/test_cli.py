@@ -106,6 +106,19 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="row 2, column 2: 'oops'"):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661"])
+    def test_cells_only_float_accepts_are_errors(self, tmp_path, capsys, cell):
+        # float() reads a digit separator and non-ASCII digits, numpy.loadtxt
+        # neither; the data come from loadtxt alone
+        path = tmp_path / "float_only.csv"
+        path.write_text(f"{cell},2\n3,4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="could not convert"):
+            read_csv(path)
+        assert main(["detect", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in json.loads(captured.err)["error"]
+
     def test_roundtrip_exact(self, tmp_path, shifted_csv):
         path, Y, _ = shifted_csv
         back = read_csv(path)
@@ -285,6 +298,14 @@ class TestCommands:
         assert header == list(records[0])
         assert rows == [["" if v is None else str(v) for v in r.values()] for r in records]
         assert any(None in r.values() for r in records)
+
+    def test_simulate_draws_the_written_split(self, capsys):
+        # 350 * 0.7 is 244.99999999999997 as a double; the design means row 245
+        args = ["simulate", "--T", "350", "--p", "4", "--s", "1", "--tau0", "0.7",
+                "--reps", "1", "--estimator", "al1"]
+        report, code = run_cli(args, capsys)
+        assert code == 0
+        assert [r["k0"] for r in report["records"]] == [245]
 
     def test_simulate_bad_level_is_error(self, capsys):
         for estimator in ("al1", "pls", "pls_ci"):

@@ -604,6 +604,13 @@ class TestMeanPair:
         assert list(mp.support1) == [0, 2]
         assert list(mp.support2) == [2]
 
+    def test_supports_follow_a_mean_changed_in_place(self):
+        mp = MeanPair([1.0, 0.0, -2.0], [0.0, 0.0, 3.0])
+        mp.mu1[0] = 0.0
+        mp.mu2[1] = 4.0
+        assert list(mp.support1) == [2]
+        assert list(mp.support2) == [1, 2]
+
     def test_jump_recomputable(self):
         mp = MeanPair([1.0, 0.0], [0.0, 1.0])
         np.testing.assert_allclose(mp.jump(), [1.0, -1.0])

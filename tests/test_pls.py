@@ -321,6 +321,8 @@ class TestFullPipeline:
         assert res.detection.changed
         assert res.status == "degenerate"
         assert res.pls_estimate is None and res.inference is None
+        assert res.loss_profile is None
+        assert res.refined_means is not None
 
     def test_degenerate_plugin_keeps_location(self, monkeypatch):
         # if only the refitted plugin means collapse, the location survives
@@ -337,6 +339,7 @@ class TestFullPipeline:
         res = full_pipeline(Y, c_alpha=11.03)
         assert res.status == "degenerate"
         assert res.pls_estimate is not None
+        assert res.loss_profile is not None
         assert res.inference is None
 
     def test_peak_allocation_is_a_fraction_of_the_input(self):

@@ -1,14 +1,19 @@
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cpinfer import simbench
+from cpinfer.detect import _initial_split
 from cpinfer.infer import limit_quantile
 from cpinfer.simbench import (
     MetricsReport,
@@ -56,6 +61,21 @@ class TestConfig:
         assert SimConfig(T=10, p=4, s=1, tau0=1.0).k0 == 10
         assert SimConfig(T=10, p=4, s=1, tau0=0.45).k0 == 4
         assert SimConfig(T=10, p=4, s=1, tau0=0.1).k0 == 1
+
+    @given(T=st.integers(2, 2000), cents=st.integers(1, 100))
+    @example(T=350, cents=70)
+    @example(T=100, cents=29)
+    @example(T=50, cents=58)
+    def test_a_decimal_fraction_names_its_written_split(self, T, cents):
+        # T * tau of the double tau can land a few ulps below the integer that
+        # the decimal names (350 * 0.7 = 244.99999999999997); both the drawn
+        # split and the initial split take the decimal's floor
+        tau = cents / 100
+        k = math.floor(T * Fraction(str(tau)))
+        if k >= 1:
+            assert SimConfig(T=T, p=2, s=1, tau0=tau).k0 == k
+        if 1 <= k <= T - 1:
+            assert _initial_split(T, tau) == k
 
     @pytest.mark.parametrize("T, tau0", [(10, 0.05), (10, 0.09), (2, 0.4), (99, 0.01)])
     def test_change_design_needs_a_true_split(self, T, tau0):
