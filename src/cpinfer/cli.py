@@ -1,8 +1,10 @@
 """Command-line front end: CSV in, JSON out.
 
 Exit codes: 0 success, 1 error, 2 no-change-detected (only when an interval
-was requested).  Reports carry ``"schema": "cpinfer/1"`` and the run's
-fields from ``DetectionResult.record`` or ``PipelineResult.record``.
+was requested).  Reports carry ``"schema": "cpinfer/1"``, the ``"command"``
+and then the command's fields, for a run those of ``DetectionResult.record``
+or ``PipelineResult.record``.  Writing the report is part of the run: a
+failed ``--output`` write is an error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -77,14 +79,14 @@ def _scan_csv(path, has_header: bool) -> None:
 def cmd_detect(args) -> tuple[dict, int]:
     Y = read_csv(args.input, args.header)
     det = detect_change(Y, tau_init=args.tau_init, lam=args.lam, gamma=args.gamma)
-    return {"schema": SCHEMA, "command": "detect", **det.record()}, 0
+    return det.record(), 0
 
 
 def cmd_estimate(args) -> tuple[dict, int]:
     Y = read_csv(args.input, args.header)
     res = full_pipeline(Y, tau_init=args.tau_init, lam=args.lam, gamma=args.gamma,
                         with_ci=False)
-    return {"schema": SCHEMA, "command": "estimate", **res.record()}, 0
+    return res.record(), 0
 
 
 _MC_FLAGS = {"grid_R": "grid_half_width", "grid_h": "grid_step", "paths": "paths", "seed": "seed"}
@@ -105,8 +107,6 @@ def cmd_infer(args) -> tuple[dict, int]:
                         lam=args.lam, gamma=args.gamma, with_ci=True, c_alpha=c_alpha)
     inf = res.inference
     report = {
-        "schema": SCHEMA,
-        "command": "infer",
         **res.record(),
         "alpha": args.alpha,
         "c_alpha": inf.c_alpha if inf else None,
@@ -117,18 +117,12 @@ def cmd_infer(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
-    cfg = SimConfig(
-        T=args.T, p=args.p, s=args.s, tau0=args.tau0, rho=args.rho,
-        reps=args.reps, seed=args.seed,
-        alpha=args.alpha, tau_init=args.tau_init, gamma_off=args.gamma_off,
-    )
+    cfg = SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)})
     metrics = asdict(run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs))
     records = metrics.pop("per_rep_records")
     if args.records_csv:
         _write_records_csv(args.records_csv, records)
     report = {
-        "schema": SCHEMA,
-        "command": "simulate",
         "estimator": args.estimator,
         "config": asdict(cfg),
         "metrics": metrics,
@@ -147,15 +141,7 @@ def _write_records_csv(path, records) -> None:
 def cmd_quantile(args) -> tuple[dict, int]:
     mc = _mc_settings(args) or QuantileMCSettings()
     c = limit_quantile(args.alpha, mc)
-    report = {
-        "schema": SCHEMA,
-        "command": "quantile",
-        "alpha": args.alpha,
-        "c_alpha": c,
-        "paths": mc.paths,
-        "seed": mc.seed,
-    }
-    return report, 0
+    return {"alpha": args.alpha, "c_alpha": c, "paths": mc.paths, "seed": mc.seed}, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,15 +230,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
+        text = json.dumps({"schema": SCHEMA, "command": args.command, **report}, indent=2)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    text = json.dumps(report, indent=2)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

@@ -67,6 +67,14 @@ def thresholded_means(Y, k: int, lam: float) -> MeanPair:
     return MeanPair(soft_threshold(left, lam), soft_threshold(right, lam))
 
 
+def _shrunk_means(s, k: int, lam: float | None) -> tuple[float, MeanPair]:
+    """The level ``lam``, or ``bic_lambda``'s selection at split k when None,
+    and the means thresholded there: the one shrinkage step at any split."""
+    if lam is None:
+        lam, _ = bic_lambda(s, k)
+    return lam, thresholded_means(s, k, lam)
+
+
 def _initial_split(T: int, tau_init: float) -> int:
     """The initial split ``_fraction_split(T, tau_init)``; ValueError unless in 1..T-1."""
     k = _fraction_split(T, tau_init)
@@ -101,19 +109,16 @@ def detect_change(
     s = series_stats(Y)
     k_init = _initial_split(s.T, tau_init)
 
-    user_lam = lam
-    if lam is None:
-        lam, _ = bic_lambda(s, k_init)
-    means = thresholded_means(s, k_init, lam)
+    level, means = _shrunk_means(s, k_init, lam)
     loss = loss_profile_pd(s, means.mu1, means.mu2)
     if gamma is None:
-        gamma, _ = _bic_gamma(s, loss, user_lam)
+        gamma, _ = _bic_gamma(s, loss, lam)
 
     obj, k = _penalize(loss, gamma)
     return DetectionResult(
         estimate=ChangePointEstimate(k, s.T),
         initial_means=means,
         gamma_used=float(gamma),
-        lambda_used=float(lam),
+        lambda_used=float(level),
         objective_profile=obj,
     )

@@ -23,7 +23,7 @@ from .core import (
     loss_profile_pd,
     series_stats,
 )
-from .detect import DetectionResult, detect_change, thresholded_means
+from .detect import DetectionResult, _shrunk_means, detect_change
 from .infer import (
     InferenceResult,
     _check_critical_value,
@@ -34,7 +34,6 @@ from .infer import (
     plugin_xi_sq,
     refit_means,
 )
-from .tune import bic_lambda
 
 __all__ = ["PipelineResult", "pls_estimate", "full_pipeline"]
 
@@ -125,11 +124,7 @@ def full_pipeline(
     if not det.changed:
         return PipelineResult(detection=det, status="no_change")
 
-    k_hat = det.estimate.k
-    lam_refit = lam
-    if lam_refit is None:
-        lam_refit, _ = bic_lambda(stats, k_hat)
-    means = thresholded_means(stats, k_hat, lam_refit)
+    _, means = _shrunk_means(stats, det.estimate.k, lam)
     result = PipelineResult(detection=det, status="ok", refined_means=means)
     try:
         result.loss_profile, k_tilde = _pls_profile(stats, means)

@@ -69,6 +69,8 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (-1.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
+        if not isinstance(self.gamma_off, (bool, np.bool_)):
+            raise ValueError(f"gamma_off must be a bool, got {self.gamma_off!r}")
         _check_level(self.alpha)
         _initial_split(self.T, self.tau_init)
 
@@ -232,9 +234,11 @@ def _check_estimator(estimator: str) -> None:
 def metrics_from_records(cfg: SimConfig, records: list, estimator: str = "pls_ci") -> MetricsReport:
     """Aggregate per-replication records against ``cfg.k0``; usable to
     re-summarize a run for a different estimator without re-simulating.
-    ValueError on an estimator ``run_monte_carlo`` rejects, or on a record
-    whose ``k0`` is not ``cfg.k0``."""
+    ValueError on an estimator ``run_monte_carlo`` rejects, on no records, or
+    on a record whose ``k0`` is not ``cfg.k0``."""
     _check_estimator(estimator)
+    if not records:
+        raise ValueError("no records to summarize")
     if any(r["k0"] != cfg.k0 for r in records):
         raise ValueError("records do not come from this design")
     truth = cfg.k0 / cfg.T

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,35 @@ class TestCommands:
         capsys.readouterr()
         assert code == 0
         assert json.loads(out.read_text())["schema"] == "cpinfer/1"
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_failed_output_write_is_error(self, shifted_csv, tmp_path, capsys, target):
+        # a directory that does not exist, or a directory itself, used to end
+        # in a traceback after the whole run
+        path, _, _ = shifted_csv
+        out = tmp_path / target
+        code = main(["detect", "--input", str(path), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(out) in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["detect"], ["estimate"], ["infer"],
+        ["simulate", "--T", "30", "--p", "8", "--s", "2", "--tau0", "0.5", "--reps", "2"],
+        ["quantile", "--paths", "1000"],
+    ])
+    def test_reports_lead_with_schema_and_command(self, shifted_csv, capsys, argv):
+        if argv[0] in ("detect", "estimate", "infer"):
+            argv = [*argv, "--input", str(shifted_csv[0])]
+        report, code = run_cli(argv, capsys)
+        assert code == 0
+        assert list(report)[:2] == ["schema", "command"]
+        assert (report["schema"], report["command"]) == ("cpinfer/1", argv[0])
+
+    def test_every_design_field_has_a_simulate_option(self):
+        args = build_parser().parse_args(["simulate", "--T", "30", "--p", "8", "--tau0", "0.5"])
+        assert {f.name for f in fields(SimConfig)} <= set(vars(args))
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -314,8 +314,8 @@ class TestFullPipeline:
         Y = rng.normal(size=(30, 3))
         Y[18:, 0] += 2.0
         monkeypatch.setattr(
-            pls_mod, "thresholded_means",
-            lambda Y, k, lam: MeanPair(np.zeros(3), np.zeros(3)),
+            pls_mod, "_shrunk_means",
+            lambda Y, k, lam: (0.0, MeanPair(np.zeros(3), np.zeros(3))),
         )
         res = full_pipeline(Y, c_alpha=11.03)
         assert res.detection.changed

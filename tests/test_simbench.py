@@ -105,6 +105,16 @@ class TestConfig:
                         reps=np.int64(3), seed=np.uint8(1))
         assert cfg.k0 == 20
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, 0.0])
+    def test_non_bool_penalty_switch_rejected(self, value):
+        # gamma_off="no" used to switch the penalty off and echo "no" in the config
+        with pytest.raises(ValueError, match="gamma_off must be a bool"):
+            SimConfig(T=10, p=4, s=1, tau0=0.5, gamma_off=value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_bool_penalty_switch_accepted(self, value):
+        assert SimConfig(T=10, p=4, s=1, tau0=0.5, gamma_off=value).gamma_off == value
+
 
 class TestNoise:
     def test_rho_zero_is_iid(self):
@@ -337,6 +347,13 @@ class TestRunMonteCarlo:
         other = SimConfig(T=30, p=8, s=2, tau0=0.3, reps=2, seed=1)
         with pytest.raises(ValueError, match="records do not come from this design"):
             metrics_from_records(other, records, "pls")
+
+    def test_reaggregation_rejects_no_records(self, recwarn):
+        # no records used to warn "Mean of empty slice" and report a NaN tpr
+        cfg = SimConfig(T=30, p=8, s=2, tau0=0.4, reps=2, seed=1)
+        with pytest.raises(ValueError, match="no records to summarize"):
+            metrics_from_records(cfg, [])
+        assert not recwarn.list
 
     def test_reaggregation_for_other_estimator(self):
         cfg = SimConfig(T=60, p=20, s=3, tau0=0.4, reps=8, seed=2)
