@@ -7,7 +7,8 @@ operations are pure; inputs are never mutated.
 The functions the pipeline calls accept the series as an array or as the
 ``SeriesStats`` built from it, so one pipeline validates its input once and
 every criterion reads the same statistics.  One blocked pass over Y builds
-them and checks finiteness; after it, criteria read Y only through the one
+them and checks finiteness, on two threads for a large series with the same
+bits as on one; after it, criteria read Y only through the one
 block a split cuts and through ``SeriesStats.project``, which reads just the
 columns of a sparse projection's support and keeps them, so a later
 projection onto the same support, or part of it, reads no column of Y again.
@@ -21,6 +22,8 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +85,32 @@ _MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes
 # columns in 7 lines 3.1 ms, so a gather pays only when its block is read
 # again.  The cap of p / 4 columns holds the kept block to T p / 4 values.
 _GATHER = 16
+_GROUP = 1 << 17  # elements per stacked group of equal row blocks (1 MiB)
+_THREAD_MIN = 1 << 20  # a series of this many elements (8 MiB) or more is read on two threads
+# OpenBLAS takes its thread count from the first of these variables that is
+# set when numpy loads, and starts one thread per CPU when none is.  A helper
+# thread pays only beside a one-thread BLAS: beside a two-thread OpenBLAS on a
+# 2-vCPU host the two callers queue for its worker, and the pass at 5000x1000,
+# 20000x200 and 500x20000 took 7-73% longer than on one thread.
+_BLAS_SERIAL = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                             "OMP_NUM_THREADS") if os.environ.get(v)), None) == "1"
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS
+        return os.cpu_count() or 1
+
+
+def _in_order(values: np.ndarray) -> float:
+    """The sum of ``values`` added left to right, as a running float sum adds
+    them; builtin ``sum`` compensates (Python 3.12) and ``np.sum`` pairs."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 class SeriesStats:
@@ -89,12 +118,20 @@ class SeriesStats:
 
     One pass over row blocks of Y builds them, and a block is read from
     memory once while it is in cache.  Each block's column sums, a BLAS
-    product with a vector of ones, are kept, and a dot product adds the
-    block to ||Y||^2.  ``center`` c is the total of the block sums over T,
+    product with a vector of ones, are kept, and its dot product with itself
+    is its sum of squares.  Equal blocks are read in stacked groups of about
+    1 MiB (``_GROUP`` elements), one batched product and one batched dot per
+    group; the ragged last block goes alone.  A series of ``_THREAD_MIN``
+    elements (8 MiB) or more is read on two threads, the caller and one
+    helper taking groups from one iterator, when BLAS runs one thread and the
+    process may run on two CPUs.  The block squares are added in block order,
+    so nothing the pass returns depends on the thread that read a block.
+    ``center`` c is the total of the block sums over T,
     and ``ss``, the sum of squares of Y - c, is ||Y||^2 - T ||c||^2 when
     that loses at most one bit (Higham 2002, sec. 1.9); otherwise a second
-    read of Y sums ||B - c||^2 over the blocks (the two-pass algorithm, so
-    an error in c enters ``ss`` only at second order).  Criteria expand
+    read of Y sums ||B - c||^2 over the blocks, in the same groups and
+    threads, each thread with its own block-sized buffer (the two-pass
+    algorithm, so an error in c enters ``ss`` only at second order).  Criteria expand
     their squares about c, so large column offsets do not cancel.  NaN and
     inf propagate into these sums: only when one comes out non-finite is Y
     scanned for non-finite entries (finite entries whose squares overflow
@@ -132,25 +169,74 @@ class SeriesStats:
     def _pass(self) -> tuple[float, np.ndarray]:
         """Fill the block sums; return the sum of squares about the column
         means c, and c."""
-        m_max = self.T - self._bounds[-2]  # the last block is the largest
+        nb, p, bounds = len(self._block_sums), self.p, self._bounds
+        g = max(1, _GROUP // (self._rows * p))  # equal blocks per group
+        groups = [(i, min(i + g, nb - 1)) for i in range(0, nb - 1, g)] + [(nb - 1, nb)]
+        m_max = self.T - bounds[-2]  # the last block is the largest
         ones = np.ones(m_max)
-        total_sq = 0.0
-        for lo, hi, sums in zip(self._bounds, self._bounds[1:], self._block_sums):
-            block = self.Y[lo:hi]
-            np.matmul(ones[: hi - lo], block, out=sums)
-            flat = block.ravel()
-            total_sq += float(flat @ flat)
+        sq = np.empty(nb)  # each block's sum of squares, added in block order
+
+        def read(todo):
+            for i, j in todo:
+                stack = self.Y[bounds[i] : bounds[j]].reshape(j - i, -1, p)
+                np.matmul(ones[: stack.shape[1]], stack, out=self._block_sums[i:j])
+                # the dot of a contiguous copy, as ``ravel`` makes: a strided dot rounds otherwise
+                flat = np.ascontiguousarray(stack).reshape(j - i, 1, -1)
+                np.matmul(flat, flat.transpose(0, 2, 1), out=sq[i:j, None, None])
+
+        self._on_threads(groups, read)
+        total_sq = _in_order(sq)
         center = self._block_sums.sum(axis=0) / self.T
         grand_sq = self.T * float(center @ center)
         if 2.0 * grand_sq <= total_sq < np.inf:  # the expansion loses at most one bit
             return total_sq - grand_sq, center
+
         # large offsets, NaN or inf, or squares that overflow: read Y again
-        buf = np.empty((m_max, self.p))
-        ss = 0.0
-        for lo, hi in zip(self._bounds, self._bounds[1:]):
-            d = np.subtract(self.Y[lo:hi], center, out=buf[: hi - lo]).ravel()
-            ss += float(d @ d)
-        return ss, center
+        def read_centred(todo):
+            buf = np.empty((m_max, p))  # one per thread
+            for i, j in todo:
+                for b in range(i, j):
+                    lo, hi = bounds[b], bounds[b + 1]
+                    d = np.subtract(self.Y[lo:hi], center, out=buf[: hi - lo]).ravel()
+                    sq[b] = d @ d
+
+        self._on_threads(groups, read_centred)
+        return _in_order(sq), center
+
+    def _on_threads(self, groups: list[tuple[int, int]], read) -> None:
+        """``read(groups)`` on this thread or, when Y has at least
+        ``_THREAD_MIN`` elements, BLAS runs one thread and the process may
+        run on two CPUs, on this thread and one helper, each taking the next
+        group no thread has taken; a helper's exception is raised here."""
+        if self.Y.size < _THREAD_MIN or not _BLAS_SERIAL or _cpu_count() < 2:
+            read(groups)
+            return
+        todo, lock = iter(groups), threading.Lock()
+        failed: list[BaseException] = []
+
+        def untaken():
+            while True:
+                with lock:  # without a GIL, two threads may call next() at once
+                    group = next(todo, None)
+                if group is None:
+                    return
+                yield group
+
+        def helper():
+            try:
+                with np.errstate(all="ignore"):  # a new thread has numpy's default error state
+                    read(untaken())
+            except BaseException as exc:
+                failed.append(exc)
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            read(untaken())
+        finally:
+            thread.join()
+        if failed:
+            raise failed[0]
 
     def _segment_sums(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Column sums of rows 1..k and k+1..T; reads only the block cut at k."""

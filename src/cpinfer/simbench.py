@@ -14,6 +14,7 @@ serial and parallel runs agree bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,6 +57,10 @@ class SimConfig:
         for name in ("T", "p", "s", "reps", "seed"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("tau0", "rho", "alpha", "tau_init"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.T < 2 or self.p < 1 or self.s < 1 or self.reps < 1:
             raise ValueError("T >= 2, p >= 1, s >= 1 and reps >= 1 required")
         if 2 * self.s > self.p:

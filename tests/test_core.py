@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -348,6 +351,171 @@ class TestSeriesStatsPass:
                 np.testing.assert_allclose(m, e, atol=1e-12)
         np.testing.assert_allclose(loss_profile_pd(c, eta, -eta), loss_profile_pd(Yc, eta, -eta),
                                    rtol=1e-12)
+
+
+class TestThreadedPass:
+    # (300, 1000) has row blocks of 32 rows: eight equal blocks in two groups
+    # of four, then the ragged last block of 44 rows, three groups in all; nine
+    # block squares, so a pairwise sum (np.sum's, from eight terms) would differ
+    SHAPE = (300, 1000)
+
+    @staticmethod
+    def threads(monkeypatch, on: bool):
+        """Read every series on two threads (``on``) or on one."""
+        monkeypatch.setattr(core, "_THREAD_MIN", 0 if on else 1 << 62)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", True)
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+
+    @staticmethod
+    def helpers(monkeypatch) -> list:
+        """The helper threads the passes start from now on."""
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        return started
+
+    @staticmethod
+    def bits(s) -> tuple:
+        return float(s.ss).hex(), s.center.tobytes(), s._block_sums.tobytes()
+
+    @staticmethod
+    def block_loop(Y, bounds) -> tuple:
+        """The bits of the pass read block by block on one thread, each
+        block's squares summed as the dot of its C-order copy."""
+        blocks = [Y[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        sums = np.array([np.ones(len(b)) @ b for b in blocks])
+        center = sums.sum(axis=0) / Y.shape[0]
+        total = 0.0
+        for b in blocks:
+            total += float(b.ravel() @ b.ravel())
+        grand = Y.shape[0] * float(center @ center)
+        if 2.0 * grand <= total < np.inf:
+            ss = total - grand
+        else:
+            ss = 0.0
+            for b in blocks:
+                ss += float((b - center).ravel() @ (b - center).ravel())
+        return ss.hex(), center.tobytes(), sums.tobytes()
+
+    def inputs(self):
+        rng = np.random.default_rng(11)
+        Y = rng.normal(size=self.SHAPE)
+        wide = rng.normal(size=(40, 9000))  # two blocks of 16 and 24 rows, each above _GROUP
+        return {
+            "odd_groups_ragged_last": Y,
+            "single_block": rng.normal(size=(20, 500)),
+            "block_above_group": wide,
+            "fortran_order": np.asfortranarray(Y),
+            # one stride for every element: a view, where ravel copies
+            "column_strided_view": rng.normal(size=(300, 3000))[:, ::3],
+            "row_strided_view": rng.normal(size=(600, 1000))[::2],
+            "offset_3": Y + 3.0,
+            "offset_1e4": Y + 1e4 * np.linspace(-1.0, 1.0, self.SHAPE[1]),
+            "offset_1e6": Y + 1e6 * np.linspace(-1.0, 1.0, self.SHAPE[1]),
+            "offset_1e6_wide": wide + 1e6,
+        }
+
+    def test_groups_on_one_or_two_threads_give_the_bits_of_a_block_loop(self, monkeypatch):
+        s = series_stats(np.zeros(self.SHAPE))
+        assert len(s._bounds) - 1 == 9 and core._GROUP // (s._rows * s.p) == 4
+        assert series_stats(np.zeros((40, 9000)))._rows * 9000 > core._GROUP
+        for name, Y in self.inputs().items():
+            self.threads(monkeypatch, on=False)
+            one = series_stats(Y)
+            assert self.bits(one) == self.block_loop(Y, one._bounds), name
+            self.threads(monkeypatch, on=True)
+            started = self.helpers(monkeypatch)
+            assert self.bits(series_stats(Y)) == self.bits(one), name
+            # the column means exceed the noise: a second read, on two threads too
+            assert len(started) == (2 if name.startswith("offset") else 1), name
+            assert not any(t.is_alive() for t in started), name
+
+    def test_many_small_groups_under_fast_thread_switches(self, monkeypatch):
+        # one-row blocks in groups of two: 150 groups that the two threads
+        # take in turns, switching every microsecond
+        self.threads(monkeypatch, on=True)
+        monkeypatch.setattr(core, "_BLOCK", 1000)
+        monkeypatch.setattr(core, "_MIN_ROWS", 1)
+        monkeypatch.setattr(core, "_GROUP", 2000)
+        rng = np.random.default_rng(15)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for offset in (0.0, 1e6):
+                Y = rng.normal(size=self.SHAPE) + offset
+                for _ in range(5):
+                    s = series_stats(Y)
+                    assert self.bits(s) == self.block_loop(Y, s._bounds)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_on_two_threads(self, monkeypatch, value):
+        self.threads(monkeypatch, on=True)
+        Y = np.random.default_rng(12).normal(size=self.SHAPE)
+        Y[-1, 5] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time series contains non-finite entries"):
+                series_stats(Y)
+
+    def test_overflowing_squares_raise_no_warning_on_two_threads(self, monkeypatch):
+        # numpy's error state is a context variable that a new thread does not
+        # inherit, so the helper ignores floating-point errors itself
+        self.threads(monkeypatch, on=True)
+        started = self.helpers(monkeypatch)
+        Y = 1e200 * np.random.default_rng(13).normal(size=self.SHAPE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = series_stats(Y)
+        assert s.ss == np.inf and np.isfinite(s.center).all()
+        assert len(started) == 2
+
+    def test_a_helper_failure_is_raised_in_the_caller(self, monkeypatch):
+        self.threads(monkeypatch, on=True)
+        s = series_stats(np.zeros(self.SHAPE))
+        caller = threading.get_ident()
+
+        def read(todo):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper failed")
+            for _ in todo:
+                pass
+
+        with pytest.raises(RuntimeError, match="helper failed"):
+            s._on_threads([(0, 1)] * 8, read)
+
+    def test_one_thread_beside_a_threaded_blas(self, monkeypatch):
+        self.threads(monkeypatch, on=True)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", False)
+        started = self.helpers(monkeypatch)
+        series_stats(np.zeros(self.SHAPE))
+        assert started == []
+
+    def test_the_affinity_mask_decides_the_helper(self, monkeypatch):
+        # under `taskset -c 0` this runs the one-CPU branch
+        monkeypatch.setattr(core, "_THREAD_MIN", 0)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", True)
+        started = self.helpers(monkeypatch)
+        series_stats(np.zeros(self.SHAPE))
+        assert len(started) == (len(os.sched_getaffinity(0)) >= 2)
+
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        # macOS has no os.sched_getaffinity
+        Y = np.random.default_rng(14).normal(size=self.SHAPE) + 1e6
+        self.threads(monkeypatch, on=False)
+        one = self.bits(series_stats(Y))
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert core._cpu_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr(core, "_THREAD_MIN", 0)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", True)
+        assert self.bits(series_stats(Y)) == one
 
 
 class TestStoppedMeans:

@@ -105,6 +105,23 @@ class TestConfig:
                         reps=np.int64(3), seed=np.uint8(1))
         assert cfg.k0 == 20
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau0", True), ("rho", False), ("alpha", True), ("tau_init", np.True_),
+        ("tau0", "0.5"), ("rho", "0.5"), ("alpha", "0.05"), ("tau_init", "0.5"), ("tau0", None),
+    ])
+    def test_non_real_fractions_rejected(self, field, value):
+        # tau0=True built a no-change design and rho=False ran as 0; "0.5" and
+        # "0.05" raised TypeError, and tau_init="0.5" failed on T * "0.5"
+        kwargs = {"T": 20, "p": 4, "s": 1, "tau0": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            SimConfig(**kwargs)
+
+    def test_numpy_real_fractions_accepted(self):
+        cfg = SimConfig(T=20, p=4, s=1, tau0=np.float64(0.5), rho=np.float32(0.25),
+                        alpha=np.float64(0.05), tau_init=np.float64(0.5))
+        assert cfg.k0 == 10
+        assert SimConfig(T=20, p=4, s=1, tau0=1, rho=0).k0 == 20
+
     @pytest.mark.parametrize("value", ["no", 0, 1, None, 0.0])
     def test_non_bool_penalty_switch_rejected(self, value):
         # gamma_off="no" used to switch the penalty off and echo "no" in the config
