@@ -497,6 +497,7 @@ class TestThreadedPass:
         series_stats(np.zeros(self.SHAPE))
         assert started == []
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_the_affinity_mask_decides_the_helper(self, monkeypatch):
         # under `taskset -c 0` this runs the one-CPU branch
         monkeypatch.setattr(core, "_THREAD_MIN", 0)
