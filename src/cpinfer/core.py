@@ -11,7 +11,7 @@ them and checks finiteness, on two threads for a large series with the same
 bits as on one; after it, criteria read Y only through the one
 block a split cuts and through ``SeriesStats.project``, which reads just the
 columns of a sparse projection's support and keeps them, so a later
-projection onto the same support, or part of it, reads no column of Y again.
+projection onto the same support reads no column of Y again.
 Centring the columns is virtual: the statistics of Y - c are read from those
 of Y, and no copy is made.  ``loss_profile_pd`` is the one two-segment loss;
 the detector and the projected least-squares locator both read it.
@@ -76,7 +76,7 @@ def as_series(data) -> np.ndarray:
 _BLOCK = 1 << 15  # elements per row block of the pass (256 KiB)
 _MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes / 16
 # project gathers a support that touches at most p / 16 of a row's cache lines and
-# has at most p / 4 columns, and keeps the gathered block for the next projection.
+# has at most p / 4 columns, and keeps the gathered block to project onto that support again.
 # The refined support is projected twice (locator, then plugin), so one gather
 # replaces two dense products.  Timed with one BLAS thread, the benchmark's
 # setting, at 20000x200: 15-18 columns in 7-9 lines gather in about 2.9 ms from
@@ -104,15 +104,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _in_order(values: np.ndarray) -> float:
-    """The sum of ``values`` added left to right, as a running float sum adds
-    them; builtin ``sum`` compensates (Python 3.12) and ``np.sum`` pairs."""
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
-
-
 class SeriesStats:
     """A validated T x p series with the statistics every criterion reads.
 
@@ -122,10 +113,11 @@ class SeriesStats:
     is its sum of squares.  Equal blocks are read in stacked groups of about
     1 MiB (``_GROUP`` elements), one batched product and one batched dot per
     group; the ragged last block goes alone.  A series of ``_THREAD_MIN``
-    elements (8 MiB) or more is read on two threads, the caller and one
-    helper taking groups from one iterator, when BLAS runs one thread and the
-    process may run on two CPUs.  The block squares are added in block order,
-    so nothing the pass returns depends on the thread that read a block.
+    elements (8 MiB) or more is read on two threads, one helper reading the
+    first half of the groups and the caller the rest, when BLAS runs one
+    thread and the process may run on two CPUs.  The block squares are added
+    left to right, so nothing the pass returns depends on the thread that
+    read a block.
     ``center`` c is the total of the block sums over T,
     and ``ss``, the sum of squares of Y - c, is ||Y||^2 - T ||c||^2 when
     that loses at most one bit (Higham 2002, sec. 1.9); otherwise a second
@@ -143,8 +135,8 @@ class SeriesStats:
     analyses without a copy (its ``center`` is 0 and its ``ss`` the same).
     ``project`` is the one matrix-vector product with the rows; for a sparse
     vector it reads only the cache lines of its support, and it keeps the
-    gathered T x |S| block Y[:, S] of raw columns until a projection gathers
-    another support.  The lambda criterion at each split is memoized here
+    gathered T x |S| block Y[:, S] of raw columns for the next projection
+    onto S itself.  The lambda criterion at each split is memoized here
     too, by ``tune``; it depends on ``offset``, so the centred copy starts a
     fresh memo, while the segment sums and the kept block, read from Y
     alone, stay shared.
@@ -185,7 +177,7 @@ class SeriesStats:
                 np.matmul(flat, flat.transpose(0, 2, 1), out=sq[i:j, None, None])
 
         self._on_threads(groups, read)
-        total_sq = _in_order(sq)
+        total_sq = float(np.cumsum(sq)[-1])
         center = self._block_sums.sum(axis=0) / self.T
         grand_sq = self.T * float(center @ center)
         if 2.0 * grand_sq <= total_sq < np.inf:  # the expansion loses at most one bit
@@ -201,38 +193,31 @@ class SeriesStats:
                     sq[b] = d @ d
 
         self._on_threads(groups, read_centred)
-        return _in_order(sq), center
+        return float(np.cumsum(sq)[-1]), center
 
     def _on_threads(self, groups: list[tuple[int, int]], read) -> None:
         """``read(groups)`` on this thread or, when Y has at least
         ``_THREAD_MIN`` elements, BLAS runs one thread and the process may
-        run on two CPUs, on this thread and one helper, each taking the next
-        group no thread has taken; a helper's exception is raised here."""
+        run on two CPUs, in halves: one helper reads the first
+        ``len(groups) // 2`` groups and this thread the rest; a helper's
+        exception is raised here."""
         if self.Y.size < _THREAD_MIN or not _BLAS_SERIAL or _cpu_count() < 2:
             read(groups)
             return
-        todo, lock = iter(groups), threading.Lock()
+        half = len(groups) // 2
         failed: list[BaseException] = []
-
-        def untaken():
-            while True:
-                with lock:  # without a GIL, two threads may call next() at once
-                    group = next(todo, None)
-                if group is None:
-                    return
-                yield group
 
         def helper():
             try:
                 with np.errstate(all="ignore"):  # a new thread has numpy's default error state
-                    read(untaken())
+                    read(groups[:half])
             except BaseException as exc:
                 failed.append(exc)
 
         thread = threading.Thread(target=helper)
         thread.start()
         try:
-            read(untaken())
+            read(groups[half:])
         finally:
             thread.join()
         if failed:
@@ -267,16 +252,16 @@ class SeriesStats:
         float64 columns each) it touches in every row, where the dense product
         streams all of Y, so it is taken only when S touches at most 1/16 of
         a row's lines and has at most p / 4 columns; the gathered block is
-        kept in place of the last.  A support inside the kept block's columns
-        is read from the block, with a product equal to the gather's bit for
-        bit; such a support would be gathered too (it touches no more lines
-        and has no more columns), so the result does not depend on earlier
-        projections.  The offset is subtracted in place, so the peak is the
-        block and one T-vector.  ValueError unless ``eta`` has p entries."""
+        kept in place of the last.  A projection onto the kept support itself
+        reads the block, which that support's gather would make again, so the
+        result does not depend on earlier projections.  The offset is
+        subtracted in place, so the peak is the block and one T-vector.
+        ValueError unless ``eta`` has p entries."""
         if eta.shape != (self.p,):
             raise ValueError(f"projection vector has shape {eta.shape}, expected ({self.p},)")
         cols = np.flatnonzero(eta)
-        block = self._kept_columns(cols)
+        kept = self._kept
+        block = kept[1] if kept is not None and np.array_equal(kept[0], cols) else None
         if block is None:
             lines = cols // 8  # 8 float64 columns to a 64-byte line; cols is sorted
             touched = np.count_nonzero(lines[1:] != lines[:-1]) + (lines.size > 0)
@@ -287,16 +272,6 @@ class SeriesStats:
         z = self.Y @ eta if block is None else block @ eta[cols]
         z -= self.offset @ eta
         return z
-
-    def _kept_columns(self, cols: np.ndarray) -> np.ndarray | None:
-        """Y[:, cols] from the kept block, or None unless cols lie inside its columns."""
-        if self._kept is None:
-            return None
-        kept, block = self._kept
-        idx = np.searchsorted(kept, cols)
-        if idx.size and (idx[-1] == kept.size or not np.array_equal(kept[idx], cols)):
-            return None
-        return block if idx.size == kept.size else block[:, idx]
 
 
 def _centered(s: SeriesStats) -> SeriesStats:
@@ -389,11 +364,14 @@ def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
 
     T L(k) is the fit of mu2 to every row, ss + T ||mu2 - c||^2, plus the
     excess of mu1 over mu2 on rows 1..k, -2 (mu1 - mu2)'(y_t - (mu1 + mu2) / 2);
-    one matrix-vector product reads the data.
+    one matrix-vector product reads the data.  ValueError unless ``mu1`` and
+    ``mu2`` each have p entries.
     """
     s = series_stats(Y)
     mu1 = np.asarray(mu1, dtype=float).ravel()
     mu2 = np.asarray(mu2, dtype=float).ravel()
+    if mu1.size != s.p or mu2.size != s.p:
+        raise ValueError(f"mean vectors have {mu1.size} and {mu2.size} entries, expected {s.p}")
     v2 = mu2 - s.center
     eta = mu1 - mu2
     excess = -2.0 * (s.project(eta) - eta @ (0.5 * (mu1 + mu2)))
@@ -433,8 +411,10 @@ def stopped_means(Y, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_tuning(value, name: str) -> float:
-    """``value``, a tuning level, as a float; ValueError unless it is finite
-    and nonnegative."""
+    """``value``, a tuning level, as a float; ValueError unless it is a real
+    number, not a bool, that is finite and nonnegative."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     v = float(value)
     if not 0.0 <= v < np.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {v}")
@@ -443,6 +423,6 @@ def _check_tuning(value, name: str) -> float:
 
 def soft_threshold(x, lam: float) -> np.ndarray:
     """Componentwise shrinkage sign(x) * max(|x| - lam, 0)."""
-    _check_tuning(lam, "shrinkage level")
+    lam = _check_tuning(lam, "shrinkage level")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)

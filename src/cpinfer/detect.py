@@ -101,11 +101,13 @@ def detect_change(
     the penalized grid minimization.
 
     ``lam`` and ``gamma`` default to information-criterion selections on the
-    data at hand; explicit values always win, and each must be finite and
-    nonnegative.
+    data at hand; explicit values always win, and each must be a real
+    number, not a bool, that is finite and nonnegative.
     """
+    if lam is not None:
+        lam = _check_tuning(lam, "shrinkage level")
     if gamma is not None:
-        _check_tuning(gamma, "penalty")
+        gamma = _check_tuning(gamma, "penalty")
     s = series_stats(Y)
     k_init = _initial_split(s.T, tau_init)
 

@@ -158,6 +158,13 @@ class TestLossPd:
         ref = np.array([loss_pd(Y, k, means.mu1, means.mu2) for k in range(1, 121)])
         assert np.max(np.abs(prof - ref)) <= 1e-6 * np.mean(np.abs(np.diff(ref)))
 
+    @pytest.mark.parametrize("n1, n2", [(50, 1), (1, 50), (49, 49), (51, 51)])
+    def test_mean_lengths_must_match_the_columns(self, n1, n2):
+        # a length-1 mean used to broadcast against the 50 columns
+        Y = np.random.default_rng(8).normal(size=(200, 50))
+        with pytest.raises(ValueError, match="expected 50"):
+            loss_profile_pd(Y, np.ones(n1), np.zeros(n2))
+
     def test_series_stats_blocks(self, monkeypatch):
         # blocks of 8 elements: several rows, one row, one block, and a ragged last block
         monkeypatch.setattr(core, "_BLOCK", 8)
@@ -436,8 +443,8 @@ class TestThreadedPass:
             assert not any(t.is_alive() for t in started), name
 
     def test_many_small_groups_under_fast_thread_switches(self, monkeypatch):
-        # one-row blocks in groups of two: 150 groups that the two threads
-        # take in turns, switching every microsecond
+        # one-row blocks in groups of two: 150 groups, the first 75 on the
+        # helper and the rest on the caller, switching every microsecond
         self.threads(monkeypatch, on=True)
         monkeypatch.setattr(core, "_BLOCK", 1000)
         monkeypatch.setattr(core, "_MIN_ROWS", 1)
@@ -573,6 +580,11 @@ class TestSoftThreshold:
         x = np.array([0.3, -4.0, 2.0])
         np.testing.assert_array_equal(soft_threshold(x, 0.0), x)
 
+    @pytest.mark.parametrize("lam", ["0.2", True, np.True_, [0.2]])
+    def test_threshold_must_be_a_real_number(self, lam):
+        with pytest.raises(ValueError, match="shrinkage level must be a real number"):
+            soft_threshold([1.0], lam)
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold([1.0], -0.1)
@@ -692,7 +704,7 @@ class TestSeriesStatsProject:
         np.testing.assert_allclose(z, Y @ eta - s.offset @ eta, rtol=0, atol=bound)
 
     @pytest.mark.parametrize("center", [False, True])
-    def test_kept_block_serves_the_support_and_its_subsets(self, center):
+    def test_kept_block_serves_only_its_own_support(self, center):
         rng = np.random.default_rng(15)
         Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
         Y0 = Y.copy()
@@ -704,15 +716,19 @@ class TestSeriesStatsProject:
         support = [3, 4, 17, 250, 251]
         eta = np.zeros(self.SHAPE[1])
         eta[support] = rng.normal(size=len(support))
-        sub = np.zeros(self.SHAPE[1])
-        sub[[4, 250]] = [1.5, -0.5]
         first = s.project(eta)
-        Y[:, support] = np.nan  # the later projections must not read these
-        for vector in (eta, sub, 2.0 * eta):
+        Y[:, support] = np.nan  # the later projections onto the support must not read these
+        for vector in (eta, 2.0 * eta):
             z = s.project(vector)
             assert np.isfinite(z).all()
             np.testing.assert_array_equal(z, stats(Y0).project(vector))
         np.testing.assert_array_equal(first, stats(Y0).project(eta))
+        # a strict subset is gathered again, with the bits of a fresh gather
+        Y[:] = Y0
+        sub = np.zeros(self.SHAPE[1])
+        sub[[4, 250]] = [1.5, -0.5]
+        np.testing.assert_array_equal(s.project(sub), stats(Y0).project(sub))
+        assert s._kept[0].tolist() == [4, 250]
 
     def test_support_outside_the_block_gathers_again(self):
         rng = np.random.default_rng(16)

@@ -140,3 +140,17 @@ class TestDetectChange:
     def test_degenerate_initializer_rejected(self):
         with pytest.raises(ValueError):
             detect_change(np.zeros((10, 1)) + np.arange(10)[:, None], tau_init=0.01)
+
+    @pytest.mark.parametrize("value", ["0.2", True, False, np.True_])
+    @pytest.mark.parametrize("knob", ["lam", "gamma"])
+    def test_tuning_level_must_be_a_real_number(self, knob, value):
+        # a string used to fail inside numpy, and True to run as 1.0
+        Y = np.random.default_rng(5).normal(size=(40, 6))
+        with pytest.raises(ValueError, match="must be a real number"):
+            detect_change(Y, **{knob: value})
+
+    def test_levels_are_reported_as_floats(self):
+        det = detect_change(np.random.default_rng(6).normal(size=(40, 6)),
+                            lam=np.float32(0.25), gamma=np.int64(1))
+        assert type(det.lambda_used) is float and det.lambda_used == 0.25
+        assert type(det.gamma_used) is float and det.gamma_used == 1.0
