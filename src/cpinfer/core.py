@@ -410,12 +410,17 @@ def stopped_means(Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; ValueError unless it is a real number, not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_tuning(value, name: str) -> float:
     """``value``, a tuning level, as a float; ValueError unless it is a real
     number, not a bool, that is finite and nonnegative."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
+    v = _real(value, name)
     if not 0.0 <= v < np.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     return v

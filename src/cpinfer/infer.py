@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .core import (
     DegenerateJumpError,
     MeanPair,
     _is_integer,
+    _real,
     _split_index,
     series_stats,
     stopped_means,
@@ -196,6 +198,7 @@ def _log_limit_tail(c: float) -> float:
     return math.log(2.0 * scaled) - c / 8.0
 
 
+@lru_cache(maxsize=16)  # a pipeline without a supplied critical value asks on every call
 def _exact_quantile(alpha: float) -> float:
     """Root of P(|V| > c) = alpha by bisection to adjacent doubles.
 
@@ -217,16 +220,22 @@ def _exact_quantile(alpha: float) -> float:
             hi = mid
 
 
-def _check_level(alpha: float) -> None:
-    """Raise ValueError unless the level alpha lies in (0, 1)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {alpha}")
+def _check_level(alpha) -> float:
+    """The level alpha as a float; ValueError unless it is a real number,
+    not a bool, in (0, 1)."""
+    a = _real(alpha, "level")
+    if not (0.0 < a < 1.0):
+        raise ValueError(f"level must lie in (0, 1), got {a}")
+    return a
 
 
-def _check_critical_value(c_alpha: float) -> None:
-    """Raise ValueError unless the critical value is finite and positive."""
-    if not (0.0 < c_alpha < math.inf):
-        raise ValueError(f"critical value must be finite and positive, got {c_alpha}")
+def _check_critical_value(c_alpha) -> float:
+    """The critical value as a float; ValueError unless it is a real number,
+    not a bool, that is finite and positive."""
+    c = _real(c_alpha, "critical value")
+    if not (0.0 < c < math.inf):
+        raise ValueError(f"critical value must be finite and positive, got {c}")
+    return c
 
 
 def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> float:
@@ -235,9 +244,9 @@ def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> 
     Without ``settings`` c is exact, from the closed-form law; with
     ``settings`` it is the Monte Carlo estimate.
     """
-    _check_level(alpha)
+    alpha = _check_level(alpha)
     if settings is None:
-        return _exact_quantile(float(alpha))
+        return _exact_quantile(alpha)
     return float(np.quantile(np.abs(simulate_argmin_locations(settings)), 1.0 - alpha))
 
 
@@ -249,8 +258,8 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
     ``xi_sq_hat`` finite (a value <= 0 raises DegenerateJumpError) and
     ``sigma_sq_hat`` finite and nonnegative; ``k_tilde`` and ``T`` are checked
     as ``ChangePointEstimate`` checks them."""
-    _check_level(alpha)
-    _check_critical_value(c_alpha)
+    alpha = _check_level(alpha)
+    c_alpha = _check_critical_value(c_alpha)
     if not math.isfinite(xi_sq_hat):
         raise ValueError(f"squared jump must be finite, got {xi_sq_hat}")
     if xi_sq_hat <= 0.0:
@@ -266,8 +275,8 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
         k_tilde=estimate,
         xi_sq_hat=float(xi_sq_hat),
         sigma_sq_hat=float(sigma_sq_hat),
-        c_alpha=float(c_alpha),
+        c_alpha=c_alpha,
         interval_int=(lo, hi),
         interval_frac=(lo / T, hi / T),
-        alpha=float(alpha),
+        alpha=alpha,
     )

@@ -112,10 +112,8 @@ def full_pipeline(
     not finite and positive, raises ValueError up front.
     """
     if with_ci:
-        _check_level(alpha)
-        if c_alpha is None:
-            c_alpha = limit_quantile(alpha)
-        _check_critical_value(c_alpha)
+        alpha = _check_level(alpha)
+        c_alpha = _check_critical_value(limit_quantile(alpha) if c_alpha is None else c_alpha)
     stats = series_stats(Y)  # the one validation
     if center:
         stats = _centered(stats)

@@ -228,6 +228,15 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # the thread pool that draws replications ahead is imported by the run
+        # that uses it: loading concurrent.futures adds to every process's start-up
+        code = "import cpinfer.cli, sys; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_infer_no_change_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = tmp_path / "null.csv"

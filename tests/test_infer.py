@@ -4,6 +4,7 @@ import pytest
 from cpinfer.core import DegenerateJumpError, MeanPair
 from cpinfer.infer import (
     QuantileMCSettings,
+    _exact_quantile,
     confidence_interval,
     limit_quantile,
     plugin_sigma_sq,
@@ -11,6 +12,7 @@ from cpinfer.infer import (
     refit_means,
     simulate_argmin_locations,
 )
+from cpinfer.pls import full_pipeline
 from loss_oracles import loss_1d, project_series
 
 FAST_MC = QuantileMCSettings(paths=8000, seed=5)
@@ -193,6 +195,27 @@ class TestExactQuantile:
         with pytest.raises(ValueError):
             limit_quantile(alpha)
 
+    def test_computed_once_per_level(self):
+        # the bisection ran on every pipeline call without a supplied value
+        first = limit_quantile(0.05)
+        hits = _exact_quantile.cache_info().hits
+        assert limit_quantile(np.float64(0.05)) == first
+        assert _exact_quantile.cache_info().hits == hits + 1
+
+    def test_pipeline_default_is_the_cached_value(self):
+        rng = np.random.default_rng(4)
+        Y = rng.normal(size=(80, 12))
+        Y[40:, :3] += 1.5
+        default = full_pipeline(Y).record()
+        assert default == full_pipeline(Y, c_alpha=limit_quantile(0.05)).record()
+        assert default["status"] == "ok"
+
+    @pytest.mark.parametrize("alpha", ["0.05", True, False, None, 0.05j, [0.05]])
+    def test_non_real_level_rejected(self, alpha):
+        # "0.05" used to end in a bare TypeError
+        with pytest.raises(ValueError, match="level must be a real number"):
+            limit_quantile(alpha)
+
     def test_matches_scipy_implementation(self):
         # G(x) written directly, with the e^x term in log space through log_ndtr
         from scipy.optimize import brentq
@@ -277,6 +300,16 @@ class TestConfidenceInterval:
         # -11 used to give the inverted interval (71.76, 68.24), nan and inf [1, T]
         with pytest.raises(ValueError, match="critical value must be finite and positive"):
             confidence_interval(70, 1.0, 0.16, c_alpha, 350)
+
+    @pytest.mark.parametrize("c_alpha", ["11", True, None, 11j])
+    def test_non_real_critical_value_rejected(self, c_alpha):
+        with pytest.raises(ValueError, match="critical value must be a real number"):
+            confidence_interval(70, 1.0, 0.16, c_alpha, 350)
+
+    def test_checked_values_are_floats(self):
+        res = confidence_interval(70, 1.0, 0.16, np.float32(11.0), 350, alpha=np.float32(0.25))
+        assert type(res.c_alpha) is float and type(res.alpha) is float
+        assert res.c_alpha == 11.0 and res.alpha == 0.25
 
     @pytest.mark.parametrize("alpha", [7.0, 0.0, 1.0, np.nan])
     def test_bad_level_rejected(self, alpha):

@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,9 +18,11 @@ from cpinfer import simbench
 from cpinfer.detect import _initial_split
 from cpinfer.infer import limit_quantile
 from cpinfer.simbench import (
+    _AHEAD_MIN,
     MetricsReport,
     SimConfig,
     _ar1_noise,
+    _datasets,
     ar1_covariance,
     gen_dataset,
     initializer_sweep,
@@ -346,7 +350,7 @@ class TestRunMonteCarlo:
             raise AssertionError("a replication ran")
 
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
-        monkeypatch.setattr(simbench, "_run_rep", replicate)
+        monkeypatch.setattr(simbench, "_record", replicate)
         with pytest.raises(ValueError, match="unknown estimator 'nope'"):
             run_monte_carlo(cfg, estimator="nope")
 
@@ -382,6 +386,118 @@ class TestRunMonteCarlo:
         rec = pls_report.per_rep_records[0]
         if rec["changed"]:
             assert rec["k_hat"] is not None
+
+
+@pytest.fixture
+def ahead(monkeypatch):
+    """The look-ahead gate's host conditions forced on, whatever the BLAS
+    threading and the affinity mask; the design decides."""
+    monkeypatch.setattr(simbench, "_BLAS_SERIAL", True)
+    monkeypatch.setattr(simbench, "_cpu_count", lambda: 2)
+
+
+def drawing_threads(monkeypatch, fail_at=None):
+    """Wrap gen_dataset to note the thread of each draw (and raise
+    DrawError on replication ``fail_at``); returns the list of names."""
+    names = []
+
+    def draw(cfg, i):
+        names.append(threading.current_thread().name)
+        if i == fail_at:
+            raise DrawError(i)
+        return gen_dataset(cfg, i)
+
+    monkeypatch.setattr(simbench, "gen_dataset", draw)
+    return names
+
+
+class DrawError(Exception):
+    pass
+
+
+# one replication of _AHEAD_MIN elements: the smallest design drawn ahead
+WIDE = dict(T=64, p=_AHEAD_MIN // 64, s=2, tau0=0.5)
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("reps", [1, 2, 3, 7])
+    @pytest.mark.parametrize("serial_blas", [True, False])
+    def test_same_data_in_order(self, monkeypatch, reps, serial_blas):
+        monkeypatch.setattr(simbench, "_BLAS_SERIAL", serial_blas)
+        monkeypatch.setattr(simbench, "_cpu_count", lambda: 2)
+        cfg = SimConfig(**WIDE, reps=reps, seed=11)
+        expected = [gen_dataset(cfg, i) for i in range(reps)]
+        names = drawing_threads(monkeypatch)
+        got = list(_datasets(cfg))
+        assert [(Y.tobytes(), k0) for Y, k0 in got] == [(Y.tobytes(), k0) for Y, k0 in expected]
+        main = threading.current_thread().name
+        assert all(n != main for n in names) == (serial_blas and reps > 1)
+
+    @pytest.mark.parametrize("design, blas, cpus", [
+        (dict(WIDE, T=WIDE["T"] - 1), True, 2),  # one element short of the gate
+        (WIDE, False, 2),                         # BLAS on more threads
+        (WIDE, True, 1),                          # one CPU
+    ])
+    def test_gate_draws_on_this_thread(self, monkeypatch, design, blas, cpus):
+        monkeypatch.setattr(simbench, "_BLAS_SERIAL", blas)
+        monkeypatch.setattr(simbench, "_cpu_count", lambda: cpus)
+        names = drawing_threads(monkeypatch)
+        list(_datasets(SimConfig(**design, reps=3)))
+        assert names == [threading.current_thread().name] * 3
+
+    def test_one_thread_run_holds_one_replication(self, monkeypatch):
+        # a for loop over the draws kept replication i alive while i + 1 was
+        # drawn, and a serial replication at 350x500 took 3-4% longer
+        monkeypatch.setattr(simbench, "_BLAS_SERIAL", False)
+        drawn = []
+
+        def draw(cfg, i):
+            assert all(ref() is None for ref in drawn), f"replication {i - 1} alive"
+            Y, k0 = gen_dataset(cfg, i)
+            drawn.append(weakref.ref(Y))
+            return Y, k0
+
+        monkeypatch.setattr(simbench, "gen_dataset", draw)
+        run_monte_carlo(SimConfig(**WIDE, reps=4), "pls", c_alpha=11.03)
+        assert len(drawn) == 4
+
+    @pytest.mark.parametrize("gamma_off", [False, True])
+    def test_records_equal_serial_and_process_runs(self, monkeypatch, gamma_off):
+        cfg = SimConfig(T=200, p=200, s=5, tau0=0.4, reps=6, seed=21, gamma_off=gamma_off)
+        monkeypatch.setattr(simbench, "_BLAS_SERIAL", False)
+        plain = run_monte_carlo(cfg, "pls_ci").per_rep_records
+        processes = run_monte_carlo(cfg, "pls_ci", n_jobs=2).per_rep_records
+        monkeypatch.setattr(simbench, "_BLAS_SERIAL", True)
+        monkeypatch.setattr(simbench, "_cpu_count", lambda: 2)
+        names = drawing_threads(monkeypatch)
+        ahead = run_monte_carlo(cfg, "pls_ci").per_rep_records
+        assert threading.current_thread().name not in names
+        assert ahead == plain == processes
+        assert [r["rep"] for r in ahead] == list(range(6))
+
+    def test_draw_error_surfaces_with_its_type(self, monkeypatch, ahead):
+        threads = threading.active_count()
+        drawing_threads(monkeypatch, fail_at=4)
+        with pytest.raises(DrawError, match="4") as failure:
+            run_monte_carlo(SimConfig(**WIDE, reps=7), "pls", c_alpha=11.03)
+        # the traceback, kept, holds the run's frames, yet no helper is left
+        assert failure.tb is not None and threading.active_count() == threads
+
+    def test_failed_pipeline_stops_the_threads(self, monkeypatch, ahead):
+        threads = threading.active_count()
+        calls = []
+        real = simbench.full_pipeline
+
+        def pipeline(Y, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("pipeline failed")
+            return real(Y, **kwargs)
+
+        monkeypatch.setattr(simbench, "full_pipeline", pipeline)
+        with pytest.raises(RuntimeError, match="pipeline failed") as failure:
+            run_monte_carlo(SimConfig(**WIDE, reps=9), "pls")
+        assert failure.tb is not None and threading.active_count() == threads
 
 
 class TestLowDimensionalInference:
