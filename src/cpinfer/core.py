@@ -133,6 +133,8 @@ class SeriesStats:
     The criteria read every row less ``offset``: 0 for the series as given,
     c for the centred series Y - c that ``full_pipeline(center=True)``
     analyses without a copy (its ``center`` is 0 and its ``ss`` the same).
+    Only the centred copy is ``centred`` and subtracts its offset; the
+    series as given skips subtracting zeros, which is exact (x - 0 is x).
     ``project`` is the one matrix-vector product with the rows; for a sparse
     vector it reads only the cache lines of its support, and it keeps the
     gathered T x |S| block Y[:, S] of raw columns for the next projection
@@ -154,6 +156,7 @@ class SeriesStats:
         if not (np.isfinite(self.ss) and np.isfinite(self.center).all()):
             _check_finite(Y)
         self.offset = np.zeros(self.p)
+        self.centred = False
         self._sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._criteria: dict[int, np.ndarray] = {}  # filled by tune, per split
         self._kept: tuple[np.ndarray, np.ndarray] | None = None  # (S, Y[:, S])
@@ -177,7 +180,7 @@ class SeriesStats:
                 np.matmul(flat, flat.transpose(0, 2, 1), out=sq[i:j, None, None])
 
         self._on_threads(groups, read)
-        total_sq = float(np.cumsum(sq)[-1])
+        total_sq = float(sq.cumsum()[-1])
         center = self._block_sums.sum(axis=0) / self.T
         grand_sq = self.T * float(center @ center)
         if 2.0 * grand_sq <= total_sq < np.inf:  # the expansion loses at most one bit
@@ -193,7 +196,7 @@ class SeriesStats:
                     sq[b] = d @ d
 
         self._on_threads(groups, read_centred)
-        return float(np.cumsum(sq)[-1]), center
+        return float(sq.cumsum()[-1]), center
 
     def _on_threads(self, groups: list[tuple[int, int]], read) -> None:
         """``read(groups)`` on this thread or, when Y has at least
@@ -243,7 +246,10 @@ class SeriesStats:
         if k not in self._sums:
             self._sums[k] = self._segment_sums(k)
         left, right = self._sums[k]
-        return [(k, left / k - self.offset), (self.T - k, right / (self.T - k) - self.offset)]
+        left, right = left / k, right / (self.T - k)
+        if self.centred:
+            left, right = left - self.offset, right - self.offset
+        return [(k, left), (self.T - k, right)]
 
     def project(self, eta: np.ndarray) -> np.ndarray:
         """The projections (y_t - offset)'eta of the rows, t = 1..T.
@@ -259,7 +265,7 @@ class SeriesStats:
         ValueError unless ``eta`` has p entries."""
         if eta.shape != (self.p,):
             raise ValueError(f"projection vector has shape {eta.shape}, expected ({self.p},)")
-        cols = np.flatnonzero(eta)
+        cols = eta.nonzero()[0]
         kept = self._kept
         block = kept[1] if kept is not None and np.array_equal(kept[0], cols) else None
         if block is None:
@@ -270,7 +276,8 @@ class SeriesStats:
                 block = self.Y[:, cols]
                 self._kept = cols, block
         z = self.Y @ eta if block is None else block @ eta[cols]
-        z -= self.offset @ eta
+        if self.centred:
+            z -= self.offset @ eta
         return z
 
 
@@ -278,6 +285,7 @@ def _centered(s: SeriesStats) -> SeriesStats:
     """The statistics of Y - c, read from those of Y without a copy of Y."""
     out = copy.copy(s)
     out.offset = s.offset + s.center
+    out.centred = True
     out.center = np.zeros(s.p)
     out._criteria = {}  # the criteria read the offset; the sums and kept block do not
     return out
@@ -332,11 +340,11 @@ class MeanPair:
 
     @property
     def support1(self) -> np.ndarray:
-        return np.flatnonzero(self.mu1)
+        return self.mu1.nonzero()[0]
 
     @property
     def support2(self) -> np.ndarray:
-        return np.flatnonzero(self.mu2)
+        return self.mu2.nonzero()[0]
 
     def jump(self) -> np.ndarray:
         return self.mu1 - self.mu2
@@ -345,12 +353,12 @@ class MeanPair:
         """mu1 - mu2; DegenerateJumpError when its norm is at most 1e-12 (||mu1||
         + ||mu2||), a rule with no units (two zero means are degenerate)."""
         eta = self.jump()
-        if np.linalg.norm(eta) <= 1e-12 * (np.linalg.norm(self.mu1) + np.linalg.norm(self.mu2)):
+        if _norm(eta) <= 1e-12 * (_norm(self.mu1) + _norm(self.mu2)):
             raise DegenerateJumpError("mean estimates coincide: the jump is uninformative")
         return eta
 
     def jump_size(self) -> float:
-        return float(np.linalg.norm(self.jump()))
+        return _norm(self.jump())
 
     def projected_levels(self) -> tuple[float, float]:
         """Inner products of the jump with each mean (the two surrogate levels)."""
@@ -375,7 +383,7 @@ def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
     v2 = mu2 - s.center
     eta = mu1 - mu2
     excess = -2.0 * (s.project(eta) - eta @ (0.5 * (mu1 + mu2)))
-    return (s.ss + s.T * (v2 @ v2) + np.cumsum(excess)) / s.T
+    return (s.ss + s.T * (v2 @ v2) + excess.cumsum()) / s.T
 
 
 def _is_integer(value) -> bool:
@@ -428,6 +436,15 @@ def _check_tuning(value, name: str) -> float:
 
 def soft_threshold(x, lam: float) -> np.ndarray:
     """Componentwise shrinkage sign(x) * max(|x| - lam, 0)."""
-    lam = _check_tuning(lam, "shrinkage level")
-    x = np.asarray(x, dtype=float)
+    return _shrink(np.asarray(x, dtype=float), _check_tuning(lam, "shrinkage level"))
+
+
+def _shrink(x: np.ndarray, lam: float) -> np.ndarray:
+    """``soft_threshold`` of a float array at a level already checked."""
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D float array, as ``np.linalg.norm`` computes
+    it (the square root of ``x.dot(x)``) without that wrapper's dispatch."""
+    return math.sqrt(x.dot(x))

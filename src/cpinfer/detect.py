@@ -17,9 +17,9 @@ from .core import (
     MeanPair,
     _check_tuning,
     _fraction_split,
+    _shrink,
     loss_profile_pd,
     series_stats,
-    soft_threshold,
     stopped_means,
 )
 from .tune import _bic_gamma, _split, bic_lambda
@@ -62,9 +62,12 @@ class DetectionResult:
 
 
 def thresholded_means(Y, k: int, lam: float) -> MeanPair:
-    """Soft-thresholded stopped-time means at split k (1 <= k <= T-1)."""
+    """Soft-thresholded stopped-time means at split k (1 <= k <= T-1).
+    ValueError unless ``lam`` is a real number, not a bool, that is finite
+    and nonnegative."""
     left, right = stopped_means(Y, k)
-    return MeanPair(soft_threshold(left, lam), soft_threshold(right, lam))
+    lam = _check_tuning(lam, "shrinkage level")
+    return MeanPair(_shrink(left, lam), _shrink(right, lam))
 
 
 def _shrunk_means(s, k: int, lam: float | None) -> tuple[float, MeanPair]:

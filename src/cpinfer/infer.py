@@ -38,6 +38,7 @@ from .core import (
     DegenerateJumpError,
     MeanPair,
     _is_integer,
+    _norm,
     _real,
     _split_index,
     series_stats,
@@ -144,7 +145,7 @@ def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     eta = means.informative_jump()
     s = series_stats(Y)
     k = _split_index(k, s.T, interior=False)
-    u = eta / np.linalg.norm(eta)
+    u = eta / _norm(eta)
     z = s.project(u)
     left = z[:k] - float(u @ means.mu1)  # the projected levels
     right = z[k:] - float(u @ means.mu2)

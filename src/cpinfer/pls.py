@@ -75,7 +75,7 @@ class PipelineResult:
 def _pls_profile(Y, means: MeanPair) -> tuple[np.ndarray, int]:
     means.informative_jump()
     profile = loss_profile_pd(Y, means.mu1, means.mu2)[:-1]
-    return profile, int(np.argmin(profile)) + 1
+    return profile, int(profile.argmin()) + 1
 
 
 def pls_estimate(Y, means: MeanPair) -> ChangePointEstimate:

@@ -31,7 +31,7 @@ DEFAULT_LAMBDAS.flags.writeable = DEFAULT_GAMMAS.flags.writeable = False
 def _select(grid: np.ndarray, values: np.ndarray) -> float:
     """Grid value minimizing the criterion; the first, so the smallest of an
     ascending grid, on ties."""
-    return float(grid[np.argmin(values)])
+    return float(grid[values.argmin()])
 
 
 def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
@@ -44,16 +44,20 @@ def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
     n ||m - c||^2 per segment.  At k = T the one segment is the whole series.
     """
     rss = np.full(grid.size, s.ss)
-    largest = np.zeros(s.p)
+    sq = grid * grid
+    prefix = np.zeros(s.p + 1)  # prefix[i]: the sum of the i smallest m_j^2
+    largest = None
     for n, m in s.segment_means(k):
         a = np.abs(m)
-        largest = np.maximum(largest, a)
+        largest = a.copy() if largest is None else np.maximum(largest, a, out=largest)
         a.sort()
-        below = np.searchsorted(a, grid, side="right")
-        prefix = np.concatenate(([0.0], np.cumsum(a * a)))
+        below = a.searchsorted(grid, side="right")
+        a *= a
+        a.cumsum(out=prefix[1:])
         d = m - s.center
-        rss += n * (prefix[below] + grid * grid * (s.p - below)) - n * float(d @ d)
-    support = s.p - np.searchsorted(np.sort(largest), grid, side="right")
+        rss += n * (prefix[below] + sq * (s.p - below)) - n * float(d @ d)
+    largest.sort()
+    support = s.p - largest.searchsorted(grid, side="right")
     return rss + support * np.log(s.T)
 
 
@@ -104,7 +108,7 @@ def _split(loss: np.ndarray, gamma):
     T when ``loss[-1] <= loss[j - 1] + gamma`` (ties go to T), else j; j is
     taken of the loss itself, so rounding in loss + gamma never moves it.
     """
-    j = int(np.argmin(loss[:-1])) + 1
+    j = int(loss[:-1].argmin()) + 1
     return np.where(loss[-1] <= loss[j - 1] + np.asarray(gamma), loss.size, j)
 
 
@@ -113,10 +117,12 @@ def _bic_gamma(s: SeriesStats, loss: np.ndarray, lam: float | None = None):
     the refit level is ``lam`` when given, else re-selected on each split.
 
     Every penalty picks one of at most two splits, so the criterion is
-    evaluated once per distinct split.
+    evaluated once per distinct split.  The split is j up to some penalty
+    and T above it (``_split``), so the first and last penalties' splits
+    are the distinct ones.
     """
     splits = _split(loss, DEFAULT_GAMMAS)
     profile = np.empty(DEFAULT_GAMMAS.size)
-    for k in np.unique(splits).tolist():
+    for k in sorted({int(splits[0]), int(splits[-1])}):
         profile[splits == k] = float(_criterion(s, k, lam).min()) + (k < s.T) * np.log(s.T)
     return _select(DEFAULT_GAMMAS, profile), profile

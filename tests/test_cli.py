@@ -237,6 +237,17 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_first_pipeline_leaves_numpy_ma_unloaded(self):
+        # np.unique loads numpy.ma, several ms on a process's first pipeline;
+        # tuning the penalty reads its two splits without it
+        code = ("import sys, numpy as np; from cpinfer.pls import full_pipeline; "
+                "Y = np.random.default_rng(0).normal(size=(60, 10)); Y[30:, :2] += 3; "
+                "print(full_pipeline(Y).status, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok", "False"]
+
     def test_infer_no_change_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = tmp_path / "null.csv"

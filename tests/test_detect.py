@@ -41,6 +41,12 @@ class TestThresholdedMeans:
         with pytest.raises(ValueError):
             thresholded_means(np.zeros((4, 1)), 4, 0.1)
 
+    @pytest.mark.parametrize("lam", [-0.1, True, np.True_, "0.5", 1j, None, np.nan, np.inf, -np.inf])
+    def test_level_rejected(self, lam):
+        # the level is checked once per call, not by each shrinkage
+        with pytest.raises(ValueError, match="shrinkage level"):
+            thresholded_means(two_level_series(10, 4, [2.0, 0.0], [0.0, 1.5]), 4, lam)
+
 
 class TestPenalizedArgmin:
     def test_constant_series_prefers_no_change(self):

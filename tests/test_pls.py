@@ -300,6 +300,25 @@ class TestFullPipeline:
         if interval is not None:
             np.testing.assert_allclose(moved_interval, interval, rtol=1e-9, atol=0)
 
+    @given(shape=st.sampled_from([(100, 20), (60, 40), (200, 10), (40, 80), (100, 500)]),
+           tau0=st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
+           seed=st.integers(0, 2**16),
+           center=st.booleans())
+    def test_column_sign_flips_leave_the_run_bit_identical(self, shape, tau0, seed, center):
+        # negating a column negates its sums exactly and leaves its squares,
+        # its shrinkage and its products with the jump as they were, so every
+        # float of the run, not only its decisions, is the same
+        T, p = shape
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(T, p))
+        Y[int(T * tau0):, :3] += 1.5
+        signs = rng.choice([-1.0, 1.0], size=p)
+        base = full_pipeline(Y, center=center, c_alpha=11.03)
+        flipped = full_pipeline(Y * signs, center=center, c_alpha=11.03)
+        assert flipped.record() == base.record()
+        interval = base.inference.interval_int if base.inference else None
+        assert (flipped.inference.interval_int if flipped.inference else None) == interval
+
     @given(shape=st.sampled_from([(100, 20), (60, 40), (200, 10), (40, 80)]),
            tau0=st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
            seed=st.integers(0, 2**16),

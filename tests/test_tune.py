@@ -12,6 +12,7 @@ from cpinfer.tune import (
     _bic_gamma,
     _lambda_criterion,
     _select,
+    _split,
     bic_gamma,
     bic_lambda,
 )
@@ -181,6 +182,30 @@ class TestBicGamma:
             np.testing.assert_allclose(profile, expect, rtol=1e-9)
             assert gamma == DEFAULT_GAMMAS[np.argmin(expect)]
         assert kinds == {True, False}  # both interior splits and k = T were scored
+
+    @given(loss=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(-3.0, 3.0),
+                         min_size=2, max_size=12),
+           lam=st.sampled_from([None, 0.2]))
+    @example(loss=[1.0, 1.0], lam=None)              # T = 2, flat
+    @example(loss=[0.5, 1.0], lam=None)              # T = 2, both splits
+    @example(loss=[0.0] * 7, lam=None)               # flat
+    @example(loss=[1.0, 0.5, 0.5, 0.5, 1.0], lam=0.2)  # tied interior minima
+    @example(loss=[0.75, 0.25, 0.75, 0.25, 0.75], lam=None)
+    def test_first_and_last_penalties_give_the_distinct_splits(self, loss, lam):
+        # _bic_gamma scores {splits[0], splits[-1]}: the split is j up to
+        # some penalty and T above it, so these are np.unique's splits and
+        # the profile is the one scored on each of those
+        loss = np.array(loss)
+        T = loss.size
+        splits = _split(loss, DEFAULT_GAMMAS)
+        assert sorted({int(splits[0]), int(splits[-1])}) == np.unique(splits).tolist()
+        s = series_stats(np.random.default_rng(T).normal(size=(T, 3)))
+        expect = np.empty(DEFAULT_GAMMAS.size)
+        for k in np.unique(splits).tolist():
+            expect[splits == k] = tune._criterion(s, k, lam).min() + (k < T) * np.log(T)
+        gamma, profile = _bic_gamma(s, loss, lam)
+        np.testing.assert_array_equal(profile, expect)
+        assert gamma == DEFAULT_GAMMAS[np.argmin(expect)]
 
 
 class TestCriterionMemo:
