@@ -9,9 +9,11 @@ of ``np.cumsum`` rounds exactly as the column step does, scaled by a power of
 two, and the noise is the same to the bit.
 Replications draw from per-replication substreams of the master seed, so
 serial and parallel runs agree bit for bit.  A large serial run draws
-replications ahead on two threads while the pipeline runs (numpy's draws,
-running sums and in-place products release the GIL), in order and to the
-same bits (``_datasets``).
+replications ahead on two threads while the pipeline runs, in order and to
+the same bits (``_datasets``): the calling thread makes each array, and a
+helper fills it.  numpy's normal draws and in-place products release the
+GIL; the running sum (``np.cumsum`` along rows) keeps it, 0.4 ms of a 2.1 ms
+draw at 350x500.
 """
 
 from __future__ import annotations
@@ -125,9 +127,11 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
 _SCALE_BITS = 960
 
 
-def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray:
     """T x p standard normals filtered along each row by y_j = w_j + rho y_{j-1},
-    with w_j scaled by sqrt(1 - rho^2) for j >= 1, in place.
+    with w_j scaled by sqrt(1 - rho^2) for j >= 1, in place: in ``out``, a
+    C-contiguous T x p float array, when given (the same draws as a fresh one).
 
     For |rho| = 2^-k the filter runs per chunk of at most ``_SCALE_BITS // k``
     columns as z = cumsum(w_j rho^-j) and y_j = z_j rho^j: every factor is a
@@ -136,7 +140,7 @@ def _ar1_noise(T: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
     an entry is subnormal, which no standard normal draw yields).  Every other
     rho takes the column loop.
     """
-    w = rng.standard_normal((T, p))
+    w = rng.standard_normal((T, p), out=out)
     scale = np.sqrt(1.0 - rho * rho)
     mantissa, exponent = math.frexp(abs(rho))
     width = _SCALE_BITS // (1 - exponent)  # columns per chunk when |rho| = 2^(exponent - 1)
@@ -164,8 +168,13 @@ def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
 
 def gen_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, int]:
     """One replication's data and the true split index."""
+    return _fill(cfg, rep_index, np.empty((cfg.T, cfg.p)))
+
+
+def _fill(cfg: SimConfig, rep_index: int, Y: np.ndarray) -> tuple[np.ndarray, int]:
+    """``gen_dataset(cfg, rep_index)``, drawn into the T x p array Y."""
     k0, s = cfg.k0, cfg.s
-    Y = _ar1_noise(cfg.T, cfg.p, cfg.rho, _rep_rng(cfg.seed, rep_index))
+    _ar1_noise(cfg.T, cfg.p, cfg.rho, _rep_rng(cfg.seed, rep_index), out=Y)
     # the design means, 1 on the first s columns then on the next s, added there only
     Y[:k0, :s] += 1.0
     Y[k0:, s : 2 * s] += 1.0
@@ -184,8 +193,10 @@ def _datasets(cfg: SimConfig):
     """``gen_dataset(cfg, i)`` for i = 0..reps-1, in order.  With two
     replications or more of ``_AHEAD_MIN`` elements or more, BLAS on one
     thread and two CPUs, two helper threads draw up to ``_AHEAD`` ahead of
-    the one yielded; a draw's exception is raised here, and closing the
-    generator cancels the draws not started and joins the threads."""
+    the one yielded, each into an array made here (memory that a helper
+    allocates stays resident after the caller frees it, which raised the
+    peak).  A draw's exception is raised here, and closing the generator
+    cancels the draws not started and joins the threads."""
     if cfg.reps < 2 or cfg.T * cfg.p < _AHEAD_MIN or not _BLAS_SERIAL or _cpu_count() < 2:
         for i in range(cfg.reps):
             yield gen_dataset(cfg, i)
@@ -194,11 +205,15 @@ def _datasets(cfg: SimConfig):
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(max_workers=2)
+
+    def draw(i):
+        return pool.submit(_fill, cfg, i, np.empty((cfg.T, cfg.p)))
+
     try:
-        ahead = deque(pool.submit(gen_dataset, cfg, i) for i in range(min(_AHEAD, cfg.reps)))
+        ahead = deque(draw(i) for i in range(min(_AHEAD, cfg.reps)))
         for i in range(_AHEAD, cfg.reps + _AHEAD):
             if i < cfg.reps:
-                ahead.append(pool.submit(gen_dataset, cfg, i))
+                ahead.append(draw(i))
             yield ahead.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)

@@ -41,24 +41,26 @@ def _lambda_criterion(s: SeriesStats, k: int, grid: np.ndarray) -> np.ndarray:
     A segment of n rows with mean m fitted by soft(m, lam) leaves its
     within-segment sum of squares plus n * sum_j min(|m_j|, lam)^2, read off
     the sorted |m_j| with prefix sums.  The within sums are ss less
-    n ||m - c||^2 per segment.  At k = T the one segment is the whole series.
+    n ||m - c||^2 per segment.  At k = T the one segment is the whole series,
+    and its own sorted |m_j| give the support.
     """
     rss = np.full(grid.size, s.ss)
     sq = grid * grid
     prefix = np.zeros(s.p + 1)  # prefix[i]: the sum of the i smallest m_j^2
-    largest = None
-    for n, m in s.segment_means(k):
-        a = np.abs(m)
-        largest = a.copy() if largest is None else np.maximum(largest, a, out=largest)
+    means = s.segment_means(k)
+    sizes = [np.abs(m) for _, m in means]
+    union = np.maximum(*sizes) if len(sizes) == 2 else None  # the larger |m_j| of two segments
+    for (n, m), a in zip(means, sizes):
         a.sort()
         below = a.searchsorted(grid, side="right")
         a *= a
         a.cumsum(out=prefix[1:])
         d = m - s.center
         rss += n * (prefix[below] + sq * (s.p - below)) - n * float(d @ d)
-    largest.sort()
-    support = s.p - largest.searchsorted(grid, side="right")
-    return rss + support * np.log(s.T)
+    if union is not None:  # else below is the one segment's
+        union.sort()
+        below = union.searchsorted(grid, side="right")
+    return rss + (s.p - below) * np.log(s.T)
 
 
 def _criterion(s: SeriesStats, k: int, lam: float | None = None) -> np.ndarray:

@@ -35,7 +35,12 @@ from loss_oracles import design_means
 @pytest.fixture
 def noiseless(monkeypatch):
     """gen_dataset without noise: the data is the design's mean layout."""
-    monkeypatch.setattr(simbench, "_ar1_noise", lambda T, p, rho, rng: np.zeros((T, p)))
+
+    def zeros(T, p, rho, rng, out):
+        out.fill(0.0)
+        return out
+
+    monkeypatch.setattr(simbench, "_ar1_noise", zeros)
 
 
 class TestConfig:
@@ -230,6 +235,19 @@ class TestGenDataset:
         Y, _ = gen_dataset(cfg, 3)
         assert Y.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rho", [0.5, 0.3])  # the running sum and the column loop
+    def test_fill_step_gives_gen_dataset_bytes(self, rho):
+        # into a used array (NaN, then the last replication) as into a fresh one
+        cfg = SimConfig(T=40, p=300, s=5, tau0=0.4, rho=rho, seed=8)
+        Y = np.full((cfg.T, cfg.p), np.nan)
+        for i in (2, 5):
+            expected = _ar1_noise(cfg.T, cfg.p, rho, simbench._rep_rng(cfg.seed, i))
+            expected[: cfg.k0, :5] += 1.0
+            expected[cfg.k0 :, 5:10] += 1.0
+            got, k0 = simbench._fill(cfg, i, Y)
+            assert got is Y and k0 == cfg.k0
+            assert Y.tobytes() == gen_dataset(cfg, i)[0].tobytes() == expected.tobytes()
+
     def test_aggregate_means_match_design(self):
         cfg = SimConfig(T=8, p=6, s=2, tau0=0.5, seed=5)
         acc = np.zeros((8, 6))
@@ -397,17 +415,18 @@ def ahead(monkeypatch):
 
 
 def drawing_threads(monkeypatch, fail_at=None):
-    """Wrap gen_dataset to note the thread of each draw (and raise
+    """Wrap the fill step to note the thread of each draw (and raise
     DrawError on replication ``fail_at``); returns the list of names."""
     names = []
+    fill = simbench._fill
 
-    def draw(cfg, i):
+    def draw(cfg, i, Y):
         names.append(threading.current_thread().name)
         if i == fail_at:
             raise DrawError(i)
-        return gen_dataset(cfg, i)
+        return fill(cfg, i, Y)
 
-    monkeypatch.setattr(simbench, "gen_dataset", draw)
+    monkeypatch.setattr(simbench, "_fill", draw)
     return names
 
 
@@ -444,6 +463,33 @@ class TestLookAhead:
         names = drawing_threads(monkeypatch)
         list(_datasets(SimConfig(**design, reps=3)))
         assert names == [threading.current_thread().name] * 3
+
+    def test_arrays_made_on_the_calling_thread(self, monkeypatch, ahead):
+        # a helper's allocation stays resident after the caller frees it;
+        # nine replications reuse the pool's threads past _AHEAD + 1 arrays
+        made = {}  # id of each array -> the thread that made it
+
+        class Numpy:  # numpy, noting the thread of each np.empty
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                a = np.empty(*args, **kwargs)
+                made[id(a)] = threading.current_thread().name
+                return a
+
+        fills = []
+        fill = simbench._fill
+
+        def draw(cfg, i, Y):
+            fills.append((made.get(id(Y)), threading.current_thread().name))
+            return fill(cfg, i, Y)
+
+        monkeypatch.setattr(simbench, "np", Numpy())
+        monkeypatch.setattr(simbench, "_fill", draw)
+        list(_datasets(SimConfig(**WIDE, reps=9)))
+        main = threading.current_thread().name
+        assert len(fills) == 9 and all(maker == main != filler for maker, filler in fills)
 
     def test_one_thread_run_holds_one_replication(self, monkeypatch):
         # a for loop over the draws kept replication i alive while i + 1 was
