@@ -7,8 +7,8 @@ operations are pure; inputs are never mutated.
 The functions the pipeline calls accept the series as an array or as the
 ``SeriesStats`` built from it, so one pipeline validates its input once and
 every criterion reads the same statistics.  One blocked pass over Y builds
-them and checks finiteness, on two threads for a large series with the same
-bits as on one; after it, criteria read Y only through the one
+them and checks finiteness, on two threads when ``_helper_pays``, with the
+same bits as on one; after it, criteria read Y only through the one
 block a split cuts and through ``SeriesStats.project``, which reads just the
 columns of a sparse projection's support and keeps them, so a later
 projection onto the same support reads no column of Y again.
@@ -86,7 +86,7 @@ _MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes
 # again.  The cap of p / 4 columns holds the kept block to T p / 4 values.
 _GATHER = 16
 _GROUP = 1 << 17  # elements per stacked group of equal row blocks (1 MiB)
-_THREAD_MIN = 1 << 20  # a series of this many elements (8 MiB) or more is read on two threads
+_THREAD_MIN = 1 << 20  # the pass's floor for a helper: a series of 8 MiB
 # OpenBLAS takes its thread count from the first of these variables that is
 # set when numpy loads, and starts one thread per CPU when none is.  A helper
 # thread pays only beside a one-thread BLAS: beside a two-thread OpenBLAS on a
@@ -104,6 +104,17 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _helper_pays(pieces: int, elements: int, floor: int) -> bool:
+    """Whether work in ``pieces`` over ``elements`` array elements shares a
+    helper thread beside this one: the one rule for every helper cpinfer
+    starts.  True only for two pieces or more (with one, the helper reads
+    nothing: beside a one-thread BLAS on 2 vCPUs the one-group pass of a
+    20x60000 series took 1.2-1.4 ms with it and 0.93 ms without),
+    ``elements`` at least the caller's ``floor``, BLAS on one thread
+    (``_BLAS_SERIAL``) and two CPUs or more that the process may run on."""
+    return pieces >= 2 and elements >= floor and _BLAS_SERIAL and _cpu_count() >= 2
+
+
 class SeriesStats:
     """A validated T x p series with the statistics every criterion reads.
 
@@ -112,12 +123,11 @@ class SeriesStats:
     product with a vector of ones, are kept, and its dot product with itself
     is its sum of squares.  Equal blocks are read in stacked groups of about
     1 MiB (``_GROUP`` elements), one batched product and one batched dot per
-    group; the ragged last block goes alone.  A series of ``_THREAD_MIN``
-    elements (8 MiB) or more is read on two threads, one helper reading the
-    first half of the groups and the caller the rest, when BLAS runs one
-    thread and the process may run on two CPUs.  The block squares are added
-    left to right, so nothing the pass returns depends on the thread that
-    read a block.
+    group; the ragged last block goes alone.  When ``_helper_pays`` for the
+    groups, Y's elements and the floor ``_THREAD_MIN`` (8 MiB), one helper
+    reads the first half of the groups and the caller the rest.  The block
+    squares are added left to right, so nothing the pass returns depends on
+    the thread that read a block.
     ``center`` c is the total of the block sums over T,
     and ``ss``, the sum of squares of Y - c, is ||Y||^2 - T ||c||^2 when
     that loses at most one bit (Higham 2002, sec. 1.9); otherwise a second
@@ -199,12 +209,11 @@ class SeriesStats:
         return float(sq.cumsum()[-1]), center
 
     def _on_threads(self, groups: list[tuple[int, int]], read) -> None:
-        """``read(groups)`` on this thread or, when Y has at least
-        ``_THREAD_MIN`` elements, BLAS runs one thread and the process may
-        run on two CPUs, in halves: one helper reads the first
-        ``len(groups) // 2`` groups and this thread the rest; a helper's
-        exception is raised here."""
-        if self.Y.size < _THREAD_MIN or not _BLAS_SERIAL or _cpu_count() < 2:
+        """``read(groups)`` on this thread or, when ``_helper_pays`` for the
+        groups, Y's elements and the floor ``_THREAD_MIN``, in halves: one
+        helper reads the first ``len(groups) // 2`` groups and this thread the
+        rest; a helper's exception is raised here."""
+        if not _helper_pays(len(groups), self.Y.size, _THREAD_MIN):
             read(groups)
             return
         half = len(groups) // 2

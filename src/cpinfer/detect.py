@@ -17,6 +17,7 @@ from .core import (
     MeanPair,
     _check_tuning,
     _fraction_split,
+    _real,
     _shrink,
     loss_profile_pd,
     series_stats,
@@ -79,8 +80,9 @@ def _shrunk_means(s, k: int, lam: float | None) -> tuple[float, MeanPair]:
 
 
 def _initial_split(T: int, tau_init: float) -> int:
-    """The initial split ``_fraction_split(T, tau_init)``; ValueError unless in 1..T-1."""
-    k = _fraction_split(T, tau_init)
+    """The initial split ``_fraction_split(T, tau_init)``; ValueError unless
+    ``tau_init`` is a real number, not a bool, and the split is in 1..T-1."""
+    k = _fraction_split(T, _real(tau_init, "initial fraction"))
     if not 1 <= k <= T - 1:  # also false for NaN
         raise ValueError(f"initial fraction {tau_init} gives no split in 1..{T - 1}")
     return int(k)

@@ -75,7 +75,7 @@ class QuantileMCSettings:
 
     def __post_init__(self):
         for name, value in (("grid half-width", self.grid_half_width), ("grid step", self.grid_step)):
-            if not (0.0 < value < math.inf):
+            if not (0.0 < _real(value, name) < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not _is_integer(self.paths) or self.paths < 1:
             raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
@@ -257,10 +257,12 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
     scale, clamped to [1, T], with the fraction view divided by T.
     ``alpha`` must lie in (0, 1), ``c_alpha`` must be finite and positive,
     ``xi_sq_hat`` finite (a value <= 0 raises DegenerateJumpError) and
-    ``sigma_sq_hat`` finite and nonnegative; ``k_tilde`` and ``T`` are checked
-    as ``ChangePointEstimate`` checks them."""
+    ``sigma_sq_hat`` finite and nonnegative, each a real number, not a bool;
+    ``k_tilde`` and ``T`` are checked as ``ChangePointEstimate`` checks them."""
     alpha = _check_level(alpha)
     c_alpha = _check_critical_value(c_alpha)
+    xi_sq_hat = _real(xi_sq_hat, "squared jump")
+    sigma_sq_hat = _real(sigma_sq_hat, "variance ratio")
     if not math.isfinite(xi_sq_hat):
         raise ValueError(f"squared jump must be finite, got {xi_sq_hat}")
     if xi_sq_hat <= 0.0:
@@ -274,8 +276,8 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
     hi = min(float(T), estimate.k + half)
     return InferenceResult(
         k_tilde=estimate,
-        xi_sq_hat=float(xi_sq_hat),
-        sigma_sq_hat=float(sigma_sq_hat),
+        xi_sq_hat=xi_sq_hat,
+        sigma_sq_hat=sigma_sq_hat,
         c_alpha=c_alpha,
         interval_int=(lo, hi),
         interval_frac=(lo / T, hi / T),

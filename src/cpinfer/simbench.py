@@ -8,12 +8,12 @@ running sum: scaling column j by rho^-j changes only exponents, so each step
 of ``np.cumsum`` rounds exactly as the column step does, scaled by a power of
 two, and the noise is the same to the bit.
 Replications draw from per-replication substreams of the master seed, so
-serial and parallel runs agree bit for bit.  A large serial run draws
-replications ahead on two threads while the pipeline runs, in order and to
-the same bits (``_datasets``): the calling thread makes each array, and a
-helper fills it.  numpy's normal draws and in-place products release the
-GIL; the running sum (``np.cumsum`` along rows) keeps it, 0.4 ms of a 2.1 ms
-draw at 350x500.
+serial and parallel runs agree bit for bit.  A serial run draws
+replications ahead on two threads while the pipeline runs when
+``core._helper_pays``, in order and to the same bits (``_datasets``): the
+calling thread makes each array, and a helper fills it.  numpy's normal
+draws and in-place products release the GIL; the running sum (``np.cumsum``
+along rows) keeps it, 0.4 ms of a 2.1 ms draw at 350x500.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _BLAS_SERIAL, _cpu_count, _fraction_split, _is_integer, _real, series_stats
+from .core import _fraction_split, _helper_pays, _is_integer, _real, series_stats
 from .detect import _initial_split, detect_change
 from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
@@ -46,7 +46,8 @@ ESTIMATORS = ("al1", "pls", "pls_ci")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Design parameters for one simulation cell."""
+    """Design parameters for one simulation cell.  The integer fields are
+    stored as ints, so ``dataclasses.asdict`` of a config is JSON."""
 
     T: int
     p: int
@@ -63,6 +64,7 @@ class SimConfig:
         for name in ("T", "p", "s", "reps", "seed"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("tau0", "rho", "alpha", "tau_init"):
             _real(getattr(self, name), name)
         if self.T < 2 or self.p < 1 or self.s < 1 or self.reps < 1:
@@ -182,22 +184,22 @@ def _fill(cfg: SimConfig, rep_index: int, Y: np.ndarray) -> tuple[np.ndarray, in
 
 
 _AHEAD = 3  # replications drawn ahead of the one in the pipeline
-# A replication of this many elements or more is drawn ahead.  Beside a
-# one-thread BLAS on 2 CPUs that took 11% off a replication at 64x512 and
-# 36% at 350x500; beside OpenBLAS's own threads it saved 0-10% (they share
-# the CPUs), and on one CPU it cost 9% at 350x500.
+# The look-ahead's floor for a helper, in elements per replication.  Beside a
+# one-thread BLAS on 2 CPUs drawing ahead took 11% off a replication at 64x512
+# and 36% at 350x500; beside OpenBLAS's own threads it saved 0-10% (they
+# share the CPUs), and on one CPU it cost 9% at 350x500.
 _AHEAD_MIN = 1 << 15
 
 
 def _datasets(cfg: SimConfig):
-    """``gen_dataset(cfg, i)`` for i = 0..reps-1, in order.  With two
-    replications or more of ``_AHEAD_MIN`` elements or more, BLAS on one
-    thread and two CPUs, two helper threads draw up to ``_AHEAD`` ahead of
+    """``gen_dataset(cfg, i)`` for i = 0..reps-1, in order.  When
+    ``core._helper_pays`` for the replications, the elements of one and the
+    floor ``_AHEAD_MIN``, two helper threads draw up to ``_AHEAD`` ahead of
     the one yielded, each into an array made here (memory that a helper
     allocates stays resident after the caller frees it, which raised the
     peak).  A draw's exception is raised here, and closing the generator
     cancels the draws not started and joins the threads."""
-    if cfg.reps < 2 or cfg.T * cfg.p < _AHEAD_MIN or not _BLAS_SERIAL or _cpu_count() < 2:
+    if not _helper_pays(cfg.reps, cfg.T * cfg.p, _AHEAD_MIN):
         for i in range(cfg.reps):
             yield gen_dataset(cfg, i)
         return
@@ -265,9 +267,9 @@ def run_monte_carlo(
     The critical value for "pls_ci" is the exact limiting-law quantile at
     ``cfg.alpha`` unless supplied.  ``n_jobs`` >= 1 worker processes run the
     replications; 1 runs them in this process, where two helper threads
-    draw up to three replications ahead of the pipeline when a replication
-    holds 2^15 elements or more, BLAS runs one thread and the process may
-    run on two CPUs.  The records are the same in every case.
+    draw up to three replications ahead of the pipeline when
+    ``core._helper_pays`` (see ``_datasets``).  The records are the same in
+    every case.
     """
     _check_estimator(estimator)
     if not _is_integer(n_jobs) or n_jobs < 1:

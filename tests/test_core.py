@@ -48,6 +48,15 @@ class TestAsSeries:
             as_series([[1.0, np.nan], [2.0, 3.0]])
         assert as_series([1.0, 2.0]).shape == (2, 1)
 
+    @pytest.mark.parametrize("data, message", [
+        (np.zeros((3, 2, 2)), "must be 2-dimensional"),
+        (np.float64(1.0), "must be 2-dimensional"),
+        (np.zeros((3, 0)), "need at least one column"),
+    ])
+    def test_shape_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            series_stats(data)
+
 
 class TestCenterColumns:
     """The oracle that ``center=True`` is compared against."""
@@ -438,9 +447,23 @@ class TestThreadedPass:
             self.threads(monkeypatch, on=True)
             started = self.helpers(monkeypatch)
             assert self.bits(series_stats(Y)) == self.bits(one), name
-            # the column means exceed the noise: a second read, on two threads too
-            assert len(started) == (2 if name.startswith("offset") else 1), name
+            # the column means exceed the noise: a second read, on two threads too;
+            # one group gives a helper nothing to read, so none starts
+            reads = 2 if name.startswith("offset") else 1
+            assert len(started) == (0 if name == "single_block" else reads), name
             assert not any(t.is_alive() for t in started), name
+
+    @pytest.mark.parametrize("pieces, elements, blas, cpus, pays", [
+        (2, 8, True, 2, True),
+        (1, 8, True, 2, False),  # a helper would have nothing to read
+        (2, 7, True, 2, False),  # below the floor
+        (2, 8, False, 2, False),  # BLAS on its own threads
+        (2, 8, True, 1, False),  # one CPU
+    ])
+    def test_one_rule_decides_a_helper(self, monkeypatch, pieces, elements, blas, cpus, pays):
+        monkeypatch.setattr(core, "_BLAS_SERIAL", blas)
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        assert core._helper_pays(pieces, elements, 8) == pays
 
     def test_many_small_groups_under_fast_thread_switches(self, monkeypatch):
         # one-row blocks in groups of two: 150 groups, the first 75 on the
@@ -788,6 +811,10 @@ class TestMeanPair:
         mp = MeanPair([1.0, 0.0, -2.0], [0.0, 0.0, 3.0])
         assert list(mp.support1) == [0, 2]
         assert list(mp.support2) == [2]
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="mean vectors must have equal length"):
+            MeanPair([1.0, 0.0], [1.0, 0.0, 2.0])
 
     def test_supports_follow_a_mean_changed_in_place(self):
         mp = MeanPair([1.0, 0.0, -2.0], [0.0, 0.0, 3.0])

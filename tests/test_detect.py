@@ -155,6 +155,14 @@ class TestDetectChange:
         with pytest.raises(ValueError, match="must be a real number"):
             detect_change(Y, **{knob: value})
 
+    @pytest.mark.parametrize("value", ["0.5", True, np.True_, None])
+    def test_initial_fraction_must_be_a_real_number(self, value):
+        # "0.5" used to fail on the string T * "0.5", True to run as 1.0 and
+        # None to raise TypeError
+        Y = np.random.default_rng(5).normal(size=(40, 6))
+        with pytest.raises(ValueError, match="initial fraction must be a real number"):
+            detect_change(Y, tau_init=value)
+
     def test_levels_are_reported_as_floats(self):
         det = detect_change(np.random.default_rng(6).normal(size=(40, 6)),
                             lam=np.float32(0.25), gamma=np.int64(1))

@@ -129,6 +129,17 @@ class TestLimitQuantile:
         with pytest.raises(ValueError, match="finite and positive|positive integer"):
             QuantileMCSettings(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"grid_half_width": True}, "grid half-width"),
+        ({"grid_half_width": "x"}, "grid half-width"),
+        ({"grid_step": None}, "grid step"),
+        ({"grid_step": "0.01"}, "grid step"),
+    ])
+    def test_non_real_grid_value_rejected(self, kwargs, name):
+        # True used to pass as 1.0, and "x" or None to raise TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            QuantileMCSettings(**kwargs)
+
     def test_quantile_tends_to_zero_as_alpha_grows(self):
         c = limit_quantile(0.98, FAST_MC)
         assert 0.0 <= c < 0.5
@@ -286,6 +297,15 @@ class TestConfidenceInterval:
         # -1 used to give the inverted interval (16, -6), nan the interval (1, T)
         with pytest.raises(ValueError, match="variance ratio must be finite and nonnegative"):
             confidence_interval(5, 1.0, sigma_sq, 11.0, 10)
+
+    @pytest.mark.parametrize("xi_sq, sigma_sq, name", [
+        (True, 1.0, "squared jump"), ("1", 1.0, "squared jump"), (None, 1.0, "squared jump"),
+        (1.0, True, "variance ratio"), (1.0, "1", "variance ratio"),
+    ])
+    def test_non_real_jump_or_variance_ratio_rejected(self, xi_sq, sigma_sq, name):
+        # True used to pass as 1.0, and "1" to raise TypeError
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            confidence_interval(5, xi_sq, sigma_sq, 11.0, 10)
 
     def test_fractional_length_rejected(self):
         # T = 9.9 used to split at int(T) = 9 but divide the fraction view by 9.9

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cpinfer import simbench
+from cpinfer import core, simbench
 from cpinfer.detect import _initial_split
 from cpinfer.infer import limit_quantile
 from cpinfer.simbench import (
@@ -109,10 +111,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [("T", 1), ("p", 0), ("s", 0), ("reps", 0)])
+    def test_sizes_below_their_floor_rejected(self, field, value):
+        kwargs = {"T": 40, "p": 10, "s": 2, "tau0": 0.5, "reps": 3, field: value}
+        with pytest.raises(ValueError, match="T >= 2, p >= 1, s >= 1 and reps >= 1 required"):
+            SimConfig(**kwargs)
+
     def test_numpy_integer_sizes_accepted(self):
         cfg = SimConfig(T=np.int64(40), p=np.int32(10), s=np.int64(2), tau0=0.5,
                         reps=np.int64(3), seed=np.uint8(1))
         assert cfg.k0 == 20
+        # stored as ints, as a report's config is written: np.int64 is not JSON
+        assert all(type(getattr(cfg, f)) is int for f in ("T", "p", "s", "reps", "seed"))
+        assert json.loads(json.dumps(asdict(cfg)))["T"] == 40
 
     @pytest.mark.parametrize("field, value", [
         ("tau0", True), ("rho", False), ("alpha", True), ("tau_init", np.True_),
@@ -410,8 +421,8 @@ class TestRunMonteCarlo:
 def ahead(monkeypatch):
     """The look-ahead gate's host conditions forced on, whatever the BLAS
     threading and the affinity mask; the design decides."""
-    monkeypatch.setattr(simbench, "_BLAS_SERIAL", True)
-    monkeypatch.setattr(simbench, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "_BLAS_SERIAL", True)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
 
 
 def drawing_threads(monkeypatch, fail_at=None):
@@ -442,8 +453,8 @@ class TestLookAhead:
     @pytest.mark.parametrize("reps", [1, 2, 3, 7])
     @pytest.mark.parametrize("serial_blas", [True, False])
     def test_same_data_in_order(self, monkeypatch, reps, serial_blas):
-        monkeypatch.setattr(simbench, "_BLAS_SERIAL", serial_blas)
-        monkeypatch.setattr(simbench, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", serial_blas)
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
         cfg = SimConfig(**WIDE, reps=reps, seed=11)
         expected = [gen_dataset(cfg, i) for i in range(reps)]
         names = drawing_threads(monkeypatch)
@@ -458,8 +469,8 @@ class TestLookAhead:
         (WIDE, True, 1),                          # one CPU
     ])
     def test_gate_draws_on_this_thread(self, monkeypatch, design, blas, cpus):
-        monkeypatch.setattr(simbench, "_BLAS_SERIAL", blas)
-        monkeypatch.setattr(simbench, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", blas)
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
         names = drawing_threads(monkeypatch)
         list(_datasets(SimConfig(**design, reps=3)))
         assert names == [threading.current_thread().name] * 3
@@ -494,7 +505,7 @@ class TestLookAhead:
     def test_one_thread_run_holds_one_replication(self, monkeypatch):
         # a for loop over the draws kept replication i alive while i + 1 was
         # drawn, and a serial replication at 350x500 took 3-4% longer
-        monkeypatch.setattr(simbench, "_BLAS_SERIAL", False)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", False)
         drawn = []
 
         def draw(cfg, i):
@@ -510,11 +521,11 @@ class TestLookAhead:
     @pytest.mark.parametrize("gamma_off", [False, True])
     def test_records_equal_serial_and_process_runs(self, monkeypatch, gamma_off):
         cfg = SimConfig(T=200, p=200, s=5, tau0=0.4, reps=6, seed=21, gamma_off=gamma_off)
-        monkeypatch.setattr(simbench, "_BLAS_SERIAL", False)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", False)
         plain = run_monte_carlo(cfg, "pls_ci").per_rep_records
         processes = run_monte_carlo(cfg, "pls_ci", n_jobs=2).per_rep_records
-        monkeypatch.setattr(simbench, "_BLAS_SERIAL", True)
-        monkeypatch.setattr(simbench, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", True)
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
         names = drawing_threads(monkeypatch)
         ahead = run_monte_carlo(cfg, "pls_ci").per_rep_records
         assert threading.current_thread().name not in names
