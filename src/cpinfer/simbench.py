@@ -66,7 +66,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("tau0", "rho", "alpha", "tau_init"):
-            _real(getattr(self, name), name)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.T < 2 or self.p < 1 or self.s < 1 or self.reps < 1:
             raise ValueError("T >= 2, p >= 1, s >= 1 and reps >= 1 required")
         if 2 * self.s > self.p:
@@ -82,6 +82,7 @@ class SimConfig:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
         if not isinstance(self.gamma_off, (bool, np.bool_)):
             raise ValueError(f"gamma_off must be a bool, got {self.gamma_off!r}")
+        object.__setattr__(self, "gamma_off", bool(self.gamma_off))
         _check_level(self.alpha)
         _initial_split(self.T, self.tau_init)
 

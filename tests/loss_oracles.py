@@ -1,13 +1,14 @@
 """Reference losses and layouts that the tests compare the library against.
 
 The library computes every two-segment loss through ``loss_profile_pd``.
-These are the direct evaluations, one split at a time, and the scalar
-projected series and its loss that the projected least-squares locator is
-defined by.  ``center_columns`` is the explicit copy that
-``full_pipeline(center=True)`` stands in for without copying, and
-``design_means`` the dense mean vectors that ``gen_dataset`` adds to their
-nonzero columns only.  Split indices are 1-based, k in {1, ..., T}; the
-second segment is empty at k = T.
+These are the direct evaluations, one split at a time: the p-dimensional loss
+and the scalar loss that the projected least-squares locator is defined by
+(``reference_pipeline.scalar_profile`` reads it at every split).
+``center_columns`` is the explicit copy that ``full_pipeline(center=True)``
+stands in for without copying, ``design_means`` the dense mean vectors that
+``gen_dataset`` adds to their nonzero columns only, and ``two_level`` a
+noiseless series with one shift.  Split indices are 1-based,
+k in {1, ..., T}; the second segment is empty at k = T.
 """
 
 import numpy as np
@@ -46,23 +47,6 @@ def loss_pd(Y, k: int, mu1, mu2) -> float:
     return (float(np.einsum("tj,tj->", left, left)) + float(np.einsum("tj,tj->", right, right))) / T
 
 
-def loss_profile_1d(z, theta1: float, theta2: float) -> np.ndarray:
-    """loss_1d at every split: entry k-1 holds the loss at split k, k = 1..T."""
-    z = np.asarray(z, dtype=float).ravel()
-    a = np.cumsum((z - theta1) ** 2)
-    b = np.cumsum((z - theta2) ** 2)
-    return (a + (b[-1] - b)) / z.size
-
-
-def project_series(Y, eta) -> np.ndarray:
-    """Scalar surrogate series z_t = eta' y_t."""
-    Y = as_series(Y)
-    eta = np.asarray(eta, dtype=float).ravel()
-    if eta.size != Y.shape[1]:
-        raise ValueError(f"projection vector has length {eta.size}, expected {Y.shape[1]}")
-    return Y @ eta
-
-
 def center_columns(Y) -> np.ndarray:
     """Subtract the empirical mean of each column.  Idempotent."""
     Y = as_series(Y)
@@ -77,3 +61,11 @@ def design_means(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     mu2 = np.zeros(p)
     mu2[s : 2 * s] = 1.0
     return mu1, mu2
+
+
+def two_level(T: int, k0: int, mu1, mu2) -> np.ndarray:
+    """The noiseless series: rows 1..k0 equal mu1, the rest mu2."""
+    Y = np.empty((T, len(mu1)))
+    Y[:k0] = mu1
+    Y[k0:] = mu2
+    return Y

@@ -3,32 +3,26 @@ import pytest
 
 from cpinfer.core import MeanPair, loss_profile_pd
 from cpinfer.detect import _penalize, detect_change, thresholded_means
+from loss_oracles import two_level
 
 
-def penalized_split(Y, means, gamma):
+def detector_split(Y, means, gamma):
     """The detector's arg-min over k in {1, ..., T} of the loss of the given
     means plus gamma at interior splits."""
     return _penalize(loss_profile_pd(Y, means.mu1, means.mu2), gamma)[1]
-
-
-def two_level_series(T, k0, mu1, mu2):
-    Y = np.empty((T, len(mu1)))
-    Y[:k0] = mu1
-    Y[k0:] = mu2
-    return Y
 
 
 class TestThresholdedMeans:
     def test_noiseless_shrinkage(self):
         mu1 = np.array([2.0, 0.0, -3.0])
         mu2 = np.array([0.0, 1.5, 0.0])
-        Y = two_level_series(10, 4, mu1, mu2)
+        Y = two_level(10, 4, mu1, mu2)
         mp = thresholded_means(Y, 4, 0.5)
         np.testing.assert_allclose(mp.mu1, [1.5, 0.0, -2.5])
         np.testing.assert_allclose(mp.mu2, [0.0, 1.0, 0.0])
 
     def test_total_shrinkage(self):
-        Y = two_level_series(6, 3, [0.4, -0.2], [0.1, 0.3])
+        Y = two_level(6, 3, [0.4, -0.2], [0.1, 0.3])
         mp = thresholded_means(Y, 3, 10.0)
         assert mp.support1.size == 0 and mp.support2.size == 0
 
@@ -45,19 +39,19 @@ class TestThresholdedMeans:
     def test_level_rejected(self, lam):
         # the level is checked once per call, not by each shrinkage
         with pytest.raises(ValueError, match="shrinkage level"):
-            thresholded_means(two_level_series(10, 4, [2.0, 0.0], [0.0, 1.5]), 4, lam)
+            thresholded_means(two_level(10, 4, [2.0, 0.0], [0.0, 1.5]), 4, lam)
 
 
 class TestPenalizedArgmin:
     def test_constant_series_prefers_no_change(self):
         row = np.array([1.0, -2.0])
         Y = np.tile(row, (8, 1))
-        assert penalized_split(Y, MeanPair(row, row), gamma=0.5) == 8
+        assert detector_split(Y, MeanPair(row, row), gamma=0.5) == 8
 
     def test_noiseless_shift_recovers_truth(self):
         mu1, mu2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        Y = two_level_series(12, 7, mu1, mu2)
-        assert penalized_split(Y, MeanPair(mu1, mu2), gamma=0.01) == 7
+        Y = two_level(12, 7, mu1, mu2)
+        assert detector_split(Y, MeanPair(mu1, mu2), gamma=0.01) == 7
 
     def test_hand_profile(self):
         Y = np.array([[0.0], [0.0], [1.0], [1.0]])
@@ -72,12 +66,12 @@ class TestPenalizedArgmin:
     def test_boundary_tie_prefers_no_change(self):
         # residuals identical under either mean: every split ties, boundary wins
         Y = np.array([[1.0], [0.0], [0.0], [1.0]])
-        assert penalized_split(Y, MeanPair([1.0], [1.0]), gamma=0.0) == 4
+        assert detector_split(Y, MeanPair([1.0], [1.0]), gamma=0.0) == 4
 
     def test_interior_tie_takes_smallest_k(self):
         # losses tie exactly at k = 1 and k = 3, strictly below k = 2 and k = 4
         Y = np.array([[0.0], [1.0], [0.0], [1.0]])
-        assert penalized_split(Y, MeanPair([0.0], [1.0]), gamma=0.0) == 1
+        assert detector_split(Y, MeanPair([0.0], [1.0]), gamma=0.0) == 1
 
     def test_near_tie_decided_by_the_loss_not_the_penalized_sum(self):
         # 1 + 2**-52 + 1.5 and 1.0 + 1.5 round to the same double, yet
@@ -100,7 +94,7 @@ class TestDetectChange:
             mu2 = np.zeros(p)
             mu1[0] = rng.uniform(1, 2)
             mu2[min(1, p - 1)] = rng.uniform(1, 2)
-            Y = two_level_series(T, k0, mu1, mu2)
+            Y = two_level(T, k0, mu1, mu2)
             tau_init = rng.uniform(0.25, 0.75)
             det = detect_change(Y, tau_init=tau_init, gamma=0.0)
             assert det.changed and det.estimate.k == k0
@@ -132,7 +126,7 @@ class TestDetectChange:
         rng = np.random.default_rng(3)
         Y = rng.normal(size=(25, 3))
         det = detect_change(Y, gamma=0.0, lam=0.05)
-        assert det.estimate.k == penalized_split(Y, det.initial_means, 0.0)
+        assert det.estimate.k == detector_split(Y, det.initial_means, 0.0)
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(4)

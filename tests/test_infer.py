@@ -13,7 +13,8 @@ from cpinfer.infer import (
     simulate_argmin_locations,
 )
 from cpinfer.pls import full_pipeline
-from loss_oracles import loss_1d, project_series
+from loss_oracles import two_level
+from reference_pipeline import scalar_profile
 
 FAST_MC = QuantileMCSettings(paths=8000, seed=5)
 
@@ -71,7 +72,7 @@ class TestPluginSigmaSq:
     def test_noiseless_is_zero(self):
         mu1 = np.array([1.0, 0.0])
         mu2 = np.array([0.0, 1.0])
-        Y = np.vstack([np.tile(mu1, (3, 1)), np.tile(mu2, (3, 1))])
+        Y = two_level(6, 3, mu1, mu2)
         assert plugin_sigma_sq(Y, 3, MeanPair(mu1, mu2)) == 0.0
 
     def test_hand_residuals(self):
@@ -100,9 +101,7 @@ class TestPluginSigmaSq:
             scaled = plugin_sigma_sq(c * Y, 10, MeanPair(c * mp.mu1, c * mp.mu2))
             # direct recomputation from the definition
             mpc = MeanPair(c * mp.mu1, c * mp.mu2)
-            z = project_series(c * Y, mpc.jump())
-            t1, t2 = mpc.projected_levels()
-            expected = loss_1d(z, 10, t1, t2) / plugin_xi_sq(mpc)
+            expected = scalar_profile(c * Y, 0.0, mpc.mu1, mpc.mu2)[9] / plugin_xi_sq(mpc)
             assert scaled == pytest.approx(expected, rel=1e-12)
 
 

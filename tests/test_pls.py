@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cpinfer.core import DegenerateJumpError, MeanPair, loss_profile_pd, series_stats
 from cpinfer.pls import _pls_profile, full_pipeline, pls_estimate
-from loss_oracles import center_columns, loss_pd, loss_profile_1d, project_series
+from loss_oracles import center_columns, loss_pd, two_level
+from reference_pipeline import scalar_profile
 
 
 def decisions_and_interval(Y, center):
@@ -18,30 +19,6 @@ def decisions_and_interval(Y, center):
     decisions = (res.status, det.estimate.k, det.lambda_used, det.gamma_used,
                  loc.k if loc else None)
     return decisions, inf.interval_int if inf else None
-
-
-def naive_pls(Y, mu1, mu2):
-    """Literal evaluation of the projected two-segment loss at every interior
-    split, with explicit Python sums."""
-    Y = np.asarray(Y, float)
-    eta = np.asarray(mu1, float) - np.asarray(mu2, float)
-    t1 = float(eta @ np.asarray(mu1, float))
-    t2 = float(eta @ np.asarray(mu2, float))
-    z = [float(eta @ row) for row in Y]
-    T = len(z)
-    losses = []
-    for k in range(1, T):
-        left = sum((v - t1) ** 2 for v in z[:k])
-        right = sum((v - t2) ** 2 for v in z[k:])
-        losses.append((left + right) / T)
-    return int(np.argmin(losses)) + 1, losses
-
-
-def two_level(T, k0, mu1, mu2):
-    Y = np.empty((T, len(mu1)))
-    Y[:k0] = mu1
-    Y[k0:] = mu2
-    return Y
 
 
 class TestPlsEstimate:
@@ -106,16 +83,15 @@ class TestPlsEstimate:
             mu2 = rng.normal(size=p)
             if np.allclose(mu1, mu2):
                 continue
-            expected, losses = naive_pls(Y, mu1, mu2)
+            losses = scalar_profile(Y, 0.0, mu1, mu2)[:-1]
             mp = MeanPair(mu1, mu2)
-            assert pls_estimate(Y, mp).k == expected
+            assert pls_estimate(Y, mp).k == int(np.argmin(losses)) + 1
             # the scalar loss is the p-dimensional one scaled by ||eta||^2,
             # up to a constant: compare the differences to the last split
             prof, _ = _pls_profile(Y, mp)
             xi_sq = float(mp.jump() @ mp.jump())
-            np.testing.assert_allclose(xi_sq * (prof - prof[-1]),
-                                       np.subtract(losses, losses[-1]),
-                                       atol=1e-10 * max(map(abs, losses)))
+            np.testing.assert_allclose(xi_sq * (prof - prof[-1]), losses - losses[-1],
+                                       atol=1e-10 * np.max(np.abs(losses)))
 
     def test_step_function_structure(self):
         # evaluating the loss at any real fraction equals the profile entry
@@ -139,14 +115,13 @@ _cases = dict(seed=st.integers(0, 2**32 - 1), T=st.integers(3, 60), p=st.integer
 
 class TestProjectedLossIdentity:
     """S(k) - S(T) = ||eta||^2 (L(k) - L(T)): the scalar loss S of the
-    projected series, computed by the oracle, against the library's L."""
+    projected series, computed by the reference, against the library's L."""
 
     @given(**_cases)
     def test_scalar_loss_is_scaled_vector_loss(self, seed, T, p):
         Y, mu1, mu2 = _draw(seed, T, p)
         mp = MeanPair(mu1, mu2)
-        t1, t2 = mp.projected_levels()
-        S = loss_profile_1d(project_series(Y, mp.jump()), t1, t2)
+        S = scalar_profile(Y, 0.0, mu1, mu2)
         L = loss_profile_pd(Y, mu1, mu2)
         xi_sq = float(mp.jump() @ mp.jump())
         np.testing.assert_allclose(S - S[-1], xi_sq * (L - L[-1]),
@@ -155,10 +130,8 @@ class TestProjectedLossIdentity:
     @given(**_cases)
     def test_locator_is_interior_argmin_of_scalar_loss(self, seed, T, p):
         Y, mu1, mu2 = _draw(seed, T, p)
-        mp = MeanPair(mu1, mu2)
-        t1, t2 = mp.projected_levels()
-        S = loss_profile_1d(project_series(Y, mp.jump()), t1, t2)
-        assert pls_estimate(Y, mp).k == int(np.argmin(S[:-1])) + 1
+        S = scalar_profile(Y, 0.0, mu1, mu2)
+        assert pls_estimate(Y, MeanPair(mu1, mu2)).k == int(np.argmin(S[:-1])) + 1
 
     @given(**_cases)
     def test_power_of_two_scaling_is_exact(self, seed, T, p):
@@ -169,6 +142,29 @@ class TestProjectedLossIdentity:
             c = 2.0**j
             assert np.array_equal(loss_profile_pd(c * Y, c * mu1, c * mu2), 4.0**j * base)
             assert pls_estimate(c * Y, MeanPair(c * mu1, c * mu2)).k == k
+
+
+def _shifted(scale):
+    Y = np.random.default_rng(13).normal(size=(200, 50))
+    Y[100:, :5] += 1.0
+    return Y * scale
+
+
+@pytest.mark.parametrize("Y", [
+    pytest.param(np.random.default_rng(14).normal(size=(2, 3)), id="T=2"),
+    pytest.param(np.random.default_rng(15).normal(size=(3, 3)), id="T=3"),
+    pytest.param(np.full((40, 6), 3.0), id="constant"),
+    pytest.param(np.zeros((40, 6)), id="zero"),
+    pytest.param(_shifted(1e-200), id="1e-200"),
+    pytest.param(_shifted(1e150), id="1e150"),
+    pytest.param(_shifted(1e160), id="1e160", marks=pytest.mark.xfail(
+        strict=True, raises=RuntimeWarning,
+        reason="the lambda criterion squares the data and overflows; scale-equivariant "
+               "tuning (ROADMAP item 1) rescales by a power of two first")),
+])
+def test_edge_input_ends_in_a_defined_status(Y):
+    # a RuntimeWarning is an error in this suite, so each input runs warning-free
+    assert full_pipeline(Y, c_alpha=11.03).status in {"ok", "no_change", "degenerate"}
 
 
 class TestFullPipeline:

@@ -140,6 +140,10 @@ class TestConfig:
         cfg = SimConfig(T=20, p=4, s=1, tau0=np.float64(0.5), rho=np.float32(0.25),
                         alpha=np.float64(0.05), tau_init=np.float64(0.5))
         assert cfg.k0 == 10
+        # stored as floats: a float32 used to make the simulate report's config
+        # unserialisable, and to draw the AR(1) noise in float32
+        assert all(type(getattr(cfg, f)) is float for f in ("tau0", "rho", "alpha", "tau_init"))
+        assert json.loads(json.dumps(asdict(cfg))) == asdict(cfg)
         assert SimConfig(T=20, p=4, s=1, tau0=1, rho=0).k0 == 20
 
     @pytest.mark.parametrize("value", ["no", 0, 1, None, 0.0])
@@ -150,7 +154,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_bool_penalty_switch_accepted(self, value):
-        assert SimConfig(T=10, p=4, s=1, tau0=0.5, gamma_off=value).gamma_off == value
+        cfg = SimConfig(T=10, p=4, s=1, tau0=0.5, gamma_off=value)
+        assert type(cfg.gamma_off) is bool and cfg.gamma_off == value
 
 
 class TestNoise:

@@ -16,24 +16,8 @@ from cpinfer.tune import (
     bic_gamma,
     bic_lambda,
 )
-from loss_oracles import loss_pd
-
-
-def naive_bic_lambda(Y, k, grid):
-    """Literal-sums reference: threshold the segment means, add log(T) per
-    union-support coordinate.  k = T fits the one full-sample mean."""
-    Y = np.asarray(Y, float)
-    T = Y.shape[0]
-    segments = [Y[:k], Y[k:]] if k < T else [Y]
-    out = []
-    for lam in grid:
-        rss, support = 0.0, np.zeros(Y.shape[1], dtype=bool)
-        for seg in segments:
-            m = np.sign(seg.mean(0)) * np.maximum(np.abs(seg.mean(0)) - lam, 0)
-            rss += np.sum((seg - m) ** 2)
-            support |= m != 0
-        out.append(rss + np.count_nonzero(support) * np.log(T))
-    return np.array(out)
+from loss_oracles import loss_pd, two_level
+from reference_pipeline import gamma_profile, lambda_profile, penalized_split
 
 
 class TestGrids:
@@ -65,7 +49,7 @@ class TestBicLambda:
         Y = rng.normal(size=(20, 6))
         Y[12:, :2] += 1.0
         _, prof = bic_lambda(Y, 9)
-        np.testing.assert_allclose(prof, naive_bic_lambda(Y, 9, DEFAULT_LAMBDAS), rtol=1e-9)
+        np.testing.assert_allclose(prof, lambda_profile(Y, 0.0, 9, DEFAULT_LAMBDAS), rtol=1e-9)
 
     @given(
         T=st.integers(2, 12),
@@ -83,14 +67,14 @@ class TestBicLambda:
         grid = np.concatenate([0.5 * np.arange(1, 11) / 11, np.abs(means), [0.0, 5.0]])
         s = series_stats(Y)
         prof = _lambda_criterion(s, k, grid)
-        np.testing.assert_allclose(prof, naive_bic_lambda(Y, k, grid), rtol=1e-9)
+        np.testing.assert_allclose(prof, lambda_profile(Y, 0.0, k, grid), rtol=1e-9)
         full = _lambda_criterion(s, T, grid)
-        np.testing.assert_allclose(full, naive_bic_lambda(Y, T, grid), rtol=1e-9)
+        np.testing.assert_allclose(full, lambda_profile(Y, 0.0, T, grid), rtol=1e-9)
 
     def test_noiseless_support_recovery_plateau(self):
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])
         mu2 = np.array([0.0, 2.0, 0.0, 0.0])
-        Y = np.vstack([np.tile(mu1, (6, 1)), np.tile(mu2, (6, 1))])
+        Y = two_level(12, 6, mu1, mu2)
         lam, prof = bic_lambda(Y, 6)
         mp = thresholded_means(Y, 6, lam)
         assert list(mp.support1) == [0]
@@ -119,7 +103,7 @@ class TestBicGamma:
     def test_noiseless_shift_flat_profile_tie_breaks_small(self):
         mu1 = np.array([3.0, 0.0])
         mu2 = np.array([0.0, 3.0])
-        Y = np.vstack([np.tile(mu1, (8, 1)), np.tile(mu2, (8, 1))])
+        Y = two_level(16, 8, mu1, mu2)
         lam, _ = bic_lambda(Y, 8)
         means = thresholded_means(Y, 8, lam)
         gamma, prof = _bic_gamma(series_stats(Y), loss_profile_pd(Y, means.mu1, means.mu2), lam)
@@ -152,9 +136,7 @@ class TestBicGamma:
 
     @pytest.mark.parametrize("lam", [None, 0.2])
     def test_profile_matches_a_brute_force_reference(self, lam):
-        # per gamma: the penalized split from the direct losses, then the
-        # smallest lambda criterion there (or the one at the fixed level)
-        # plus log(T) when the split is interior
+        # the reference's gamma profile on the direct losses
         rng = np.random.default_rng(10)
         kinds = set()
         for _ in range(40):
@@ -165,15 +147,8 @@ class TestBicGamma:
             level = bic_lambda(Y, k_init)[0] if lam is None else lam
             means = thresholded_means(Y, k_init, level)
             loss = np.array([loss_pd(Y, k, means.mu1, means.mu2) for k in range(1, T + 1)])
-            lams = DEFAULT_LAMBDAS if lam is None else [lam]
-            criterion, expect = {}, []
-            for g in DEFAULT_GAMMAS:
-                obj = loss + g * (np.arange(1, T + 1) < T)
-                k = T if obj[-1] <= obj.min() else int(np.argmin(obj)) + 1
-                if k not in criterion:
-                    criterion[k] = naive_bic_lambda(Y, k, lams).min() + (k < T) * np.log(T)
-                kinds.add(k < T)
-                expect.append(criterion[k])
+            expect = gamma_profile(Y, 0.0, loss, lam)
+            kinds.update(penalized_split(loss, g) < T for g in DEFAULT_GAMMAS)
             if lam is None:
                 gamma, profile = bic_gamma(Y, means)
             else:
