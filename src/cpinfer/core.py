@@ -315,9 +315,7 @@ class ChangePointEstimate:
     T: int
 
     def __post_init__(self):
-        if not _is_integer(self.T) or self.T < 1:
-            raise ValueError(f"series length must be an integer >= 1, got {self.T!r}")
-        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "T", _integer(self.T, "series length", 1))
         object.__setattr__(self, "k", _split_index(self.k, self.T, interior=False))
 
     @property
@@ -434,18 +432,35 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-def _check_tuning(value, name: str) -> float:
-    """``value``, a tuning level, as a float; ValueError unless it is a real
-    number, not a bool, that is finite and nonnegative."""
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a float; ValueError unless it is a real number, not a
+    bool, that is finite and nonnegative."""
     v = _real(value, name)
-    if not 0.0 <= v < np.inf:
+    if not 0.0 <= v < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     return v
 
 
+def _positive(value, name: str) -> float:
+    """``value`` as a float; ValueError unless it is a real number, not a
+    bool, that is finite and positive."""
+    v = _real(value, name)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {v}")
+    return v
+
+
+def _integer(value, name: str, floor: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer, not a bool,
+    of at least ``floor``."""
+    if not _is_integer(value) or value < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    return int(value)
+
+
 def soft_threshold(x, lam: float) -> np.ndarray:
     """Componentwise shrinkage sign(x) * max(|x| - lam, 0)."""
-    return _shrink(np.asarray(x, dtype=float), _check_tuning(lam, "shrinkage level"))
+    return _shrink(np.asarray(x, dtype=float), _nonnegative(lam, "shrinkage level"))
 
 
 def _shrink(x: np.ndarray, lam: float) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 from .core import (
     ChangePointEstimate,
     MeanPair,
-    _check_tuning,
     _fraction_split,
+    _nonnegative,
     _real,
     _shrink,
     loss_profile_pd,
@@ -67,7 +67,7 @@ def thresholded_means(Y, k: int, lam: float) -> MeanPair:
     ValueError unless ``lam`` is a real number, not a bool, that is finite
     and nonnegative."""
     left, right = stopped_means(Y, k)
-    lam = _check_tuning(lam, "shrinkage level")
+    lam = _nonnegative(lam, "shrinkage level")
     return MeanPair(_shrink(left, lam), _shrink(right, lam))
 
 
@@ -110,9 +110,9 @@ def detect_change(
     number, not a bool, that is finite and nonnegative.
     """
     if lam is not None:
-        lam = _check_tuning(lam, "shrinkage level")
+        lam = _nonnegative(lam, "shrinkage level")
     if gamma is not None:
-        gamma = _check_tuning(gamma, "penalty")
+        gamma = _nonnegative(gamma, "penalty")
     s = series_stats(Y)
     k_init = _initial_split(s.T, tau_init)
 

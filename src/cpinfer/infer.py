@@ -37,8 +37,10 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
-    _is_integer,
+    _integer,
+    _nonnegative,
     _norm,
+    _positive,
     _real,
     _split_index,
     series_stats,
@@ -65,7 +67,8 @@ class QuantileMCSettings:
 
     ``grid_half_width`` and ``grid_step`` are accepted for compatibility and
     must be finite and positive, but the draws are exact and use no grid, so
-    they have no effect and need not fit each other.
+    they have no effect and need not fit each other.  The fields are stored
+    as Python floats and ints, so ``dataclasses.asdict`` of settings is JSON.
     """
 
     grid_half_width: float = 200.0
@@ -74,13 +77,10 @@ class QuantileMCSettings:
     seed: int = 171717
 
     def __post_init__(self):
-        for name, value in (("grid half-width", self.grid_half_width), ("grid step", self.grid_step)):
-            if not (0.0 < _real(value, name) < math.inf):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not _is_integer(self.paths) or self.paths < 1:
-            raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for field, name in (("grid_half_width", "grid half-width"), ("grid_step", "grid step")):
+            object.__setattr__(self, field, _positive(getattr(self, field), name))
+        for field, floor in (("paths", 1), ("seed", 0)):
+            object.__setattr__(self, field, _integer(getattr(self, field), field, floor))
 
 
 @dataclass(frozen=True)
@@ -230,15 +230,6 @@ def _check_level(alpha) -> float:
     return a
 
 
-def _check_critical_value(c_alpha) -> float:
-    """The critical value as a float; ValueError unless it is a real number,
-    not a bool, that is finite and positive."""
-    c = _real(c_alpha, "critical value")
-    if not (0.0 < c < math.inf):
-        raise ValueError(f"critical value must be finite and positive, got {c}")
-    return c
-
-
 def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> float:
     """Critical value c with P(|V| <= c) = 1 - alpha under the arg-min law.
 
@@ -260,15 +251,14 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
     ``sigma_sq_hat`` finite and nonnegative, each a real number, not a bool;
     ``k_tilde`` and ``T`` are checked as ``ChangePointEstimate`` checks them."""
     alpha = _check_level(alpha)
-    c_alpha = _check_critical_value(c_alpha)
+    c_alpha = _positive(c_alpha, "critical value")
     xi_sq_hat = _real(xi_sq_hat, "squared jump")
     sigma_sq_hat = _real(sigma_sq_hat, "variance ratio")
     if not math.isfinite(xi_sq_hat):
         raise ValueError(f"squared jump must be finite, got {xi_sq_hat}")
     if xi_sq_hat <= 0.0:
         raise DegenerateJumpError("zero squared jump: interval undefined")
-    if not 0.0 <= sigma_sq_hat < math.inf:
-        raise ValueError(f"variance ratio must be finite and nonnegative, got {sigma_sq_hat}")
+    sigma_sq_hat = _nonnegative(sigma_sq_hat, "variance ratio")
     estimate = ChangePointEstimate(k_tilde, T)
     T = estimate.T
     half = c_alpha * sigma_sq_hat / xi_sq_hat

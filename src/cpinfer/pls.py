@@ -11,6 +11,7 @@ L(T)) for the detector's loss L at the same means (both sides equal
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +21,13 @@ from .core import (
     DegenerateJumpError,
     MeanPair,
     _centered,
+    _positive,
     loss_profile_pd,
     series_stats,
 )
 from .detect import DetectionResult, _shrunk_means, detect_change
 from .infer import (
     InferenceResult,
-    _check_critical_value,
     _check_level,
     confidence_interval,
     limit_quantile,
@@ -113,7 +114,7 @@ def full_pipeline(
     """
     if with_ci:
         alpha = _check_level(alpha)
-        c_alpha = _check_critical_value(limit_quantile(alpha) if c_alpha is None else c_alpha)
+        c_alpha = _positive(limit_quantile(alpha) if c_alpha is None else c_alpha, "critical value")
     stats = series_stats(Y)  # the one validation
     if center:
         stats = _centered(stats)
@@ -131,6 +132,8 @@ def full_pipeline(
             refit = refit_means(stats, k_tilde, means.support1, means.support2)
             xi_sq = plugin_xi_sq(refit)
             sigma_sq = plugin_sigma_sq(stats, k_tilde, refit)
+            if not (math.isfinite(xi_sq) and math.isfinite(sigma_sq)):
+                raise DegenerateJumpError("the plugin estimates overflowed")
             result.inference = confidence_interval(k_tilde, xi_sq, sigma_sq, c_alpha, T, alpha=alpha)
     except DegenerateJumpError:
         result.status = "degenerate"

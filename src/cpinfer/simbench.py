@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _fraction_split, _helper_pays, _is_integer, _real, series_stats
+from .core import _fraction_split, _helper_pays, _integer, _real, series_stats
 from .detect import _initial_split, detect_change
 from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
@@ -61,14 +61,10 @@ class SimConfig:
     gamma_off: bool = False
 
     def __post_init__(self):
-        for name in ("T", "p", "s", "reps", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, floor in (("T", 2), ("p", 1), ("s", 1), ("reps", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, floor))
         for name in ("tau0", "rho", "alpha", "tau_init"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.T < 2 or self.p < 1 or self.s < 1 or self.reps < 1:
-            raise ValueError("T >= 2, p >= 1, s >= 1 and reps >= 1 required")
         if 2 * self.s > self.p:
             raise ValueError(f"designed supports overlap: need 2s <= p, got s={self.s}, p={self.p}")
         if not (0.0 < self.tau0 <= 1.0):
@@ -76,8 +72,6 @@ class SimConfig:
         if self.tau0 < 1.0 and self.k0 < 1:
             raise ValueError(f"tau0 < 1 needs a true split floor(T * tau0) >= 1, "
                              f"got T={self.T}, tau0={self.tau0}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (-1.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
         if not isinstance(self.gamma_off, (bool, np.bool_)):
@@ -273,8 +267,7 @@ def run_monte_carlo(
     every case.
     """
     _check_estimator(estimator)
-    if not _is_integer(n_jobs) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1 and an integer, got {n_jobs!r}")
+    n_jobs = _integer(n_jobs, "n_jobs", 1)
     if estimator == "pls_ci" and c_alpha is None:
         c_alpha = limit_quantile(cfg.alpha)
 

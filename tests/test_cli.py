@@ -213,29 +213,19 @@ class TestCommands:
             build_parser().parse_args(argv)
         assert exc.value.code == 1
 
-    def test_import_leaves_scipy_unloaded(self):
-        code = "import cpinfer.cli, sys; print('scipy' in sys.modules)"
+    def test_import_leaves_scipy_and_the_pools_unloaded(self):
+        code = ("import cpinfer.cli, sys; "
+                "print(*(m in sys.modules for m in ('scipy', 'multiprocessing', 'concurrent.futures')))")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_import_leaves_multiprocessing_unloaded(self):
+        scipy, multiprocessing, futures = proc.stdout.split()
+        assert scipy == "False"
         # the process pool is imported only by a run with n_jobs > 1
-        code = "import cpinfer.cli, sys; print('multiprocessing' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_import_leaves_concurrent_futures_unloaded(self):
+        assert multiprocessing == "False"
         # the thread pool that draws replications ahead is imported by the run
         # that uses it: loading concurrent.futures adds to every process's start-up
-        code = "import cpinfer.cli, sys; print('concurrent.futures' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert futures == "False"
 
     def test_first_pipeline_leaves_numpy_ma_unloaded(self):
         # np.unique loads numpy.ma, several ms on a process's first pipeline;
@@ -344,7 +334,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "n_jobs must be >= 1" in json.loads(captured.err)["error"]
+        assert "n_jobs must be an integer >= 1" in json.loads(captured.err)["error"]
 
     def test_reports_carry_the_run_record(self, shifted_csv, capsys):
         path, Y, _ = shifted_csv

@@ -582,10 +582,6 @@ class TestSoftThreshold:
         with pytest.raises(ValueError, match="shrinkage level must be a real number"):
             soft_threshold([1.0], lam)
 
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold([1.0], -0.1)
-
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_threshold_rejected(self, lam):
         with pytest.raises(ValueError, match="finite and nonnegative"):

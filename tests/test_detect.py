@@ -59,10 +59,6 @@ class TestPenalizedArgmin:
         np.testing.assert_allclose(obj, [0.35, 0.1, 0.35, 0.5])
         assert k == 2
 
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError, match="penalty must be finite and nonnegative"):
-            detect_change(np.arange(3.0)[:, None], lam=0.0, gamma=-1.0)
-
     def test_boundary_tie_prefers_no_change(self):
         # residuals identical under either mean: every split ties, boundary wins
         Y = np.array([[1.0], [0.0], [0.0], [1.0]])

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -112,20 +115,12 @@ class TestLimitQuantile:
         with pytest.raises(ValueError):
             limit_quantile(1.0, FAST_MC)
 
-    def test_invalid_settings(self):
-        with pytest.raises(ValueError):
-            QuantileMCSettings(grid_half_width=-1.0)
-        with pytest.raises(ValueError):
-            QuantileMCSettings(paths=0)
-        with pytest.raises(ValueError):
-            QuantileMCSettings(grid_step=0.0)
-
     @pytest.mark.parametrize("kwargs", [
         {"grid_half_width": np.inf}, {"grid_half_width": np.nan}, {"grid_step": np.inf},
         {"grid_step": np.nan}, {"paths": 2.5}, {"paths": np.inf},
     ])
     def test_non_finite_or_fractional_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="finite and positive|positive integer"):
+        with pytest.raises(ValueError, match="finite and positive|an integer >= 1"):
             QuantileMCSettings(**kwargs)
 
     @pytest.mark.parametrize("kwargs, name", [
@@ -180,12 +175,16 @@ class TestLimitQuantile:
         ({"seed": "7"}, "seed"), ({"paths": True}, "paths"), ({"paths": -3}, "paths"),
     ])
     def test_unusable_seed_or_path_count_rejected(self, kwargs, field):
-        with pytest.raises(ValueError, match=f"^{field} must be a (positive|non-negative) integer"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
             QuantileMCSettings(**kwargs)
 
     def test_numpy_integer_settings_accepted(self):
-        s = QuantileMCSettings(paths=np.int64(100), seed=np.uint32(5))
+        s = QuantileMCSettings(paths=np.int64(100), seed=np.uint32(5), grid_step=np.float32(0.5))
         assert simulate_argmin_locations(s).shape == (100,)
+        # stored as Python numbers: a float32 used to make asdict(s) unserialisable
+        assert type(s.paths) is int and type(s.seed) is int
+        assert type(s.grid_step) is float and type(s.grid_half_width) is float
+        assert json.loads(json.dumps(asdict(s))) == asdict(s)
 
 
 class TestExactQuantile:

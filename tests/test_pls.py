@@ -370,6 +370,21 @@ class TestFullPipeline:
         assert res.loss_profile is not None
         assert res.inference is None
 
+    @pytest.mark.parametrize("plugin", ["plugin_xi_sq", "plugin_sigma_sq"])
+    def test_overflowed_plugin_keeps_location(self, monkeypatch, plugin):
+        # an infinite plugin estimate used to escape confidence_interval as a
+        # ValueError; the location survives but no interval is formed
+        import cpinfer.pls as pls_mod
+
+        rng = np.random.default_rng(9)
+        Y = rng.normal(size=(30, 3))
+        Y[18:, 0] += 2.0
+        located = full_pipeline(Y, c_alpha=11.03).pls_estimate
+        monkeypatch.setattr(pls_mod, plugin, lambda *args: np.inf)
+        res = full_pipeline(Y, c_alpha=11.03)
+        assert res.status == "degenerate"
+        assert res.pls_estimate == located and res.inference is None
+
     def test_peak_allocation_is_a_fraction_of_the_input(self):
         # the statistics are built by row blocks: no T x p temporary
         Y = np.random.default_rng(10).normal(size=(4000, 500))

@@ -96,7 +96,7 @@ class TestConfig:
             SimConfig(T=T, p=4, s=1, tau0=tau0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             SimConfig(T=10, p=4, s=1, tau0=0.5, seed=-1)
         assert SimConfig(T=10, p=4, s=1, tau0=0.5, seed=0).seed == 0
 
@@ -114,7 +114,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [("T", 1), ("p", 0), ("s", 0), ("reps", 0)])
     def test_sizes_below_their_floor_rejected(self, field, value):
         kwargs = {"T": 40, "p": 10, "s": 2, "tau0": 0.5, "reps": 3, field: value}
-        with pytest.raises(ValueError, match="T >= 2, p >= 1, s >= 1 and reps >= 1 required"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= {value + 1}, got {value}"):
             SimConfig(**kwargs)
 
     def test_numpy_integer_sizes_accepted(self):
@@ -352,14 +352,14 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_nonpositive_worker_count_rejected(self, n_jobs):
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
-        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+        with pytest.raises(ValueError, match="n_jobs must be an integer >= 1"):
             run_monte_carlo(cfg, estimator="pls", n_jobs=n_jobs)
 
     @pytest.mark.parametrize("n_jobs", [1.5, 2.0, True])
     def test_non_integer_worker_count_rejected(self, n_jobs):
         # 1.5 used to end in a TypeError from the pool, and True ran serially
         cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
-        with pytest.raises(ValueError, match="n_jobs must be >= 1 and an integer"):
+        with pytest.raises(ValueError, match="n_jobs must be an integer >= 1"):
             run_monte_carlo(cfg, estimator="pls", n_jobs=n_jobs)
 
     def test_replications_leave_scipy_unloaded(self):
@@ -420,6 +420,19 @@ class TestRunMonteCarlo:
         rec = pls_report.per_rep_records[0]
         if rec["changed"]:
             assert rec["k_hat"] is not None
+
+    def test_all_replication_metrics_pin_a_miss_at_one(self):
+        # k0 / T = 0.5: a change located at 0.7, a missed change pinned at 1,
+        # and a degenerate run that kept its location 0.4
+        def record(changed, tau_tilde, status):
+            return {"k0": 5, "changed": changed, "tau_tilde": tau_tilde, "status": status,
+                    "se": None, "covered": None}
+
+        records = [record(True, 0.7, "ok"), record(False, None, "no_change"),
+                   record(True, 0.4, "degenerate")]
+        report = metrics_from_records(SimConfig(T=10, p=4, s=1, tau0=0.5), records, "pls")
+        assert report.rmse_all == pytest.approx(math.sqrt((0.2**2 + 0.5**2 + 0.1**2) / 3))
+        assert report.degenerate_count == 1
 
 
 @pytest.fixture
