@@ -27,6 +27,18 @@ def run_cli(argv, capsys):
     return json.loads(out), code
 
 
+@pytest.fixture(scope="module")
+def loaded_after_import():
+    """Which of the modules cpinfer.cli must not load are in sys.modules after
+    importing it, read from one fresh interpreter."""
+    names = ("scipy", "multiprocessing", "concurrent.futures")
+    code = f"import cpinfer.cli, sys; print(*(m in sys.modules for m in {names!r}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(names, proc.stdout.split(), strict=True))
+
+
 @pytest.fixture
 def shifted_csv(tmp_path):
     cfg = SimConfig(T=60, p=12, s=3, tau0=0.5, seed=21)
@@ -213,19 +225,17 @@ class TestCommands:
             build_parser().parse_args(argv)
         assert exc.value.code == 1
 
-    def test_import_leaves_scipy_and_the_pools_unloaded(self):
-        code = ("import cpinfer.cli, sys; "
-                "print(*(m in sys.modules for m in ('scipy', 'multiprocessing', 'concurrent.futures')))")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        scipy, multiprocessing, futures = proc.stdout.split()
-        assert scipy == "False"
+    def test_import_leaves_scipy_unloaded(self, loaded_after_import):
+        assert loaded_after_import["scipy"] == "False"
+
+    def test_import_leaves_multiprocessing_unloaded(self, loaded_after_import):
         # the process pool is imported only by a run with n_jobs > 1
-        assert multiprocessing == "False"
+        assert loaded_after_import["multiprocessing"] == "False"
+
+    def test_import_leaves_concurrent_futures_unloaded(self, loaded_after_import):
         # the thread pool that draws replications ahead is imported by the run
         # that uses it: loading concurrent.futures adds to every process's start-up
-        assert futures == "False"
+        assert loaded_after_import["concurrent.futures"] == "False"
 
     def test_first_pipeline_leaves_numpy_ma_unloaded(self):
         # np.unique loads numpy.ma, several ms on a process's first pipeline;
