@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _fraction_split, _helper_pays, _integer, _real, series_stats
+from .core import _fraction_split, _helper_pays, _integer, _positive, _real, series_stats
 from .detect import _initial_split, detect_change
 from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
@@ -260,7 +260,8 @@ def run_monte_carlo(
     ``rep``, ``k0`` and ``tau0``, the run's ``PipelineResult.record()``, and
     ``se``, ``ci_lo``, ``ci_hi`` and ``covered`` (None without an interval).
     The critical value for "pls_ci" is the exact limiting-law quantile at
-    ``cfg.alpha`` unless supplied.  ``n_jobs`` >= 1 worker processes run the
+    ``cfg.alpha`` unless supplied; a supplied value is checked before any
+    replication, for every estimator.  ``n_jobs`` >= 1 worker processes run the
     replications; 1 runs them in this process, where two helper threads
     draw up to three replications ahead of the pipeline when
     ``core._helper_pays`` (see ``_datasets``).  The records are the same in
@@ -268,8 +269,9 @@ def run_monte_carlo(
     """
     _check_estimator(estimator)
     n_jobs = _integer(n_jobs, "n_jobs", 1)
-    if estimator == "pls_ci" and c_alpha is None:
-        c_alpha = limit_quantile(cfg.alpha)
+    if estimator == "pls_ci" or c_alpha is not None:
+        c_alpha = _positive(limit_quantile(cfg.alpha) if c_alpha is None else c_alpha,
+                            "critical value")
 
     if n_jobs > 1:
         # imported here: multiprocessing is slow to load and serial runs never need it

@@ -3,6 +3,7 @@ and every scalar argument is checked by the one function of its kind."""
 
 import importlib
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -37,12 +38,14 @@ def test_module_exports_resolve(name):
 # value just below their floor.
 BAD = {
     "real": ["0.5", "0.05", "1", True, False, np.True_, None],
-    "nonnegative": ["0.2", "1", True, False, np.True_, [0.2], -0.1, -1.0, -1e-300, np.nan, np.inf],
+    "nonnegative": ["0.2", "0.5", "1", True, False, np.True_, None, 1j, [0.2], -0.1, -1.0, -1e-300,
+                    np.nan, np.inf, -np.inf],
     "positive": ["0.01", "11", "x", True, np.True_, None, 11j, 0.0, -1.0, -11.0, np.nan, np.inf],
     "level": ["0.05", True, False, None, 0.05j, [0.05], 0.0, 1.0, -0.1, 1.5, 7.0, np.nan],
     "integer": [2.5, 1.5, 9.9, 40.5, 2.0, 10.0, np.inf, True, False, "7", -3],
 }
-# how a kind rejects a real number; any other value "must be a real number"
+# how a kind rejects a real number; any other value "must be a real number",
+# and each message ends ", got <the value>"
 OUT_OF_RANGE = {
     "nonnegative": "must be finite and nonnegative",
     "positive": "must be finite and positive",
@@ -71,6 +74,8 @@ ARGUMENTS = {
     "full_pipeline.alpha": (lambda v: full_pipeline(_Y, alpha=v), "level", "level"),
     "full_pipeline.c_alpha": (lambda v: full_pipeline(_Y, c_alpha=v), "critical value", "positive"),
     "limit_quantile.alpha": (limit_quantile, "level", "level"),
+    "limit_quantile.alpha+settings":
+        (lambda v: limit_quantile(v, QuantileMCSettings(paths=1)), "level", "level"),
     "confidence_interval.xi_sq_hat":
         (lambda v: confidence_interval(5, v, 1.0, 11.0, 10), "squared jump", "real"),
     "confidence_interval.sigma_sq_hat":
@@ -90,10 +95,13 @@ ARGUMENTS = {
        for f, floor in (("T", 2), ("p", 1), ("s", 1), ("reps", 1), ("seed", 0))},
     **{f"SimConfig.{f}": (_design(f), f, "real") for f in ("tau0", "rho", "alpha", "tau_init")},
     "run_monte_carlo.n_jobs": (lambda v: run_monte_carlo(_CFG, "pls", n_jobs=v), "n_jobs", 1),
-    "run_monte_carlo.c_alpha": (lambda v: run_monte_carlo(_CFG, c_alpha=v), "critical value", "positive"),
+    # checked up front, even where the estimator has no use for it
+    "run_monte_carlo.c_alpha":
+        (lambda v: run_monte_carlo(_CFG, "pls", c_alpha=v), "critical value", "positive"),
 }
-# None selects the exact critical value here, so it is no bad value
-NONE_SELECTS_DEFAULT = {"full_pipeline.c_alpha", "run_monte_carlo.c_alpha"}
+# None selects the default level or critical value here, so it is no bad value
+NONE_SELECTS_DEFAULT = {"detect_change.lam", "detect_change.gamma", "full_pipeline.lam",
+                        "full_pipeline.gamma", "full_pipeline.c_alpha", "run_monte_carlo.c_alpha"}
 
 
 def _cases():
@@ -102,12 +110,13 @@ def _cases():
             if value is None and argument in NONE_SELECTS_DEFAULT:
                 continue
             if isinstance(kind, int):
-                message = f"must be an integer >= {kind}, got "
+                message, shown = f"must be an integer >= {kind}", repr(value)
             elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-                message = OUT_OF_RANGE[kind]
+                message, shown = OUT_OF_RANGE[kind], str(float(value))
             else:
-                message = "must be a real number, got "
-            yield pytest.param(call, value, f"^{name} {message}", id=f"{argument}={value!r}")
+                message, shown = "must be a real number", repr(value)
+            yield pytest.param(call, value, f"^{name} {message}, got {re.escape(shown)}$",
+                               id=f"{argument}={value!r}")
 
 
 @pytest.mark.parametrize("call, value, message", list(_cases()))

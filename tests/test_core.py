@@ -577,16 +577,6 @@ class TestSoftThreshold:
         x = np.array([0.3, -4.0, 2.0])
         np.testing.assert_array_equal(soft_threshold(x, 0.0), x)
 
-    @pytest.mark.parametrize("lam", ["0.2", True, np.True_, [0.2]])
-    def test_threshold_must_be_a_real_number(self, lam):
-        with pytest.raises(ValueError, match="shrinkage level must be a real number"):
-            soft_threshold([1.0], lam)
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf])
-    def test_non_finite_threshold_rejected(self, lam):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            soft_threshold([1.0], lam)
-
     def test_support_shrinks(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=40)
@@ -745,11 +735,6 @@ class TestChangePointEstimate:
         # 2.5 used to construct with tau 0.25 and True to be kept as k
         with pytest.raises(ValueError, match="split index must be an integer"):
             ChangePointEstimate(k, T)
-
-    @pytest.mark.parametrize("T", [9.9, 10.0, True, 0, -3])
-    def test_length_must_be_a_positive_integer(self, T):
-        with pytest.raises(ValueError, match="series length must be an integer >= 1"):
-            ChangePointEstimate(1, T)
 
     def test_numpy_integers_stored_as_ints(self):
         est = ChangePointEstimate(np.int64(3), np.int32(10))

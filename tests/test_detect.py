@@ -35,12 +35,6 @@ class TestThresholdedMeans:
         with pytest.raises(ValueError):
             thresholded_means(np.zeros((4, 1)), 4, 0.1)
 
-    @pytest.mark.parametrize("lam", [-0.1, True, np.True_, "0.5", 1j, None, np.nan, np.inf, -np.inf])
-    def test_level_rejected(self, lam):
-        # the level is checked once per call, not by each shrinkage
-        with pytest.raises(ValueError, match="shrinkage level"):
-            thresholded_means(two_level(10, 4, [2.0, 0.0], [0.0, 1.5]), 4, lam)
-
 
 class TestPenalizedArgmin:
     def test_constant_series_prefers_no_change(self):
@@ -136,22 +130,6 @@ class TestDetectChange:
     def test_degenerate_initializer_rejected(self):
         with pytest.raises(ValueError):
             detect_change(np.zeros((10, 1)) + np.arange(10)[:, None], tau_init=0.01)
-
-    @pytest.mark.parametrize("value", ["0.2", True, False, np.True_])
-    @pytest.mark.parametrize("knob", ["lam", "gamma"])
-    def test_tuning_level_must_be_a_real_number(self, knob, value):
-        # a string used to fail inside numpy, and True to run as 1.0
-        Y = np.random.default_rng(5).normal(size=(40, 6))
-        with pytest.raises(ValueError, match="must be a real number"):
-            detect_change(Y, **{knob: value})
-
-    @pytest.mark.parametrize("value", ["0.5", True, np.True_, None])
-    def test_initial_fraction_must_be_a_real_number(self, value):
-        # "0.5" used to fail on the string T * "0.5", True to run as 1.0 and
-        # None to raise TypeError
-        Y = np.random.default_rng(5).normal(size=(40, 6))
-        with pytest.raises(ValueError, match="initial fraction must be a real number"):
-            detect_change(Y, tau_init=value)
 
     def test_levels_are_reported_as_floats(self):
         det = detect_change(np.random.default_rng(6).normal(size=(40, 6)),

@@ -109,31 +109,6 @@ class TestPluginSigmaSq:
 
 
 class TestLimitQuantile:
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            limit_quantile(0.0, FAST_MC)
-        with pytest.raises(ValueError):
-            limit_quantile(1.0, FAST_MC)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"grid_half_width": np.inf}, {"grid_half_width": np.nan}, {"grid_step": np.inf},
-        {"grid_step": np.nan}, {"paths": 2.5}, {"paths": np.inf},
-    ])
-    def test_non_finite_or_fractional_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="finite and positive|an integer >= 1"):
-            QuantileMCSettings(**kwargs)
-
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"grid_half_width": True}, "grid half-width"),
-        ({"grid_half_width": "x"}, "grid half-width"),
-        ({"grid_step": None}, "grid step"),
-        ({"grid_step": "0.01"}, "grid step"),
-    ])
-    def test_non_real_grid_value_rejected(self, kwargs, name):
-        # True used to pass as 1.0, and "x" or None to raise TypeError
-        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
-            QuantileMCSettings(**kwargs)
-
     def test_quantile_tends_to_zero_as_alpha_grows(self):
         c = limit_quantile(0.98, FAST_MC)
         assert 0.0 <= c < 0.5
@@ -170,14 +145,6 @@ class TestLimitQuantile:
         b = simulate_argmin_locations(QuantileMCSettings(10.0, 0.5, paths=3000, seed=4))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("kwargs, field", [
-        ({"seed": -1}, "seed"), ({"seed": 2.5}, "seed"), ({"seed": True}, "seed"),
-        ({"seed": "7"}, "seed"), ({"paths": True}, "paths"), ({"paths": -3}, "paths"),
-    ])
-    def test_unusable_seed_or_path_count_rejected(self, kwargs, field):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
-            QuantileMCSettings(**kwargs)
-
     def test_numpy_integer_settings_accepted(self):
         s = QuantileMCSettings(paths=np.int64(100), seed=np.uint32(5), grid_step=np.float32(0.5))
         assert simulate_argmin_locations(s).shape == (100,)
@@ -199,11 +166,6 @@ class TestExactQuantile:
         assert all(c > 0.0 for c in values)
         assert np.all(np.diff(values) < 0)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
-    def test_invalid_alpha(self, alpha):
-        with pytest.raises(ValueError):
-            limit_quantile(alpha)
-
     def test_computed_once_per_level(self):
         # the bisection ran on every pipeline call without a supplied value
         first = limit_quantile(0.05)
@@ -218,12 +180,6 @@ class TestExactQuantile:
         default = full_pipeline(Y).record()
         assert default == full_pipeline(Y, c_alpha=limit_quantile(0.05)).record()
         assert default["status"] == "ok"
-
-    @pytest.mark.parametrize("alpha", ["0.05", True, False, None, 0.05j, [0.05]])
-    def test_non_real_level_rejected(self, alpha):
-        # "0.05" used to end in a bare TypeError
-        with pytest.raises(ValueError, match="level must be a real number"):
-            limit_quantile(alpha)
 
     def test_matches_scipy_implementation(self):
         # G(x) written directly, with the e^x term in log space through log_ndtr
@@ -290,21 +246,6 @@ class TestConfidenceInterval:
         with pytest.raises(DegenerateJumpError):
             confidence_interval(5, -1.0, 1.0, 11.03, 10)
 
-    @pytest.mark.parametrize("sigma_sq", [-1.0, -1e-300, np.nan, np.inf])
-    def test_bad_variance_ratio_rejected(self, sigma_sq):
-        # -1 used to give the inverted interval (16, -6), nan the interval (1, T)
-        with pytest.raises(ValueError, match="variance ratio must be finite and nonnegative"):
-            confidence_interval(5, 1.0, sigma_sq, 11.0, 10)
-
-    @pytest.mark.parametrize("xi_sq, sigma_sq, name", [
-        (True, 1.0, "squared jump"), ("1", 1.0, "squared jump"), (None, 1.0, "squared jump"),
-        (1.0, True, "variance ratio"), (1.0, "1", "variance ratio"),
-    ])
-    def test_non_real_jump_or_variance_ratio_rejected(self, xi_sq, sigma_sq, name):
-        # True used to pass as 1.0, and "1" to raise TypeError
-        with pytest.raises(ValueError, match=f"{name} must be a real number"):
-            confidence_interval(5, xi_sq, sigma_sq, 11.0, 10)
-
     def test_fractional_length_rejected(self):
         # T = 9.9 used to split at int(T) = 9 but divide the fraction view by 9.9
         with pytest.raises(ValueError, match="series length must be an integer"):
@@ -313,24 +254,7 @@ class TestConfidenceInterval:
         assert res.k_tilde.T == 9
         assert res.interval_frac == (res.interval_int[0] / 9, res.interval_int[1] / 9)
 
-    @pytest.mark.parametrize("c_alpha", [-11.0, 0.0, np.nan, np.inf])
-    def test_bad_critical_value_rejected(self, c_alpha):
-        # -11 used to give the inverted interval (71.76, 68.24), nan and inf [1, T]
-        with pytest.raises(ValueError, match="critical value must be finite and positive"):
-            confidence_interval(70, 1.0, 0.16, c_alpha, 350)
-
-    @pytest.mark.parametrize("c_alpha", ["11", True, None, 11j])
-    def test_non_real_critical_value_rejected(self, c_alpha):
-        with pytest.raises(ValueError, match="critical value must be a real number"):
-            confidence_interval(70, 1.0, 0.16, c_alpha, 350)
-
     def test_checked_values_are_floats(self):
         res = confidence_interval(70, 1.0, 0.16, np.float32(11.0), 350, alpha=np.float32(0.25))
         assert type(res.c_alpha) is float and type(res.alpha) is float
         assert res.c_alpha == 11.0 and res.alpha == 0.25
-
-    @pytest.mark.parametrize("alpha", [7.0, 0.0, 1.0, np.nan])
-    def test_bad_level_rejected(self, alpha):
-        # 7 used to come back as the result's alpha
-        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
-            confidence_interval(5, 1.0, 1.0, 11.0, 10, alpha=alpha)

@@ -188,19 +188,6 @@ class TestFullPipeline:
         res = full_pipeline(two_level(20, 10, mu1, mu2), alpha=alpha, with_ci=False)
         assert res.status == "ok"
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("alpha", "0.05", "level must be a real number"),
-        ("alpha", True, "level must be a real number"),
-        ("c_alpha", "11", "critical value must be a real number"),
-        ("c_alpha", True, "critical value must be a real number"),
-        ("c_alpha", np.True_, "critical value must be a real number"),
-    ])
-    def test_non_real_level_or_critical_value_rejected(self, field, value, message):
-        # strings used to end in a bare TypeError, and c_alpha=True ran with c = 1
-        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        with pytest.raises(ValueError, match=message):
-            full_pipeline(two_level(20, 10, mu1, mu2), **{field: value})
-
     @pytest.mark.parametrize("c_alpha", [-11.0, 0.0, np.nan, np.inf])
     def test_critical_value_checked_before_any_work(self, c_alpha):
         with pytest.raises(ValueError, match="critical value must be finite and positive"):
@@ -210,14 +197,6 @@ class TestFullPipeline:
             full_pipeline(two_level(20, 10, mu1, mu2), c_alpha=c_alpha)
         res = full_pipeline(two_level(20, 10, mu1, mu2), c_alpha=c_alpha, with_ci=False)
         assert res.status == "ok"
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("knob", ["lam", "gamma"])
-    def test_non_finite_tuning_value_rejected(self, knob, value):
-        # no-change data, on which a NaN lam or gamma used to report a change at k = 1
-        Y = np.random.default_rng(11).normal(size=(100, 50))
-        with pytest.raises(ValueError, match="must be finite and nonnegative"):
-            full_pipeline(Y, c_alpha=11.03, **{knob: value})
 
     def test_noiseless_shift_recovers_and_collapses_interval(self):
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])

@@ -95,27 +95,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="true split"):
             SimConfig(T=T, p=4, s=1, tau0=tau0)
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            SimConfig(T=10, p=4, s=1, tau0=0.5, seed=-1)
+    def test_zero_seed_accepted(self):
+        # the seed's floor; tests/test_api.py's argument table rejects -1
         assert SimConfig(T=10, p=4, s=1, tau0=0.5, seed=0).seed == 0
-
-    @pytest.mark.parametrize("field, value", [
-        ("T", 40.5), ("p", 10.0), ("s", 2.5), ("reps", 2.0), ("seed", 1.5),
-        ("T", True), ("p", True), ("s", True), ("reps", True), ("seed", False),
-    ])
-    def test_non_integer_sizes_rejected(self, field, value):
-        # fractional sizes used to construct and fail later inside numpy, and
-        # reps=True ran one replication
-        kwargs = {"T": 40, "p": 10, "s": 2, "tau0": 0.5, "reps": 3, "seed": 1, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            SimConfig(**kwargs)
-
-    @pytest.mark.parametrize("field, value", [("T", 1), ("p", 0), ("s", 0), ("reps", 0)])
-    def test_sizes_below_their_floor_rejected(self, field, value):
-        kwargs = {"T": 40, "p": 10, "s": 2, "tau0": 0.5, "reps": 3, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an integer >= {value + 1}, got {value}"):
-            SimConfig(**kwargs)
 
     def test_numpy_integer_sizes_accepted(self):
         cfg = SimConfig(T=np.int64(40), p=np.int32(10), s=np.int64(2), tau0=0.5,
@@ -124,17 +106,6 @@ class TestConfig:
         # stored as ints, as a report's config is written: np.int64 is not JSON
         assert all(type(getattr(cfg, f)) is int for f in ("T", "p", "s", "reps", "seed"))
         assert json.loads(json.dumps(asdict(cfg)))["T"] == 40
-
-    @pytest.mark.parametrize("field, value", [
-        ("tau0", True), ("rho", False), ("alpha", True), ("tau_init", np.True_),
-        ("tau0", "0.5"), ("rho", "0.5"), ("alpha", "0.05"), ("tau_init", "0.5"), ("tau0", None),
-    ])
-    def test_non_real_fractions_rejected(self, field, value):
-        # tau0=True built a no-change design and rho=False ran as 0; "0.5" and
-        # "0.05" raised TypeError, and tau_init="0.5" failed on T * "0.5"
-        kwargs = {"T": 20, "p": 4, "s": 1, "tau0": 0.5, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be a real number"):
-            SimConfig(**kwargs)
 
     def test_numpy_real_fractions_accepted(self):
         cfg = SimConfig(T=20, p=4, s=1, tau0=np.float64(0.5), rho=np.float32(0.25),
@@ -349,19 +320,6 @@ class TestRunMonteCarlo:
         assert sizes == [3, 2]
         assert pooled.per_rep_records == run_monte_carlo(cfg, estimator="pls").per_rep_records
 
-    @pytest.mark.parametrize("n_jobs", [0, -3])
-    def test_nonpositive_worker_count_rejected(self, n_jobs):
-        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
-        with pytest.raises(ValueError, match="n_jobs must be an integer >= 1"):
-            run_monte_carlo(cfg, estimator="pls", n_jobs=n_jobs)
-
-    @pytest.mark.parametrize("n_jobs", [1.5, 2.0, True])
-    def test_non_integer_worker_count_rejected(self, n_jobs):
-        # 1.5 used to end in a TypeError from the pool, and True ran serially
-        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2)
-        with pytest.raises(ValueError, match="n_jobs must be an integer >= 1"):
-            run_monte_carlo(cfg, estimator="pls", n_jobs=n_jobs)
-
     def test_replications_leave_scipy_unloaded(self):
         code = ("import sys; from cpinfer.simbench import SimConfig, run_monte_carlo; "
                 "run_monte_carlo(SimConfig(T=20, p=6, s=2, tau0=0.5, reps=2)); "
@@ -370,13 +328,6 @@ class TestRunMonteCarlo:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
-
-    @pytest.mark.parametrize("c_alpha", [np.nan, -11.0])
-    def test_bad_critical_value_rejected(self, c_alpha):
-        # a NaN critical value used to give [1, T] and report coverage 1.0
-        cfg = SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2, gamma_off=True)
-        with pytest.raises(ValueError, match="critical value must be finite and positive"):
-            run_monte_carlo(cfg, estimator="pls_ci", c_alpha=c_alpha)
 
     def test_unknown_estimator_rejected(self, monkeypatch):
         # before any replication runs
