@@ -309,7 +309,8 @@ def series_stats(data) -> SeriesStats:
 @dataclass(frozen=True)
 class ChangePointEstimate:
     """A split index k in {1, ..., T}; k == T encodes "no change".  Both are
-    stored as ints; ValueError unless each is an integer, not a bool."""
+    stored as ints; ValueError unless each is an integer, not a bool, with
+    T >= 1 and k in 1..T."""
 
     k: int
     T: int
@@ -393,21 +394,10 @@ def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
     return (s.ss + s.T * (v2 @ v2) + excess.cumsum()) / s.T
 
 
-def _is_integer(value) -> bool:
-    # the int test first: an isinstance check against the ABC costs ~1 us
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
-
-
 def _split_index(k, T: int, interior: bool = True) -> int:
     """``k`` as an int; ValueError unless k is an integer, not a bool, in
     1..T-1 (both segments non-empty), or in 1..T when not ``interior``."""
-    if not _is_integer(k):
-        raise ValueError(f"split index must be an integer, got {k!r}")
-    if interior and not 1 <= k <= T - 1:
-        raise ValueError(f"split k={k} leaves an empty segment (T={T})")
-    if not 1 <= k <= T:
-        raise ValueError(f"split index k={k} outside 1..T={T}")
-    return int(k)
+    return _integer(k, "split index", 1, T - interior)
 
 
 def _fraction_split(T: int, tau: float) -> int | float:
@@ -450,12 +440,22 @@ def _positive(value, name: str) -> float:
     return v
 
 
-def _integer(value, name: str, floor: int) -> int:
+def _integer(value, name: str, floor: int, ceiling: int | None = None) -> int:
     """``value`` as an int; ValueError unless it is an integer, not a bool,
-    of at least ``floor``."""
-    if not _is_integer(value) or value < floor:
-        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    of at least ``floor`` and, given a ``ceiling``, at most that."""
+    # the int test first: an isinstance check against the ABC costs ~1 us
+    integral = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not integral or value < floor or (ceiling is not None and value > ceiling):
+        bound = f">= {floor}" if ceiling is None else f"in {floor}..{ceiling}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def _bool(value, name: str) -> bool:
+    """``value`` as a Python bool; ValueError unless it is a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def soft_threshold(x, lam: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from .core import (
     ChangePointEstimate,
     DegenerateJumpError,
     MeanPair,
+    _bool,
     _centered,
     _positive,
     loss_profile_pd,
@@ -109,10 +110,12 @@ def full_pipeline(
     ``lam``/``gamma`` override the criterion-based tuning.  The critical
     value is ``c_alpha`` when supplied, else the exact ``limit_quantile(alpha)``;
     pass ``c_alpha=limit_quantile(alpha, settings)`` for a Monte Carlo value.
-    With ``with_ci`` an ``alpha`` outside (0, 1), or a ``c_alpha`` that is
-    not finite and positive, raises ValueError up front.
+    ``with_ci`` and ``center`` must be bools; with ``with_ci`` an ``alpha``
+    outside (0, 1), or a ``c_alpha`` that is not finite and positive, raises
+    ValueError up front.
     """
-    if with_ci:
+    center = _bool(center, "center")
+    if _bool(with_ci, "with_ci"):
         alpha = _check_level(alpha)
         c_alpha = _positive(limit_quantile(alpha) if c_alpha is None else c_alpha, "critical value")
     stats = series_stats(Y)  # the one validation

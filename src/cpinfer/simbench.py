@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _fraction_split, _helper_pays, _integer, _positive, _real, series_stats
+from .core import _bool, _fraction_split, _helper_pays, _integer, _positive, _real, series_stats
 from .detect import _initial_split, detect_change
 from .infer import _check_level, limit_quantile
 from .pls import full_pipeline
@@ -63,8 +63,10 @@ class SimConfig:
     def __post_init__(self):
         for name, floor in (("T", 2), ("p", 1), ("s", 1), ("reps", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, floor))
-        for name in ("tau0", "rho", "alpha", "tau_init"):
+        for name in ("tau0", "rho", "tau_init"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "alpha", _check_level(self.alpha))
+        object.__setattr__(self, "gamma_off", _bool(self.gamma_off, "gamma_off"))
         if 2 * self.s > self.p:
             raise ValueError(f"designed supports overlap: need 2s <= p, got s={self.s}, p={self.p}")
         if not (0.0 < self.tau0 <= 1.0):
@@ -74,10 +76,6 @@ class SimConfig:
                              f"got T={self.T}, tau0={self.tau0}")
         if not (-1.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if not isinstance(self.gamma_off, (bool, np.bool_)):
-            raise ValueError(f"gamma_off must be a bool, got {self.gamma_off!r}")
-        object.__setattr__(self, "gamma_off", bool(self.gamma_off))
-        _check_level(self.alpha)
         _initial_split(self.T, self.tau_init)
 
     @property
@@ -164,7 +162,9 @@ def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
 
 
 def gen_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, int]:
-    """One replication's data and the true split index."""
+    """One replication's data and the true split index; ValueError unless
+    ``rep_index`` is an integer >= 0."""
+    rep_index = _integer(rep_index, "replication index", 0)
     return _fill(cfg, rep_index, np.empty((cfg.T, cfg.p)))
 
 
@@ -333,8 +333,9 @@ def metrics_from_records(cfg: SimConfig, records: list, estimator: str = "pls_ci
 
 def initializer_sweep(cfg: SimConfig, tau_inits, rep_index: int = 0) -> list:
     """Detection on one fixed dataset for each initial fraction: per fraction
-    a row of ``tau_init``, the ``DetectionResult.record()`` and the true ``k0``."""
+    a row of ``tau_init``, the ``DetectionResult.record()`` and the true ``k0``.
+    Each fraction is checked as ``detect_change`` checks it."""
     Y, k0 = gen_dataset(cfg, rep_index)
     s = series_stats(Y)  # every fraction reads the same statistics
-    return [{"tau_init": float(tau), **detect_change(s, tau_init=float(tau)).record(), "k0": k0}
-            for tau in tau_inits]
+    return [{"tau_init": _real(tau, "initial fraction"), **detect_change(s, tau_init=tau).record(),
+             "k0": k0} for tau in tau_inits]

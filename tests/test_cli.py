@@ -258,17 +258,6 @@ class TestCommands:
         assert report["changed"] is False
         assert report["ci_int"] is None
 
-    def test_infer_bad_level_is_error_whatever_the_data(self, shifted_csv, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        null = tmp_path / "null.csv"
-        write_csv(null, rng.normal(size=(50, 8)))
-        for path in (null, shifted_csv[0]):
-            code = main(["infer", "--input", str(path), "--alpha", "1.5"])
-            captured = capsys.readouterr()
-            assert code == 1
-            assert captured.out == ""
-            assert "level must lie in (0, 1)" in json.loads(captured.err)["error"]
-
     def test_detect_no_change_exits_0(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         path = tmp_path / "null.csv"
@@ -276,22 +265,6 @@ class TestCommands:
         report, code = run_cli(["detect", "--input", str(path)], capsys)
         assert code == 0
         assert report["changed"] is False
-
-    def test_missing_file_is_error_exit_1(self, capsys):
-        code = main(["detect", "--input", "/nonexistent/file.csv"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error" in json.loads(err)
-
-    @pytest.mark.parametrize("flag", ["--lambda", "--gamma"])
-    def test_non_finite_tuning_flag_is_error(self, shifted_csv, capsys, flag):
-        # --lambda nan used to exit 0 with a change at k = 1 and a NaN in the JSON
-        path, _, _ = shifted_csv
-        code = main(["detect", "--input", str(path), flag, "nan"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "finite and nonnegative" in json.loads(captured.err)["error"]
 
     def test_explicit_overrides_forwarded(self, shifted_csv, capsys):
         path, Y, _ = shifted_csv
@@ -328,24 +301,6 @@ class TestCommands:
         assert code == 0
         assert [r["k0"] for r in report["records"]] == [245]
 
-    def test_simulate_bad_level_is_error(self, capsys):
-        for estimator in ("al1", "pls", "pls_ci"):
-            code = main(["simulate", "--T", "30", "--p", "8", "--s", "2", "--tau0", "0.5",
-                         "--reps", "2", "--alpha", "1.5", "--estimator", estimator])
-            captured = capsys.readouterr()
-            assert code == 1
-            assert captured.out == ""
-            assert "level must lie in (0, 1)" in json.loads(captured.err)["error"]
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_simulate_nonpositive_jobs_is_error(self, capsys, jobs):
-        code = main(["simulate", "--T", "30", "--p", "8", "--s", "2", "--tau0", "0.5",
-                     "--reps", "2", "--jobs", jobs])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "n_jobs must be an integer >= 1" in json.loads(captured.err)["error"]
-
     def test_reports_carry_the_run_record(self, shifted_csv, capsys):
         path, Y, _ = shifted_csv
         res = full_pipeline(Y, with_ci=False)
@@ -354,18 +309,6 @@ class TestCommands:
         assert det_report == {"schema": "cpinfer/1", "command": "detect", **res.detection.record()}
         assert est_report == {"schema": "cpinfer/1", "command": "estimate", **res.record()}
         assert est_report["xi_sq"] is est_report["sigma_sq"] is None
-
-    def test_non_finite_cell_is_error(self, shifted_csv, tmp_path, capsys):
-        _, Y, _ = shifted_csv
-        Y = Y.copy()
-        Y[3, 2] = np.nan
-        path = tmp_path / "nan.csv"
-        write_csv(path, Y)
-        code = main(["infer", "--input", str(path)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "non-finite" in json.loads(captured.err)["error"]
 
     def test_simulate_no_change_design_reports_perfect_tnr(self, capsys):
         args = ["simulate", "--T", "225", "--p", "500", "--tau0", "1", "--reps", "100",
@@ -391,24 +334,6 @@ class TestCommands:
         assert code == 0
         without, _ = run_cli(["quantile", "--paths", "1000"], capsys)
         assert with_grid["c_alpha"] == without["c_alpha"]
-
-    @pytest.mark.parametrize("flags, field", [(["--seed", "-1"], "seed"),
-                                              (["--paths", "0"], "paths")])
-    def test_quantile_rejects_unusable_settings(self, flags, field, capsys):
-        code = main(["quantile", *flags])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert json.loads(captured.err)["error"].startswith(f"{field} must be")
-
-    @pytest.mark.parametrize("flags", [["--grid-R", "inf"], ["--grid-h", "inf"],
-                                       ["--grid-R", "nan"], ["--grid-h", "nan"]])
-    def test_quantile_rejects_non_finite_grid(self, flags, capsys):
-        code = main(["quantile", *flags])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "finite and positive" in json.loads(captured.err)["error"]
 
     def test_output_file(self, shifted_csv, tmp_path, capsys):
         path, _, _ = shifted_csv
@@ -460,3 +385,46 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == "cpinfer/1"
+
+
+@pytest.fixture
+def csvs(shifted_csv, tmp_path):
+    """Paths of CSVs of the shifted series, of one without a change and of
+    the shifted one with a NaN cell."""
+    path, Y, _ = shifted_csv
+    nan = Y.copy()
+    nan[3, 2] = np.nan
+    paths = {"shifted": str(path), "null": str(tmp_path / "null.csv"), "nan": str(tmp_path / "nan.csv")}
+    write_csv(paths["null"], np.random.default_rng(0).normal(size=(50, 8)))
+    write_csv(paths["nan"], nan)
+    return paths
+
+
+_SIMULATE = "simulate --T 30 --p 8 --s 2 --tau0 0.5 --reps 2"
+# Command lines the CLI refuses, and the whole error of each; {shifted},
+# {null} and {nan} name the CSVs of the fixture ``csvs``.  A bad level is an
+# error whatever the data, --lambda nan used to exit 0 with a change at k = 1
+# and a NaN in the JSON, and simulate checks its level before any replication,
+# for every estimator.
+REFUSED = [
+    ("infer --input {null} --alpha 1.5", "level must lie in (0, 1), got 1.5"),
+    ("infer --input {shifted} --alpha 1.5", "level must lie in (0, 1), got 1.5"),
+    ("infer --input {nan}", "time series contains non-finite entries"),
+    ("detect --input /nonexistent/file.csv", "/nonexistent/file.csv not found."),
+    ("detect --input {shifted} --lambda nan", "shrinkage level must be finite and nonnegative, got nan"),
+    ("detect --input {shifted} --gamma nan", "penalty must be finite and nonnegative, got nan"),
+    *((f"{_SIMULATE} --alpha 1.5 --estimator {e}", "level must lie in (0, 1), got 1.5")
+      for e in ("al1", "pls", "pls_ci")),
+    *((f"{_SIMULATE} --jobs {jobs}", f"n_jobs must be an integer >= 1, got {jobs}") for jobs in (0, -3)),
+    ("quantile --seed -1", "seed must be an integer >= 0, got -1"),
+    ("quantile --paths 0", "paths must be an integer >= 1, got 0"),
+    *((f"quantile --grid-{flag} {value}", f"{name} must be finite and positive, got {value}")
+      for flag, name in (("R", "grid half-width"), ("h", "grid step")) for value in ("inf", "nan")),
+]
+
+
+@pytest.mark.parametrize("line, error", REFUSED, ids=[line for line, _ in REFUSED])
+def test_refused_command_line_exits_1_with_its_error(line, error, csvs, capsys):
+    code = main([word.format(**csvs) for word in line.split()])
+    captured = capsys.readouterr()
+    assert (code, captured.out, json.loads(captured.err)) == (1, "", {"error": error})

@@ -31,10 +31,6 @@ class TestThresholdedMeans:
         np.testing.assert_allclose(mp.mu1, [0.5])
         np.testing.assert_allclose(mp.mu2, [0.0])
 
-    def test_empty_segment(self):
-        with pytest.raises(ValueError):
-            thresholded_means(np.zeros((4, 1)), 4, 0.1)
-
 
 class TestPenalizedArgmin:
     def test_constant_series_prefers_no_change(self):

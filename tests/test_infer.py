@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cpinfer.core import DegenerateJumpError, MeanPair
+from cpinfer.core import MeanPair
 from cpinfer.infer import (
     QuantileMCSettings,
     _exact_quantile,
@@ -49,10 +49,6 @@ class TestRefitMeans:
         with pytest.raises(ValueError, match="support ind"):
             refit_means(Y, 2, [0], bad)
 
-    def test_empty_segment_rejected(self):
-        with pytest.raises(ValueError):
-            refit_means(np.zeros((4, 2)) + np.arange(4)[:, None], 4, [0], [0])
-
 
 class TestPluginXiSq:
     def test_zero_jump(self):
@@ -85,15 +81,6 @@ class TestPluginSigmaSq:
         mp = MeanPair([1.0], [0.0])
         assert plugin_xi_sq(mp) == 1.0
         assert plugin_sigma_sq(Y, 2, mp) == pytest.approx(0.01)
-
-    def test_zero_jump_raises(self):
-        with pytest.raises(DegenerateJumpError):
-            plugin_sigma_sq(np.ones((4, 2)), 2, MeanPair([1.0, 0.0], [1.0, 0.0]))
-
-    @pytest.mark.parametrize("k", [0, 5])
-    def test_split_out_of_range(self, k):
-        with pytest.raises(ValueError, match="outside 1..T=4"):
-            plugin_sigma_sq(np.eye(4, 2), k, MeanPair([1.0, 0.0], [0.0, 1.0]))
 
     def test_scaling_recomputation(self):
         rng = np.random.default_rng(2)
@@ -232,19 +219,11 @@ class TestConfidenceInterval:
         doubled_ratio = confidence_interval(25, 0.5, 0.2, 10.0, 1000)
         assert doubled_ratio.interval_int[1] - doubled_ratio.interval_int[0] == pytest.approx(2 * w0)
 
-    def test_zero_jump_rejected(self):
-        with pytest.raises(DegenerateJumpError):
-            confidence_interval(5, 0.0, 1.0, 11.03, 10)
-
     @pytest.mark.parametrize("xi_sq", [np.nan, np.inf, -np.inf])
     def test_non_finite_jump_rejected(self, xi_sq):
         # nan used to give the interval (1, T) silently
         with pytest.raises(ValueError, match="squared jump must be finite"):
             confidence_interval(5, xi_sq, 1.0, 11.03, 10)
-
-    def test_negative_jump_is_degenerate(self):
-        with pytest.raises(DegenerateJumpError):
-            confidence_interval(5, -1.0, 1.0, 11.03, 10)
 
     def test_fractional_length_rejected(self):
         # T = 9.9 used to split at int(T) = 9 but divide the fraction view by 9.9

@@ -54,11 +54,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(T=10, p=10, s=2, tau0=0.5, rho=1.0)
 
-    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, float("nan")])
-    def test_level_checked_at_construction(self, alpha):
-        with pytest.raises(ValueError, match="level must lie in"):
-            SimConfig(T=30, p=8, s=2, tau0=0.5, reps=2, alpha=alpha)
-
     @pytest.mark.parametrize("tau_init", [2.0, 1.0, 0.01, 0.0, np.nan, np.inf])
     def test_initial_split_checked_at_construction(self, tau_init):
         with pytest.raises(ValueError, match="initial fraction"):
@@ -116,12 +111,6 @@ class TestConfig:
         assert all(type(getattr(cfg, f)) is float for f in ("tau0", "rho", "alpha", "tau_init"))
         assert json.loads(json.dumps(asdict(cfg))) == asdict(cfg)
         assert SimConfig(T=20, p=4, s=1, tau0=1, rho=0).k0 == 20
-
-    @pytest.mark.parametrize("value", ["no", 0, 1, None, 0.0])
-    def test_non_bool_penalty_switch_rejected(self, value):
-        # gamma_off="no" used to switch the penalty off and echo "no" in the config
-        with pytest.raises(ValueError, match="gamma_off must be a bool"):
-            SimConfig(T=10, p=4, s=1, tau0=0.5, gamma_off=value)
 
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_bool_penalty_switch_accepted(self, value):
