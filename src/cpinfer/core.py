@@ -331,7 +331,8 @@ class ChangePointEstimate:
 
 @dataclass
 class MeanPair:
-    """Pre/post-split mean vectors with their nonzero supports.
+    """Pre/post-split mean vectors with their nonzero supports; ValueError
+    unless both are 1-D of one length.
 
     Supports are read from the vectors on each access, so they always equal
     the exact nonzero patterns (0-based column indices).
@@ -341,10 +342,11 @@ class MeanPair:
     mu2: np.ndarray
 
     def __post_init__(self):
-        self.mu1 = np.asarray(self.mu1, dtype=float).ravel()
-        self.mu2 = np.asarray(self.mu2, dtype=float).ravel()
-        if self.mu1.shape != self.mu2.shape:
-            raise ValueError("mean vectors must have equal length")
+        self.mu1 = np.asarray(self.mu1, dtype=float)
+        self.mu2 = np.asarray(self.mu2, dtype=float)
+        if self.mu1.ndim != 1 or self.mu1.shape != self.mu2.shape:
+            raise ValueError(f"mean vectors must be 1-D of equal length, got shapes "
+                             f"{self.mu1.shape} and {self.mu2.shape}")
 
     @property
     def support1(self) -> np.ndarray:
@@ -438,6 +440,15 @@ def _positive(value, name: str) -> float:
     if not 0.0 < v < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {v}")
     return v
+
+
+def _level(value) -> float:
+    """``value`` as a float; ValueError unless it is a real number, not a
+    bool, in (0, 1)."""
+    a = _real(value, "level")
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {a}")
+    return a
 
 
 def _integer(value, name: str, floor: int, ceiling: int | None = None) -> int:

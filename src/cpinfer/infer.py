@@ -38,6 +38,7 @@ from .core import (
     DegenerateJumpError,
     MeanPair,
     _integer,
+    _level,
     _nonnegative,
     _norm,
     _positive,
@@ -221,22 +222,13 @@ def _exact_quantile(alpha: float) -> float:
             hi = mid
 
 
-def _check_level(alpha) -> float:
-    """The level alpha as a float; ValueError unless it is a real number,
-    not a bool, in (0, 1)."""
-    a = _real(alpha, "level")
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {a}")
-    return a
-
-
 def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> float:
     """Critical value c with P(|V| <= c) = 1 - alpha under the arg-min law.
 
     Without ``settings`` c is exact, from the closed-form law; with
     ``settings`` it is the Monte Carlo estimate.
     """
-    alpha = _check_level(alpha)
+    alpha = _level(alpha)
     if settings is None:
         return _exact_quantile(alpha)
     return float(np.quantile(np.abs(simulate_argmin_locations(settings)), 1.0 - alpha))
@@ -250,7 +242,7 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
     ``xi_sq_hat`` finite (a value <= 0 raises DegenerateJumpError) and
     ``sigma_sq_hat`` finite and nonnegative, each a real number, not a bool;
     ``k_tilde`` and ``T`` are checked as ``ChangePointEstimate`` checks them."""
-    alpha = _check_level(alpha)
+    alpha = _level(alpha)
     c_alpha = _positive(c_alpha, "critical value")
     xi_sq_hat = _real(xi_sq_hat, "squared jump")
     sigma_sq_hat = _real(sigma_sq_hat, "variance ratio")

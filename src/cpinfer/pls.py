@@ -22,6 +22,7 @@ from .core import (
     MeanPair,
     _bool,
     _centered,
+    _level,
     _positive,
     loss_profile_pd,
     series_stats,
@@ -29,7 +30,6 @@ from .core import (
 from .detect import DetectionResult, _shrunk_means, detect_change
 from .infer import (
     InferenceResult,
-    _check_level,
     confidence_interval,
     limit_quantile,
     plugin_sigma_sq,
@@ -110,13 +110,14 @@ def full_pipeline(
     ``lam``/``gamma`` override the criterion-based tuning.  The critical
     value is ``c_alpha`` when supplied, else the exact ``limit_quantile(alpha)``;
     pass ``c_alpha=limit_quantile(alpha, settings)`` for a Monte Carlo value.
-    ``with_ci`` and ``center`` must be bools; with ``with_ci`` an ``alpha``
-    outside (0, 1), or a ``c_alpha`` that is not finite and positive, raises
-    ValueError up front.
+    ``with_ci`` and ``center`` must be bools; an ``alpha`` outside (0, 1),
+    or a supplied ``c_alpha`` that is not finite and positive, raises
+    ValueError up front, whether or not ``with_ci`` asks for the interval.
     """
     center = _bool(center, "center")
-    if _bool(with_ci, "with_ci"):
-        alpha = _check_level(alpha)
+    with_ci = _bool(with_ci, "with_ci")
+    alpha = _level(alpha)
+    if with_ci or c_alpha is not None:
         c_alpha = _positive(limit_quantile(alpha) if c_alpha is None else c_alpha, "critical value")
     stats = series_stats(Y)  # the one validation
     if center:

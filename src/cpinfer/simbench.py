@@ -26,9 +26,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import _bool, _fraction_split, _helper_pays, _integer, _positive, _real, series_stats
+from .core import (_bool, _fraction_split, _helper_pays, _integer, _level, _positive, _real,
+                   series_stats)
 from .detect import _initial_split, detect_change
-from .infer import _check_level, limit_quantile
+from .infer import limit_quantile
 from .pls import full_pipeline
 
 __all__ = [
@@ -65,7 +66,7 @@ class SimConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name, floor))
         for name in ("tau0", "rho", "tau_init"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        object.__setattr__(self, "alpha", _check_level(self.alpha))
+        object.__setattr__(self, "alpha", _level(self.alpha))
         object.__setattr__(self, "gamma_off", _bool(self.gamma_off, "gamma_off"))
         if 2 * self.s > self.p:
             raise ValueError(f"designed supports overlap: need 2s <= p, got s={self.s}, p={self.p}")

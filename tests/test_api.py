@@ -40,8 +40,8 @@ def test_module_exports_resolve(name):
 
 # The bad values of each kind of argument: "real" is core._real,
 # "nonnegative" core._nonnegative, "positive" core._positive, "level"
-# infer._check_level, "bool" core._bool, and "integer" core._integer, whose
-# rows also meet the values just outside their bounds.
+# core._level, "bool" core._bool, and "integer" core._integer, whose rows
+# also meet the values just outside their bounds.
 BAD = {
     "real": ["0.5", "0.05", "1", True, False, np.True_, None],
     "nonnegative": ["0.2", "0.5", "1", True, False, np.True_, None, 1j, [0.2], -0.1, -1.0, -1e-300,
@@ -93,6 +93,10 @@ ARGUMENTS = {
     "full_pipeline.gamma": (lambda v: full_pipeline(_Y, gamma=v), "penalty", "nonnegative"),
     "full_pipeline.alpha": (lambda v: full_pipeline(_Y, alpha=v), "level", "level"),
     "full_pipeline.c_alpha": (lambda v: full_pipeline(_Y, c_alpha=v), "critical value", "positive"),
+    # checked whether or not the interval is asked for
+    "full_pipeline.alpha+no_ci": (lambda v: full_pipeline(_Y, alpha=v, with_ci=False), "level", "level"),
+    "full_pipeline.c_alpha+no_ci":
+        (lambda v: full_pipeline(_Y, c_alpha=v, with_ci=False), "critical value", "positive"),
     "full_pipeline.with_ci": (lambda v: full_pipeline(_Y, with_ci=v), "with_ci", "bool"),
     "full_pipeline.center": (lambda v: full_pipeline(_Y, center=v), "center", "bool"),
     "limit_quantile.alpha": (limit_quantile, "level", "level"),
@@ -130,7 +134,8 @@ ARGUMENTS = {
 }
 # None selects the default level or critical value here, so it is no bad value
 NONE_SELECTS_DEFAULT = {"detect_change.lam", "detect_change.gamma", "full_pipeline.lam",
-                        "full_pipeline.gamma", "full_pipeline.c_alpha", "run_monte_carlo.c_alpha"}
+                        "full_pipeline.gamma", "full_pipeline.c_alpha", "full_pipeline.c_alpha+no_ci",
+                        "run_monte_carlo.c_alpha"}
 
 
 def _cases():

@@ -722,9 +722,11 @@ class TestMeanPair:
         assert list(mp.support1) == [0, 2]
         assert list(mp.support2) == [2]
 
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="mean vectors must have equal length"):
-            MeanPair([1.0, 0.0], [1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("mu1, mu2", [([1.0, 0.0], [1.0, 0.0, 2.0]), (1.0, 2.0),
+                                          ([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0, 0.0, 1.0])])
+    def test_unequal_lengths_rejected(self, mu1, mu2):
+        with pytest.raises(ValueError, match="mean vectors must be 1-D of equal length"):
+            MeanPair(mu1, mu2)
 
     def test_supports_follow_a_mean_changed_in_place(self):
         mp = MeanPair([1.0, 0.0, -2.0], [0.0, 0.0, 3.0])

@@ -114,15 +114,6 @@ class TestDetectChange:
         det = detect_change(Y, gamma=0.0, lam=0.05)
         assert det.estimate.k == detector_split(Y, det.initial_means, 0.0)
 
-    def test_column_permutation_equivariance(self):
-        rng = np.random.default_rng(4)
-        Y = rng.normal(size=(50, 8))
-        Y[30:, 1] += 1.5
-        perm = rng.permutation(8)
-        det = detect_change(Y)
-        det_p = detect_change(Y[:, perm])
-        assert det.estimate.k == det_p.estimate.k
-
     def test_degenerate_initializer_rejected(self):
         with pytest.raises(ValueError):
             detect_change(np.zeros((10, 1)) + np.arange(10)[:, None], tau_init=0.01)

@@ -2,23 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cpinfer.core import MeanPair, loss_profile_pd, series_stats
 from cpinfer.pls import _pls_profile, full_pipeline, pls_estimate
 from loss_oracles import center_columns, loss_pd, two_level
 from reference_pipeline import scalar_profile
-
-
-def decisions_and_interval(Y, center):
-    """(status, k_hat, lambda, gamma, k_tilde) of a pipeline run, and its
-    integer interval or None."""
-    res = full_pipeline(Y, center=center, c_alpha=11.03)
-    det, loc, inf = res.detection, res.pls_estimate, res.inference
-    decisions = (res.status, det.estimate.k, det.lambda_used, det.gamma_used,
-                 loc.k if loc else None)
-    return decisions, inf.interval_int if inf else None
 
 
 class TestPlsEstimate:
@@ -178,21 +168,11 @@ class TestFullPipeline:
         # a supplied c_alpha does not excuse the level; no data is read first
         with pytest.raises(ValueError, match="level must lie in"):
             full_pipeline(np.full((10, 2), np.nan), alpha=alpha, c_alpha=c_alpha)
-        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        with pytest.raises(ValueError, match="level must lie in"):
-            full_pipeline(two_level(20, 10, mu1, mu2), alpha=alpha, c_alpha=c_alpha)
-        res = full_pipeline(two_level(20, 10, mu1, mu2), alpha=alpha, with_ci=False)
-        assert res.status == "ok"
 
     @pytest.mark.parametrize("c_alpha", [-11.0, 0.0, np.nan, np.inf])
     def test_critical_value_checked_before_any_work(self, c_alpha):
         with pytest.raises(ValueError, match="critical value must be finite and positive"):
             full_pipeline(np.full((10, 2), np.nan), c_alpha=c_alpha)
-        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        with pytest.raises(ValueError, match="critical value must be finite and positive"):
-            full_pipeline(two_level(20, 10, mu1, mu2), c_alpha=c_alpha)
-        res = full_pipeline(two_level(20, 10, mu1, mu2), c_alpha=c_alpha, with_ci=False)
-        assert res.status == "ok"
 
     def test_noiseless_shift_recovers_and_collapses_interval(self):
         mu1 = np.array([2.0, 0.0, 0.0, 0.0])
@@ -223,90 +203,6 @@ class TestFullPipeline:
         res = full_pipeline(Y, lam=0.2, gamma=0.1, with_ci=False)
         assert res.detection.lambda_used == 0.2
         assert res.detection.gamma_used == 0.1
-
-    @given(j=st.integers(-500, 500))
-    @example(j=-46)
-    @example(j=-150)
-    @example(j=254)
-    @example(j=-257)
-    @example(j=500)
-    @example(j=-500)
-    def test_power_of_two_units_leave_decisions_bit_identical(self, j):
-        # lambda scales with the data and gamma with its square, so at c = 2^j
-        # every step is the c = 1 step scaled exactly; the degenerate-jump rule
-        # is relative, so a tiny scale is not mistaken for a vanishing jump,
-        # and the plugin's residual, on the unit jump, stays on the data's
-        # squared scale, so it neither overflows nor underflows
-        rng = np.random.default_rng(12)
-        Y = rng.normal(size=(100, 20))
-        Y[40:, :3] += 1.0
-
-        def decisions(c):
-            res = full_pipeline(c * Y, lam=0.2 * c, gamma=0.02 * c * c, c_alpha=11.03)
-            loc, inf = res.pls_estimate, res.inference
-            return (res.status, res.detection.estimate.k, loc.k if loc else None,
-                    inf.interval_int if inf else None)
-
-        base = decisions(1.0)
-        assert base[0] == "ok"
-        assert decisions(2.0**j) == base
-
-    @given(shape=st.sampled_from([(100, 20), (60, 40), (200, 10), (40, 80)]),
-           tau0=st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
-           seed=st.integers(0, 2**16),
-           center=st.booleans())
-    def test_column_permutation_moves_no_decision(self, shape, tau0, seed, center):
-        # the columns are exchangeable: reordering them changes only the
-        # order of sums, so no decision moves and the interval only in its
-        # last bits; a seeded design with a shift keeps the criteria off
-        # near-ties
-        T, p = shape
-        rng = np.random.default_rng(seed)
-        Y = rng.normal(size=(T, p))
-        Y[int(T * tau0):, :3] += 1.5
-        perm = rng.permutation(p)
-        base, interval = decisions_and_interval(Y, center)
-        moved, moved_interval = decisions_and_interval(Y[:, perm], center)
-        assert moved == base
-        if interval is not None:
-            np.testing.assert_allclose(moved_interval, interval, rtol=1e-9, atol=0)
-
-    @given(shape=st.sampled_from([(100, 20), (60, 40), (200, 10), (40, 80), (100, 500)]),
-           tau0=st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
-           seed=st.integers(0, 2**16),
-           center=st.booleans())
-    def test_column_sign_flips_leave_the_run_bit_identical(self, shape, tau0, seed, center):
-        # negating a column negates its sums exactly and leaves its squares,
-        # its shrinkage and its products with the jump as they were, so every
-        # float of the run, not only its decisions, is the same
-        T, p = shape
-        rng = np.random.default_rng(seed)
-        Y = rng.normal(size=(T, p))
-        Y[int(T * tau0):, :3] += 1.5
-        signs = rng.choice([-1.0, 1.0], size=p)
-        base = full_pipeline(Y, center=center, c_alpha=11.03)
-        flipped = full_pipeline(Y * signs, center=center, c_alpha=11.03)
-        assert flipped.record() == base.record()
-        interval = base.inference.interval_int if base.inference else None
-        assert (flipped.inference.interval_int if flipped.inference else None) == interval
-
-    @given(shape=st.sampled_from([(100, 20), (60, 40), (200, 10), (40, 80)]),
-           tau0=st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
-           seed=st.integers(0, 2**16),
-           scale=st.sampled_from([1.0, 1e2, 1e4, 1e6]))
-    def test_column_offsets_move_no_centred_decision(self, shape, tau0, seed, scale):
-        # centring removes each column's mean, so offsets of up to 1e6 move
-        # no decision and the interval only in its last bits
-        T, p = shape
-        rng = np.random.default_rng(seed)
-        Y = rng.normal(size=(T, p))
-        Y[int(T * tau0):, :3] += 1.5
-        offsets = scale * rng.uniform(-1.0, 1.0, p)
-        base, interval = decisions_and_interval(Y, center=True)
-        moved, moved_interval = decisions_and_interval(Y + offsets, center=True)
-        assert moved == base
-        if interval is not None:
-            np.testing.assert_allclose(moved_interval, interval, rtol=1e-9, atol=0)
 
     def test_degenerate_refit_reports_unlocatable(self, monkeypatch):
         # a positive detection whose re-estimated means coincide is reported
@@ -437,11 +333,3 @@ class TestFullPipeline:
         for order in ((False, True), (True, False)):
             s = series_stats(Y)
             assert {c: full_pipeline(s, center=c, c_alpha=11.03).record() for c in order} == expect
-
-    def test_center_option_matches_manual_centering(self):
-        rng = np.random.default_rng(7)
-        Y = rng.normal(size=(30, 4)) + 5.0
-        Y[18:, 0] += 2.0
-        a = full_pipeline(Y, center=True, with_ci=False)
-        b = full_pipeline(center_columns(Y), with_ci=False)
-        assert a.detection.estimate.k == b.detection.estimate.k
