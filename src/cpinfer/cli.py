@@ -56,11 +56,16 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
 
 
 def _scan_csv(path, has_header: bool) -> None:
-    """Locate why loadtxt failed: raise ValueError naming an empty file, the
-    first ragged row or the first cell that ``float`` rejects."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = [(line_no, cells) for line_no, cells in enumerate(csv.reader(fh), start=1)
-                if cells and not (has_header and line_no == 1)]
+    """Locate why loadtxt failed: raise ValueError naming the file and the
+    cause: bytes that are not UTF-8, a cell over the csv module's field limit
+    (process-wide state, left unchanged), no data rows, the first ragged row
+    or the first cell that ``float`` rejects."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = [(line_no, cells) for line_no, cells in enumerate(csv.reader(fh), start=1)
+                    if cells and not (has_header and line_no == 1)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0][1])

@@ -383,13 +383,13 @@ def loss_profile_pd(Y, mu1, mu2) -> np.ndarray:
     T L(k) is the fit of mu2 to every row, ss + T ||mu2 - c||^2, plus the
     excess of mu1 over mu2 on rows 1..k, -2 (mu1 - mu2)'(y_t - (mu1 + mu2) / 2);
     one matrix-vector product reads the data.  ValueError unless ``mu1`` and
-    ``mu2`` each have p entries.
+    ``mu2`` are each 1-D with p entries.
     """
     s = series_stats(Y)
-    mu1 = np.asarray(mu1, dtype=float).ravel()
-    mu2 = np.asarray(mu2, dtype=float).ravel()
-    if mu1.size != s.p or mu2.size != s.p:
-        raise ValueError(f"mean vectors have {mu1.size} and {mu2.size} entries, expected {s.p}")
+    mu1 = np.asarray(mu1, dtype=float)
+    mu2 = np.asarray(mu2, dtype=float)
+    if mu1.shape != (s.p,) or mu2.shape != (s.p,):
+        raise ValueError(f"mean vectors have shapes {mu1.shape} and {mu2.shape}, expected ({s.p},)")
     v2 = mu2 - s.center
     eta = mu1 - mu2
     excess = -2.0 * (s.project(eta) - eta @ (0.5 * (mu1 + mu2)))

@@ -98,8 +98,11 @@ class InferenceResult:
 
 
 def _support(indices, p: int) -> np.ndarray:
-    """``indices`` as an integer array; ValueError unless each is an integer in 0..p-1."""
-    s = np.asarray(indices).ravel()
+    """``indices`` as an integer array; ValueError unless it is 1-D and each
+    is an integer in 0..p-1."""
+    s = np.asarray(indices)
+    if s.ndim != 1:
+        raise ValueError(f"support indices must be 1-D, got shape {s.shape}")
     if s.size == 0:
         return s.astype(int)
     if s.dtype.kind not in "iu":

@@ -147,12 +147,13 @@ class TestLossPd:
         ref = np.array([loss_pd(Y, k, means.mu1, means.mu2) for k in range(1, 121)])
         assert np.max(np.abs(prof - ref)) <= 1e-6 * np.mean(np.abs(np.diff(ref)))
 
-    @pytest.mark.parametrize("n1, n2", [(50, 1), (1, 50), (49, 49), (51, 51)])
-    def test_mean_lengths_must_match_the_columns(self, n1, n2):
-        # a length-1 mean used to broadcast against the 50 columns
+    @pytest.mark.parametrize("shape1, shape2", [(50, 1), (1, 50), (49, 49), (51, 51), ((25, 2), 50)])
+    def test_mean_lengths_must_match_the_columns(self, shape1, shape2):
+        # a length-1 mean used to broadcast against the 50 columns, and a
+        # 25x2 mean used to be flattened into 50 entries
         Y = np.random.default_rng(8).normal(size=(200, 50))
-        with pytest.raises(ValueError, match="expected 50"):
-            loss_profile_pd(Y, np.ones(n1), np.zeros(n2))
+        with pytest.raises(ValueError, match=r"expected \(50,\)"):
+            loss_profile_pd(Y, np.ones(shape1), np.zeros(shape2))
 
     def test_series_stats_blocks(self, monkeypatch):
         # blocks of 8 elements: several rows, one row, one block, and a ragged last block

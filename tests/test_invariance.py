@@ -81,7 +81,7 @@ INVARIANCES = {
         lambda Y, rng, c: (c * Y, {}), (False,), "decisions",
         params={"c=0.1": st.just(0.1), "c=3": st.just(3.0)},
         series=lambda: gen_dataset(SimConfig(T=225, p=500, s=5, tau0=0.4, seed=5), 0)[0],
-        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")),
+        marks=pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 1")),
 }
 
 
