@@ -106,8 +106,8 @@ def _mc_settings(args) -> QuantileMCSettings | None:
 
 
 def cmd_infer(args) -> tuple[dict, int]:
+    Y = read_csv(args.input, args.header)  # first: a missing file costs no critical value
     c_alpha = limit_quantile(args.alpha, _mc_settings(args))
-    Y = read_csv(args.input, args.header)
     res = full_pipeline(Y, tau_init=args.tau_init, alpha=args.alpha,
                         lam=args.lam, gamma=args.gamma, with_ci=True, c_alpha=c_alpha)
     inf = res.inference

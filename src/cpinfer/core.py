@@ -78,15 +78,19 @@ _MIN_ROWS = 16    # rows per block at least: the block sums stay within Y.nbytes
 # project gathers a support that touches at most p / 16 of a row's cache lines and
 # has at most p / 4 columns, and keeps the gathered block to project onto that support again.
 # The refined support is projected twice (locator, then plugin), so one gather
-# replaces two dense products.  Timed with one BLAS thread, the benchmark's
-# setting, at 20000x200: 15-18 columns in 7-9 lines gather in about 2.9 ms from
-# memory, the dense product takes 3.5-4.0 ms and the product on the kept block
-# 0.3 ms.  With two threads the dense product takes 2.0 ms and a gather of 18
-# columns in 7 lines 3.1 ms, so a gather pays only when its block is read
-# again.  The cap of p / 4 columns holds the kept block to T p / 4 values.
+# replaces two dense products.  A gather costs by the column, not by the line:
+# numpy's Y[:, S] makes one strided pass over all T rows per column.  Timed with
+# one BLAS thread, the benchmark's setting, at 20000x200: 1, 2, 10 and 16
+# columns in at most 2 lines take 38, 74, 369 and 589 us, the dense product
+# 0.91 ms and the product on a kept block of 16 columns 0.07 ms; row chunks
+# (``_gather``) take the 16 columns to 347 us.  With two BLAS threads the dense
+# product takes 0.49 ms, so a gather pays only when its block is read again.
+# The rule decides which inputs gather, and so their bits; it stays as it is.
+# The cap of p / 4 columns holds the kept block to T p / 4 values.
 _GATHER = 16
+_CHUNK = 1 << 10  # rows per chunk of a large series' gather
 _GROUP = 1 << 17  # elements per stacked group of equal row blocks (1 MiB)
-_THREAD_MIN = 1 << 20  # the pass's floor for a helper: a series of 8 MiB
+_THREAD_MIN = 1 << 20  # a series of 8 MiB: the floor for the pass's helper and for row chunks
 # OpenBLAS takes its thread count from the first of these variables that is
 # set when numpy loads, and starts one thread per CPU when none is.  A helper
 # thread pays only beside a one-thread BLAS: beside a two-thread OpenBLAS on a
@@ -263,14 +267,15 @@ class SeriesStats:
     def project(self, eta: np.ndarray) -> np.ndarray:
         """The projections (y_t - offset)'eta of the rows, t = 1..T.
 
-        A gather of the support S pays for the 64-byte cache lines (8
-        float64 columns each) it touches in every row, where the dense product
-        streams all of Y, so it is taken only when S touches at most 1/16 of
-        a row's lines and has at most p / 4 columns; the gathered block is
-        kept in place of the last.  A projection onto the kept support itself
-        reads the block, which that support's gather would make again, so the
-        result does not depend on earlier projections.  The offset is
-        subtracted in place, so the peak is the block and one T-vector.
+        The support S is gathered (``_gather``) in place of the dense
+        product, which streams all of Y, only when S touches at most 1/16 of
+        a row's 64-byte cache lines (8 float64 columns each) and has at most
+        p / 4 columns; the gathered block is kept in place of the last.  A
+        projection onto the kept support itself reads the block, which that
+        support's gather would make again, so the result does not depend on
+        earlier projections.  The offset is subtracted in place, so the peak
+        is the block, one row chunk of it while it is gathered, and one
+        T-vector.
         ValueError unless ``eta`` has p entries."""
         if eta.shape != (self.p,):
             raise ValueError(f"projection vector has shape {eta.shape}, expected ({self.p},)")
@@ -282,12 +287,28 @@ class SeriesStats:
             touched = np.count_nonzero(lines[1:] != lines[:-1]) + (lines.size > 0)
             if _GATHER * touched <= self.p and 4 * cols.size <= self.p:
                 self._kept = None  # free the old block before the new gather
-                block = self.Y[:, cols]
+                block = _gather(self.Y, cols)
                 self._kept = cols, block
         z = self.Y @ eta if block is None else block @ eta[cols]
         if self.centred:
             z -= self.offset @ eta
         return z
+
+
+def _gather(Y: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``Y[:, cols]``, with its bytes and its layout: Fortran order, strides
+    (8, 8 T).  numpy's fancy index makes one strided pass over all T rows per
+    column, which slows sharply once Y is past about 8 MiB, so a series of
+    more than ``_CHUNK`` rows and at least ``_THREAD_MIN`` elements is
+    gathered ``_CHUNK`` rows at a time into a block of that layout, and
+    ``block @ eta[cols]`` runs the BLAS kernel of the one-shot gather."""
+    T = Y.shape[0]
+    if T <= _CHUNK or Y.size < _THREAD_MIN:
+        return Y[:, cols]
+    block = np.empty((T, cols.size), order="F")
+    for lo in range(0, T, _CHUNK):
+        block[lo : lo + _CHUNK] = Y[lo : lo + _CHUNK, cols]
+    return block
 
 
 def _centered(s: SeriesStats) -> SeriesStats:

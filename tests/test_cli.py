@@ -182,6 +182,8 @@ REFUSED = [
     *((f"{command} --input {{short}}", "need at least 2 observations, got T=1")
       for command in ("detect", "estimate", "infer")),
     ("detect --input /nonexistent/file.csv", "/nonexistent/file.csv not found."),
+    # the input is read before the critical value, whose settings are checked on use
+    ("infer --input /nonexistent/file.csv --paths 0", "/nonexistent/file.csv not found."),
     ("detect --input {float_only}",
      "{float_only}: could not convert string '1_000' to float64 at row 0, column 1."),
     ("detect --input {wide}", "{wide}: field larger than field limit (131072)"),

@@ -626,7 +626,8 @@ class TestSeriesStatsProject:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * T * (5 + 1) + 8 * p  # the gathered columns, the output, slack
+        # a series of 2^21 elements gathers in row chunks: the block, one chunk of it, the output, slack
+        assert peak <= 8 * (T + core._CHUNK) * 5 + 8 * T + 8 * p
 
     @pytest.mark.parametrize("cols, gathers", [
         (list(range(10)) + [77], True),   # 11 columns in 3 of a row's 25 cache lines
@@ -654,8 +655,15 @@ class TestSeriesStatsProject:
         bound = 1e-13 * np.max(np.abs(Y)) * np.sum(np.abs(eta))
         np.testing.assert_allclose(z, Y @ eta - s.offset @ eta, rtol=0, atol=bound)
 
+    @pytest.fixture(params=["one-shot", "chunked"])
+    def gather(self, request, monkeypatch):
+        """Each gather path on SHAPE: chunked in 7-row chunks, so the last is ragged."""
+        if request.param == "chunked":
+            monkeypatch.setattr(core, "_CHUNK", 7)
+            monkeypatch.setattr(core, "_THREAD_MIN", 0)
+
     @pytest.mark.parametrize("center", [False, True])
-    def test_kept_block_serves_only_its_own_support(self, center):
+    def test_kept_block_serves_only_its_own_support(self, center, gather):
         rng = np.random.default_rng(15)
         Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
         Y0 = Y.copy()
@@ -681,7 +689,7 @@ class TestSeriesStatsProject:
         np.testing.assert_array_equal(s.project(sub), stats(Y0).project(sub))
         assert s._kept[0].tolist() == [4, 250]
 
-    def test_support_outside_the_block_gathers_again(self):
+    def test_support_outside_the_block_gathers_again(self, gather):
         rng = np.random.default_rng(16)
         Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
         s = series_stats(Y)
@@ -700,6 +708,64 @@ class TestSeriesStatsProject:
         eta[0] = 1.0  # a support the gather could read
         with pytest.raises(ValueError):
             s.project(eta)
+
+
+_RNG = np.random.default_rng(17)
+_WIDE = _RNG.normal(size=(24, 80)) + 1e4 * _RNG.uniform(-1.0, 1.0, size=80)
+# Series whose gather is chunked when the chunk is 4 rows and the floor 0,
+# each with the support to gather and whether its statistics are centred.
+CHUNKED = {
+    "C-ordered": (_WIDE, [1, 8, 9, 33], False),
+    "Fortran-ordered": (np.asfortranarray(_WIDE), [1, 8, 9, 33], False),
+    "column-strided view": (_WIDE[:, ::2], [0, 5, 39], False),
+    "row-strided view": (_WIDE[::2], [2, 3, 70], False),
+    "centred statistics": (_WIDE, [1, 8, 9, 33], True),
+    "T a multiple of the chunk": (_WIDE[:20], [4, 17], False),
+    "T ragged": (_WIDE[:23], [4, 17], False),
+    "empty support": (_WIDE, [], False),
+}
+
+
+class TestChunkedGather:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK", 4)
+        monkeypatch.setattr(core, "_THREAD_MIN", 0)
+
+    @pytest.mark.parametrize("Y, support, center", CHUNKED.values(), ids=CHUNKED)
+    def test_block_and_projection_have_the_one_shot_bits(self, Y, support, center, monkeypatch):
+        cols = np.array(support, dtype=np.intp)
+        block, one_shot = core._gather(Y, cols), Y[:, cols]
+        assert block.strides == one_shot.strides
+        assert block.tobytes(order="F") == one_shot.tobytes(order="F")
+        eta = np.zeros(Y.shape[1])
+        eta[cols] = np.random.default_rng(18).normal(size=cols.size)
+
+        def projection():
+            s = series_stats(Y)
+            s = core._centered(s) if center else s
+            z = s.project(eta)
+            assert s._kept[0].tolist() == support  # project gathered
+            return z
+
+        z = projection()
+        monkeypatch.setattr(core, "_THREAD_MIN", 1 << 62)  # the one-shot gather
+        assert z.tobytes() == projection().tobytes()
+
+    def test_holds_the_block_and_one_chunk(self, monkeypatch):
+        monkeypatch.undo()  # the real chunk and floor
+        T, p = 4000, 300  # 2^20 elements and more, over _CHUNK rows
+        Y = np.random.default_rng(19).normal(size=(T, p))
+        cols = np.array([0, 7, 8, 150, 299])
+        tracemalloc.start()
+        try:
+            block = core._gather(Y, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(block, Y[:, cols])
+        # no T x p temporary, and at most 8 KiB besides the block and one chunk
+        assert 8 * T * cols.size <= peak <= 8 * (T + core._CHUNK) * cols.size + 8192
 
 
 class TestChangePointEstimate:
