@@ -107,8 +107,8 @@ def _support(indices, p: int) -> np.ndarray:
         return s.astype(int)
     if s.dtype.kind not in "iu":
         raise ValueError(f"support indices must be integers, got {s.dtype} {s[0]!r}")
-    bad = s[(s < 0) | (s >= p)]
-    if bad.size:
+    if np.count_nonzero(s.astype(np.uintp) >= p):  # a negative index wraps past p
+        bad = s[(s < 0) | (s >= p)]
         raise ValueError(f"support index {bad[0]} outside 0..{p - 1}")
     return s
 

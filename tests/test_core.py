@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -712,8 +713,9 @@ class TestSeriesStatsProject:
 
 _RNG = np.random.default_rng(17)
 _WIDE = _RNG.normal(size=(24, 80)) + 1e4 * _RNG.uniform(-1.0, 1.0, size=80)
-# Series whose gather is chunked when the chunk is 4 rows and the floor 0,
-# each with the support to gather and whether its statistics are centred.
+# Series whose gather is chunked when the chunk is 4 rows and the floor 0
+# (one column is gathered in one shot), each with the support to gather and
+# whether its statistics are centred.
 CHUNKED = {
     "C-ordered": (_WIDE, [1, 8, 9, 33], False),
     "Fortran-ordered": (np.asfortranarray(_WIDE), [1, 8, 9, 33], False),
@@ -723,6 +725,7 @@ CHUNKED = {
     "T a multiple of the chunk": (_WIDE[:20], [4, 17], False),
     "T ragged": (_WIDE[:23], [4, 17], False),
     "empty support": (_WIDE, [], False),
+    "one column, gathered in one shot": (_WIDE, [9], False),
 }
 
 
@@ -783,7 +786,25 @@ class TestChangePointEstimate:
         assert est == ChangePointEstimate(3, 10)
 
 
+class TestScalarChecks:
+    @pytest.mark.parametrize("value, expected", [(0.1, 0.1), (np.float64(0.1), 0.1),
+                                                 (Fraction(1, 3), 1 / 3), (7, 7.0)])
+    def test_real_returns_a_float_of_the_same_value(self, value, expected):
+        v = core._real(value, "x")
+        assert type(v) is float and v == expected
+
+
 class TestMeanPair:
+    def test_float64_means_are_kept_and_others_converted(self):
+        mu1, mu2 = np.array([1.0, 0.0]), np.array([0.0, 2.5])
+        mp = MeanPair(mu1, mu2)
+        assert mp.mu1 is mu1 and mp.mu2 is mu2
+        mp = MeanPair([1, 0], np.array([0.0, 2.5], dtype=np.float32))
+        for mu, expected in ((mp.mu1, [1.0, 0.0]), (mp.mu2, [0.0, 2.5])):
+            assert type(mu) is np.ndarray and mu.dtype == np.float64 and mu.tolist() == expected
+        with pytest.raises(ValueError, match="mean vectors must be 1-D of equal length"):
+            MeanPair(np.zeros((2, 2)), np.zeros((2, 2)))
+
     def test_supports_are_exact_nonzero_patterns(self):
         mp = MeanPair([1.0, 0.0, -2.0], [0.0, 0.0, 3.0])
         assert list(mp.support1) == [0, 2]

@@ -8,6 +8,7 @@ from cpinfer.core import MeanPair
 from cpinfer.infer import (
     QuantileMCSettings,
     _exact_quantile,
+    _support,
     confidence_interval,
     limit_quantile,
     plugin_sigma_sq,
@@ -48,6 +49,26 @@ class TestRefitMeans:
             refit_means(Y, 2, bad, [0])
         with pytest.raises(ValueError, match="support ind"):
             refit_means(Y, 2, [0], bad)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.intp])
+    @pytest.mark.parametrize("indices, bad", [([0, 2, 3], None), ([3, 1], None), ([1, 1], None),
+                                              ([-1, 2], -1), ([2, -128], -128), ([0, 4], 4),
+                                              ([2, 5, 1], 5)],
+                             ids=["increasing", "unsorted", "duplicate", "negative",
+                                  "most negative", "out of range", "in and out"])
+    def test_every_signed_index_type_is_range_checked(self, dtype, indices, bad):
+        # a negative index of any width wraps past p as an unsigned one
+        s = np.array(indices, dtype=dtype)
+        if bad is None:
+            assert _support(s, 4) is s
+        else:
+            with pytest.raises(ValueError, match=f"^support index {bad} outside 0..3$"):
+                _support(s, 4)
+
+    @pytest.mark.parametrize("value", [4, 2**64 - 1])
+    def test_unsigned_indices_past_the_range(self, value):
+        with pytest.raises(ValueError, match=f"^support index {value} outside 0..3$"):
+            _support(np.array([0, value], dtype=np.uint64), 4)
 
 
 class TestPluginXiSq:
