@@ -144,11 +144,11 @@ class SeriesStats:
     go on).  The segment sums at a split add the whole-block sums on each
     side and read at most the one block the split cuts, once per split.
 
-    The criteria read every row less ``offset``: 0 for the series as given,
-    c for the centred series Y - c that ``full_pipeline(center=True)``
-    analyses without a copy (its ``center`` is 0 and its ``ss`` the same).
-    Only the centred copy is ``centred`` and subtracts its offset; the
-    series as given skips subtracting zeros, which is exact (x - 0 is x).
+    The criteria read every row less ``offset`` when there is one: it is
+    None for the series as given, and c for the centred series Y - c that
+    ``full_pipeline(center=True)`` analyses without a copy (its ``center``
+    is 0 and its ``ss`` the same).  A copy is centred when it has an offset,
+    and only then is anything subtracted.
     ``project`` is the one matrix-vector product with the rows; for a sparse
     vector it reads only the cache lines of its support, and it keeps the
     gathered T x |S| block Y[:, S] of raw columns for the next projection
@@ -169,8 +169,7 @@ class SeriesStats:
             self.ss, self.center = self._pass()
         if not (math.isfinite(self.ss) and np.isfinite(self.center).all()):
             _check_finite(Y)
-        self.offset = np.zeros(self.p)
-        self.centred = False
+        self.offset: np.ndarray | None = None  # the column offsets of a centred copy
         self._sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._criteria: dict[int, np.ndarray] = {}  # filled by tune, per split
         self._kept: tuple[np.ndarray, np.ndarray] | None = None  # (S, Y[:, S])
@@ -260,7 +259,7 @@ class SeriesStats:
             self._sums[k] = self._segment_sums(k)
         left, right = self._sums[k]
         left, right = left / k, right / (self.T - k)
-        if self.centred:
+        if self.offset is not None:
             left, right = left - self.offset, right - self.offset
         return [(k, left), (self.T - k, right)]
 
@@ -291,7 +290,7 @@ class SeriesStats:
                 block = _gather(self.Y, cols)
                 self._kept = cols, block
         z = self.Y @ eta if block is None else block @ eta[cols]
-        if self.centred:
+        if self.offset is not None:
             z -= self.offset @ eta
         return z
 
@@ -317,8 +316,7 @@ def _gather(Y: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _centered(s: SeriesStats) -> SeriesStats:
     """The statistics of Y - c, read from those of Y without a copy of Y."""
     out = copy.copy(s)
-    out.offset = s.offset + s.center
-    out.centred = True
+    out.offset = s.center if s.offset is None else s.offset + s.center
     out.center = np.zeros(s.p)
     out._criteria = {}  # the criteria read the offset; the sums and kept block do not
     return out
@@ -347,10 +345,6 @@ class ChangePointEstimate:
     def tau(self) -> float:
         """Fraction view k / T."""
         return self.k / self.T
-
-    @property
-    def no_change(self) -> bool:
-        return self.k == self.T
 
 
 @dataclass

@@ -248,7 +248,6 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
     alpha = _level(alpha)
     c_alpha = _positive(c_alpha, "critical value")
     xi_sq_hat = _real(xi_sq_hat, "squared jump")
-    sigma_sq_hat = _real(sigma_sq_hat, "variance ratio")
     if not math.isfinite(xi_sq_hat):
         raise ValueError(f"squared jump must be finite, got {xi_sq_hat}")
     if xi_sq_hat <= 0.0:

@@ -151,6 +151,8 @@ class TestNoise:
         # more columns than one chunk: 960 at rho = 1/2, 320 at rho = 1/8
         (64, 3000, 0.5), (30, 600, 0.125), (5, 961, -0.5), (6, 640, -0.125),
         (9, 200, -0.25), (9, 200, 1 / 16), (4, 100, 2.0**-400),
+        # chunks of under two columns take the column loop: 960 // 500 and 960 // 1000
+        (4, 100, 2.0**-500), (4, 100, 2.0**-1000),
     ])
     def test_matches_lfilter_bit_for_bit(self, T, p, rho):
         # the column recursion, and for rho = +-2^-k its running sum, is the

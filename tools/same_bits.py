@@ -12,12 +12,15 @@ one CPU).  The grid is the paper's four cells plus 60x40, 400x50, 50x400,
 and on, and gamma tuned and 0: 960 runs.  A run's hash covers ``record()``,
 the objective and loss profiles and the integer and fraction intervals, or
 the error it raised.  The script prints each tree's hash and exits 1 when
-they differ, and 2 when it cannot hash a tree.
+they differ, and 2 when it cannot hash a tree.  When they differ it also
+prints, for each ``record()`` field, interval and profile, how many runs
+moved, then the first five moved runs with the base and change values.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -46,13 +49,18 @@ def _bits(value) -> bytes:
     return type(value).__name__.encode() + repr(value).encode()
 
 
-def grid_hash() -> str:
-    """The hash of the grid on the cpinfer that this interpreter imports."""
+# hashed by value alone, without their names
+_UNNAMED = ("error", "objective_profile", "loss_profile", "interval_int", "interval_frac")
+
+
+def grid_runs():
+    """Each grid run's key and fields on the cpinfer that this interpreter
+    imports: ``record()``'s, the two profiles and the two intervals, or the
+    error it raised."""
     import numpy as np
 
     from cpinfer import full_pipeline
 
-    digest = hashlib.sha256()
     for T, p in SHAPES:
         for i, tau0 in enumerate(TAU0):
             for rep in range(REPS):
@@ -63,24 +71,34 @@ def grid_hash() -> str:
                     X = Y + offset * np.linspace(-1.0, 1.0, p) if offset else Y
                     for center in (False, True):
                         for gamma in (None, 0.0):
-                            digest.update(f"{T}x{p} {tau0} {rep} {offset} {center} {gamma}".encode())
+                            key = f"{T}x{p} {tau0} {rep} {offset} {center} {gamma}"
                             try:
                                 res = full_pipeline(X, center=center, gamma=gamma)
                             except Exception as exc:  # the error is part of the result
-                                digest.update(_bits(f"{type(exc).__name__}: {exc}"))
+                                yield key, {"error": f"{type(exc).__name__}: {exc}"}
                                 continue
-                            for key, value in res.record().items():
-                                digest.update(key.encode() + _bits(value))
                             inf = res.inference
-                            digest.update(_bits(res.detection.objective_profile))
-                            digest.update(_bits(res.loss_profile))
-                            digest.update(_bits(inf.interval_int if inf else None))
-                            digest.update(_bits(inf.interval_frac if inf else None))
-    return digest.hexdigest()
+                            yield key, {**res.record(),
+                                        "objective_profile": res.detection.objective_profile,
+                                        "loss_profile": res.loss_profile,
+                                        "interval_int": inf.interval_int if inf else None,
+                                        "interval_frac": inf.interval_frac if inf else None}
 
 
-def tree_hash(tree: str) -> str:
-    """``grid_hash`` run in a subprocess that imports cpinfer from ``tree``."""
+def _text(value) -> str:
+    """A field's value as text that tells apart any two values that differ:
+    ``repr`` (the shortest round-trip form of a float), or for an array its
+    size and a digest of its bytes."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return f"{value.size} values, sha256 {hashlib.sha256(_bits(value)).hexdigest()[:12]}"
+    return repr(value)
+
+
+def tree_runs(tree: str) -> tuple[str, list]:
+    """The grid hash and the (key, {field: text}) of each run, from
+    ``grid_runs`` in a subprocess that imports cpinfer from ``tree``."""
     src = os.path.join(os.path.realpath(tree), "src")
     if not os.path.isfile(os.path.join(src, "cpinfer", "__init__.py")):
         raise RuntimeError(f"{tree}: no src/cpinfer here")
@@ -89,7 +107,31 @@ def tree_hash(tree: str) -> str:
                          env=env, capture_output=True, text=True)
     if out.returncode:
         raise RuntimeError(f"{tree}: the hash run exited {out.returncode}\n{out.stderr}")
-    return out.stdout.strip()
+    try:
+        *runs, digest = out.stdout.splitlines()
+        return digest, [tuple(json.loads(line)) for line in runs]
+    except ValueError as exc:  # no output, or a line that is not a run
+        raise RuntimeError(f"{tree}: the hash run printed no runs and hash: {exc}") from exc
+
+
+def moved(base: list, change: list, shown: int = 5) -> list[str]:
+    """The lines that say what moved between two trees' runs, paired in grid
+    order: how many runs moved in each field, then the first ``shown`` moved
+    runs with each moved field's base and change values (``-`` where a run
+    has no such field, as a run that raised has only ``error``)."""
+    fields = list(dict.fromkeys(f for _, run in base + change for f in run))
+    counts = dict.fromkeys(fields, 0)
+    lines = []
+    for (key, old), (_, new) in zip(base, change):
+        diffs = [f for f in fields if old.get(f, "-") != new.get(f, "-")]
+        for f in diffs:
+            counts[f] += 1
+        if diffs and len(lines) < shown:
+            lines.append(f"  {key}: " + "; ".join(f"{f} {old.get(f, '-')} -> {new.get(f, '-')}"
+                                                  for f in diffs))
+    return ([f"moved runs per field, of {len(base)}:"]
+            + [f"  {f}: {n}" for f, n in counts.items()]
+            + [f"first {len(lines)} moved runs (base -> change):"] + lines)
 
 
 def main(argv: list[str]) -> int:
@@ -99,21 +141,29 @@ def main(argv: list[str]) -> int:
         where = os.path.dirname(os.path.dirname(os.path.realpath(cpinfer.__file__)))
         if where != argv[1]:
             raise SystemExit(f"imported cpinfer from {where}, not {argv[1]}")
-        print(grid_hash())
+        digest = hashlib.sha256()
+        for key, fields in grid_runs():
+            digest.update(key.encode())
+            for name, value in fields.items():
+                digest.update((b"" if name in _UNNAMED else name.encode()) + _bits(value))
+            print(json.dumps([key, {name: _text(value) for name, value in fields.items()}]))
+        print(digest.hexdigest())
         return 0
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     try:
-        hashes = [tree_hash(tree) for tree in argv]
+        (base_hash, base), (change_hash, change) = (tree_runs(tree) for tree in argv)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 2
-    for tree, h in zip(argv, hashes):
-        print(f"{h}  {tree}")
-    same = hashes[0] == hashes[1]
-    print("same bits" if same else "bits differ")
-    return 0 if same else 1
+    print(f"{base_hash}  {argv[0]}\n{change_hash}  {argv[1]}")
+    if base_hash == change_hash:
+        print("same bits")
+        return 0
+    print("\n".join(moved(base, change)))
+    print("bits differ")
+    return 1
 
 
 if __name__ == "__main__":
