@@ -14,7 +14,8 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -94,14 +95,11 @@ def cmd_estimate(args) -> tuple[dict, int]:
     return res.record(), 0
 
 
-_MC_FLAGS = {"grid_R": "grid_half_width", "grid_h": "grid_step", "paths": "paths", "seed": "seed"}
-
-
 def _mc_settings(args) -> QuantileMCSettings | None:
     """Monte Carlo settings from the MC flags given (the rest at their
     defaults), or None when no MC flag is given."""
-    given = {field: getattr(args, flag) for flag, field in _MC_FLAGS.items()
-             if getattr(args, flag) is not None}
+    given = {f.name: getattr(args, f.name) for f in fields(QuantileMCSettings)
+             if getattr(args, f.name) is not None}
     return QuantileMCSettings(**given) if given else None
 
 
@@ -159,8 +157,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_io_options(sub):
     sub.add_argument("--input", required=True, help="CSV file, rows are observations")
     sub.add_argument("--output", default=None, help="write the JSON report here (default stdout)")
-    sub.add_argument("--header", action=argparse.BooleanOptionalAction, default=False,
-                     help="whether the CSV carries a single header row")
+    sub.add_argument("--header", action="store_true",
+                     help="the CSV carries a single header row")
     sub.add_argument("--tau-init", type=float, default=0.5, dest="tau_init")
     sub.add_argument("--lambda", type=float, default=None, dest="lam",
                      help="fixed shrinkage level (default: criterion-selected)")
@@ -173,9 +171,9 @@ def _add_mc_options(sub, description: str):
     group = sub.add_argument_group("Monte Carlo critical value", description)
     group.add_argument("--paths", type=int, default=None,
                        help=f"paths (default {d.paths})")
-    group.add_argument("--grid-R", type=float, default=None, dest="grid_R",
+    group.add_argument("--grid-R", type=float, default=None, dest="grid_half_width",
                        help="accepted for compatibility; no effect on the exact draws")
-    group.add_argument("--grid-h", type=float, default=None, dest="grid_h",
+    group.add_argument("--grid-h", type=float, default=None, dest="grid_step",
                        help="accepted for compatibility; no effect on the exact draws")
     group.add_argument("--seed", type=int, default=None,
                        help=f"seed (default {d.seed})")
@@ -204,17 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = subs.add_parser("simulate", help="run a Monte Carlo design cell")
     p_sim.add_argument("--output", default=None)
-    p_sim.add_argument("--T", type=int, required=True)
-    p_sim.add_argument("--p", type=int, required=True)
-    p_sim.add_argument("--s", type=int, default=5)
-    p_sim.add_argument("--tau0", type=float, required=True)
-    p_sim.add_argument("--rho", type=float, default=0.5)
-    p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--tau-init", type=float, default=0.5, dest="tau_init")
-    p_sim.add_argument("--gamma-off", action="store_true", dest="gamma_off",
-                       help="force the detection penalty to zero")
+    kinds = get_type_hints(SimConfig)
+    for f in fields(SimConfig):  # one option per design field, typed by its annotation
+        kind = {"action": "store_true"} if kinds[f.name] is bool else {"type": kinds[f.name]}
+        p_sim.add_argument("--" + f.name.replace("_", "-"), **kind, default=f.default,
+                           required=f.default is MISSING, help=f.metadata.get("help"))
     p_sim.add_argument("--estimator", choices=ESTIMATORS, default="pls_ci")
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--records-csv", default=None, dest="records_csv",

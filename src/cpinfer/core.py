@@ -154,8 +154,9 @@ class SeriesStats:
     gathered T x |S| block Y[:, S] of raw columns for the next projection
     onto S itself.  The lambda criterion at each split is memoized here
     too, by ``tune``; it depends on ``offset``, so the centred copy starts a
-    fresh memo, while the segment sums and the kept block, read from Y
-    alone, stay shared.
+    fresh memo, while the segment sums, read from Y alone, stay shared.  The
+    copy starts with the block kept when it was made, and from then on each
+    keeps its own: a projection that gathers sets the block of its object only.
     """
 
     def __init__(self, Y: np.ndarray):
@@ -318,7 +319,7 @@ def _centered(s: SeriesStats) -> SeriesStats:
     out = copy.copy(s)
     out.offset = s.center if s.offset is None else s.offset + s.center
     out.center = np.zeros(s.p)
-    out._criteria = {}  # the criteria read the offset; the sums and kept block do not
+    out._criteria = {}  # the criteria read the offset; the shared segment sums do not
     return out
 
 

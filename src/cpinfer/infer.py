@@ -156,18 +156,18 @@ def plugin_sigma_sq(Y, k: int, means: MeanPair) -> float:
     return (float(left @ left) + float(right @ right)) / s.T
 
 
-def simulate_argmin_locations(settings: QuantileMCSettings | None = None) -> np.ndarray:
+def simulate_argmin_locations(settings: QuantileMCSettings) -> np.ndarray:
     """Per-path signed arg-min locations of |v| - 2 W(v), drawn exactly.
 
     Each half-line's overall minimum of (|v| - 2 W(v)) / 2 is -I with
     I ~ Exp(1); the arg-min lies on the side with the deeper minimum, at an
     inverse Gaussian distance with mean 2 I and shape I^2 (Williams 1974).
     """
-    s = settings or QuantileMCSettings()
-    out = np.empty(s.paths)
-    for batch, lo in enumerate(range(0, s.paths, _BATCH_PATHS)):
-        nb = min(_BATCH_PATHS, s.paths - lo)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=s.seed, spawn_key=(batch,)))
+    paths, seed = settings.paths, settings.seed
+    out = np.empty(paths)
+    for batch, lo in enumerate(range(0, paths, _BATCH_PATHS)):
+        nb = min(_BATCH_PATHS, paths - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch,)))
         depth = rng.standard_exponential((2, nb))
         m = depth.max(0)
         side = np.where(depth[0] >= depth[1], 1.0, -1.0)

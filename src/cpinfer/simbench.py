@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -48,18 +48,22 @@ ESTIMATORS = ("al1", "pls", "pls_ci")
 @dataclass(frozen=True)
 class SimConfig:
     """Design parameters for one simulation cell.  The integer fields are
-    stored as ints, so ``dataclasses.asdict`` of a config is JSON."""
+    stored as ints, so ``dataclasses.asdict`` of a config is JSON.  Each
+    field is a ``cpinfer simulate`` option, its name with ``_`` written
+    ``-``, required when the field has no default; a field's help text is
+    its ``metadata["help"]``."""
 
     T: int
     p: int
-    s: int
     tau0: float
+    s: int = 5
     rho: float = 0.5
     reps: int = 100
     seed: int = 0
     alpha: float = 0.05
     tau_init: float = 0.5
-    gamma_off: bool = False
+    gamma_off: bool = field(default=False,
+                            metadata={"help": "force the detection penalty to zero"})
 
     def __post_init__(self):
         for name, floor in (("T", 2), ("p", 1), ("s", 1), ("reps", 1), ("seed", 0)):
@@ -332,11 +336,11 @@ def metrics_from_records(cfg: SimConfig, records: list, estimator: str = "pls_ci
     )
 
 
-def initializer_sweep(cfg: SimConfig, tau_inits, rep_index: int = 0) -> list:
-    """Detection on one fixed dataset for each initial fraction: per fraction
-    a row of ``tau_init``, the ``DetectionResult.record()`` and the true ``k0``.
-    Each fraction is checked as ``detect_change`` checks it."""
-    Y, k0 = gen_dataset(cfg, rep_index)
+def initializer_sweep(cfg: SimConfig, tau_inits) -> list:
+    """Detection on replication 0's dataset for each initial fraction: per
+    fraction a row of ``tau_init``, the ``DetectionResult.record()`` and the
+    true ``k0``.  Each fraction is checked as ``detect_change`` checks it."""
+    Y, k0 = gen_dataset(cfg, 0)
     s = series_stats(Y)  # every fraction reads the same statistics
     return [{"tau_init": _real(tau, "initial fraction"), **detect_change(s, tau_init=tau).record(),
              "k0": k0} for tau in tau_inits]

@@ -123,8 +123,6 @@ ARGUMENTS = {
     "SimConfig.alpha": (_design("alpha"), "level", "level"),
     "SimConfig.gamma_off": (_design("gamma_off"), "gamma_off", "bool"),
     "gen_dataset.rep_index": (lambda v: gen_dataset(_CFG, v), "replication index", 0),
-    "initializer_sweep.rep_index":
-        (lambda v: initializer_sweep(_CFG, [0.5], v), "replication index", 0),
     "initializer_sweep.tau_inits":
         (lambda v: initializer_sweep(_CFG, [v]), "initial fraction", "real"),
     "run_monte_carlo.n_jobs": (lambda v: run_monte_carlo(_CFG, "pls", n_jobs=v), "n_jobs", 1),

@@ -170,7 +170,8 @@ def test_accepted_command_line_reports_the_library_result(line, code, call, show
 
 _SIMULATE = "simulate --T 30 --p 8 --s 2 --tau0 0.5 --reps 2"
 # Command lines the CLI refuses, and the whole error of each; names in braces
-# are those of the fixture ``csvs``.  A bad level is an error whatever the
+# are those of the fixture ``csvs``.  A usage error prints the usage first.
+# A bad level is an error whatever the
 # data, --lambda nan used to exit 0 with a change at k = 1 and a NaN in the
 # JSON, simulate checks its level before any replication, for every
 # estimator, and an --output that cannot be written used to end in a
@@ -192,6 +193,7 @@ REFUSED = [
     ("detect --input {shifted} --output {tmp}", "[Errno 21] Is a directory: '{tmp}'"),
     ("detect --input {shifted} --lambda nan", "shrinkage level must be finite and nonnegative, got nan"),
     ("detect --input {shifted} --gamma nan", "penalty must be finite and nonnegative, got nan"),
+    ("detect --input {shifted} --no-header", "unrecognized arguments: --no-header"),
     *((f"{_SIMULATE} --alpha 1.5 --estimator {e}", "level must lie in (0, 1), got 1.5")
       for e in ("al1", "pls", "pls_ci")),
     *((f"{_SIMULATE} --jobs {jobs}", f"n_jobs must be an integer >= 1, got {jobs}") for jobs in (0, -3)),
@@ -204,9 +206,15 @@ REFUSED = [
 
 @pytest.mark.parametrize("line, error", REFUSED, ids=[line for line, _ in REFUSED])
 def test_refused_command_line_exits_1_with_its_error(line, error, csvs, capsys):
-    code = main([word.format(**csvs) for word in line.split()])
+    try:
+        code, usage = main([word.format(**csvs) for word in line.split()]), False
+    except SystemExit as exc:
+        code, usage = exc.code, True
     captured = capsys.readouterr()
-    assert (code, captured.out, json.loads(captured.err)) == (1, "", {"error": error.format(**csvs)})
+    *before, err = captured.err.splitlines()
+    assert (code, captured.out, json.loads(err)) == (1, "", {"error": error.format(**csvs)})
+    assert bool(before) == usage
+    assert all(text.startswith(("usage: cpinfer", " ")) for text in before)
 
 
 @pytest.fixture(scope="module")
@@ -272,8 +280,10 @@ class TestCommands:
         assert any(None in r.values() for r in records)
 
     def test_every_design_field_has_a_simulate_option(self):
-        args = build_parser().parse_args(["simulate", "--T", "30", "--p", "8", "--tau0", "0.5"])
-        assert {f.name for f in fields(SimConfig)} <= set(vars(args))
+        # each option takes its field's default (s = 5 needs p >= 10)
+        args = build_parser().parse_args(["simulate", "--T", "30", "--p", "10", "--tau0", "0.5"])
+        design = {f.name: getattr(args, f.name) for f in fields(SimConfig)}
+        assert design == asdict(SimConfig(T=30, p=10, tau0=0.5))
 
     def test_module_entry_point(self, csvs):
         proc = subprocess.run(

@@ -1,7 +1,10 @@
-"""tools/same_bits.py's report of the runs that moved between two trees."""
+"""tools/same_bits.py: the exact text of a value, and the report of the runs
+that moved between two trees."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 _spec = importlib.util.spec_from_file_location(
     "same_bits", Path(__file__).resolve().parents[1] / "tools" / "same_bits.py")
@@ -48,3 +51,13 @@ def test_shows_five_moved_runs_by_default():
 def test_a_tree_without_cpinfer_exits_2(tmp_path, capsys):
     assert same_bits.main([str(tmp_path), str(tmp_path)]) == 2
     assert "no src/cpinfer here" in capsys.readouterr().err
+
+
+def test_text_tells_apart_the_last_bit_and_the_dtype():
+    a = np.array([0.1, 0.5, 1.0 / 3.0])
+    b = a.copy()
+    b[-1] = np.nextafter(b[-1], 1.0)
+    texts = {same_bits._text(x) for x in (a, b, a.astype(np.float32))}
+    assert len(texts) == 3
+    # the same bytes in another dtype and shape
+    assert same_bits._text(np.zeros(2, np.float32)) != same_bits._text(np.zeros(1))

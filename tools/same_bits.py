@@ -9,12 +9,14 @@ compares them beside a one-thread BLAS, ``taskset -c 0 python tools/...`` on
 one CPU).  The grid is the paper's four cells plus 60x40, 400x50, 50x400,
 2000x300, 1000x20 and 4096x512, each with tau0 in {0.2, 0.4, 0.8, 1.0}
 (1.0: no change), 3 replications, column offsets 0 and 1e4, ``center`` off
-and on, and gamma tuned and 0: 960 runs.  A run's hash covers ``record()``,
-the objective and loss profiles and the integer and fraction intervals, or
-the error it raised.  The script prints each tree's hash and exits 1 when
-they differ, and 2 when it cannot hash a tree.  When they differ it also
-prints, for each ``record()`` field, interval and profile, how many runs
-moved, then the first five moved runs with the base and change values.
+and on, and gamma tuned and 0: 960 runs.  Each run prints one JSON line of
+its ``record()`` fields, the objective and loss profiles and the integer
+and fraction intervals, or the error it raised, each in an exact form
+(``_text``), and a tree's hash is the sha256 of its lines.  The script
+prints each tree's hash and exits 1 when they differ, and 2 when it cannot
+hash a tree.  When they differ it also prints, for each ``record()`` field,
+interval and profile, how many runs moved, then the first five moved runs
+with the base and change values.
 """
 
 from __future__ import annotations
@@ -32,25 +34,6 @@ REPS = 3
 OFFSETS = (0.0, 1e4)
 SPARSITY = 5  # columns that shift, at most p
 JUMP = 1.0
-
-
-def _bits(value) -> bytes:
-    """An exact byte form of a record value, profile or interval."""
-    import numpy as np
-
-    if value is None:
-        return b"None"
-    if isinstance(value, np.ndarray):
-        return str(value.dtype).encode() + str(value.shape).encode() + value.tobytes()
-    if isinstance(value, (tuple, list)):
-        return b"(" + b",".join(_bits(v) for v in value) + b")"
-    if isinstance(value, (float, np.floating)):
-        return type(value).__name__.encode() + float(value).hex().encode()
-    return type(value).__name__.encode() + repr(value).encode()
-
-
-# hashed by value alone, without their names
-_UNNAMED = ("error", "objective_profile", "loss_profile", "interval_int", "interval_frac")
 
 
 def grid_runs():
@@ -87,31 +70,34 @@ def grid_runs():
 
 def _text(value) -> str:
     """A field's value as text that tells apart any two values that differ:
-    ``repr`` (the shortest round-trip form of a float), or for an array its
-    size and a digest of its bytes."""
+    ``repr`` (the shortest round-trip form of a float, with numpy's scalar
+    type), or for an array its dtype, shape and the sha256 of its bytes."""
     import numpy as np
 
     if isinstance(value, np.ndarray):
-        return f"{value.size} values, sha256 {hashlib.sha256(_bits(value)).hexdigest()[:12]}"
+        return f"{value.dtype} {value.shape} sha256 {hashlib.sha256(value.tobytes()).hexdigest()}"
     return repr(value)
 
 
 def tree_runs(tree: str) -> tuple[str, list]:
     """The grid hash and the (key, {field: text}) of each run, from
-    ``grid_runs`` in a subprocess that imports cpinfer from ``tree``."""
+    ``grid_runs`` in a subprocess that imports cpinfer from ``tree``; the
+    hash is the sha256 of the lines it prints, one per run."""
     src = os.path.join(os.path.realpath(tree), "src")
     if not os.path.isfile(os.path.join(src, "cpinfer", "__init__.py")):
         raise RuntimeError(f"{tree}: no src/cpinfer here")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--hash", src],
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--runs", src],
                          env=env, capture_output=True, text=True)
     if out.returncode:
-        raise RuntimeError(f"{tree}: the hash run exited {out.returncode}\n{out.stderr}")
+        raise RuntimeError(f"{tree}: the grid run exited {out.returncode}\n{out.stderr}")
     try:
-        *runs, digest = out.stdout.splitlines()
-        return digest, [tuple(json.loads(line)) for line in runs]
-    except ValueError as exc:  # no output, or a line that is not a run
-        raise RuntimeError(f"{tree}: the hash run printed no runs and hash: {exc}") from exc
+        runs = [tuple(json.loads(line)) for line in out.stdout.splitlines()]
+    except ValueError as exc:
+        raise RuntimeError(f"{tree}: the grid run printed a line that is not a run: {exc}") from exc
+    if not runs:
+        raise RuntimeError(f"{tree}: the grid run printed no runs")
+    return hashlib.sha256(out.stdout.encode()).hexdigest(), runs
 
 
 def moved(base: list, change: list, shown: int = 5) -> list[str]:
@@ -135,19 +121,14 @@ def moved(base: list, change: list, shown: int = 5) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--hash":
+    if len(argv) == 2 and argv[0] == "--runs":
         import cpinfer
 
         where = os.path.dirname(os.path.dirname(os.path.realpath(cpinfer.__file__)))
         if where != argv[1]:
             raise SystemExit(f"imported cpinfer from {where}, not {argv[1]}")
-        digest = hashlib.sha256()
         for key, fields in grid_runs():
-            digest.update(key.encode())
-            for name, value in fields.items():
-                digest.update((b"" if name in _UNNAMED else name.encode()) + _bits(value))
             print(json.dumps([key, {name: _text(value) for name, value in fields.items()}]))
-        print(digest.hexdigest())
         return 0
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
