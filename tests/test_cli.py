@@ -197,6 +197,14 @@ REFUSED = [
     *((f"{_SIMULATE} --alpha 1.5 --estimator {e}", "level must lie in (0, 1), got 1.5")
       for e in ("al1", "pls", "pls_ci")),
     *((f"{_SIMULATE} --jobs {jobs}", f"n_jobs must be an integer >= 1, got {jobs}") for jobs in (0, -3)),
+    # each design option is typed by its SimConfig field and spelt with "-"
+    *((f"{_SIMULATE} --{flag} 1.5", f"argument --{flag}: invalid int value: '1.5'")
+      for flag in ("T", "p", "s", "reps", "seed")),
+    *((f"{_SIMULATE} --{flag} half", f"argument --{flag}: invalid float value: 'half'")
+      for flag in ("tau0", "rho", "alpha", "tau-init")),
+    (f"{_SIMULATE} --gamma-off 1", "unrecognized arguments: 1"),
+    (f"{_SIMULATE} --tau_init 0.5", "unrecognized arguments: --tau_init 0.5"),
+    ("simulate --s 2", "the following arguments are required: --T, --p, --tau0"),
     ("quantile --seed -1", "seed must be an integer >= 0, got -1"),
     ("quantile --paths 0", "paths must be an integer >= 1, got 0"),
     *((f"quantile --grid-{flag} {value}", f"{name} must be finite and positive, got {value}")
