@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 error, 2 no-change-detected (only when an interval
 was requested).  Reports carry ``"schema": "cpinfer/1"``, the ``"command"``
 and then the command's fields, for a run those of ``DetectionResult.record``
 or ``PipelineResult.record``.  Writing the report is part of the run: a
-failed ``--output`` write is an error.
+failed ``--output`` write is an error.  Every error, a usage error too,
+prints one line ``{"error": ...}`` on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -123,8 +124,6 @@ def cmd_simulate(args) -> tuple[dict, int]:
     cfg = SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)})
     metrics = asdict(run_monte_carlo(cfg, estimator=args.estimator, n_jobs=args.jobs))
     records = metrics.pop("per_rep_records")
-    if args.records_csv:
-        _write_records_csv(args.records_csv, records)
     report = {
         "estimator": args.estimator,
         "config": asdict(cfg),
@@ -134,13 +133,6 @@ def cmd_simulate(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _write_records_csv(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(records[0]))
-        writer.writeheader()
-        writer.writerows(records)
-
-
 def cmd_quantile(args) -> tuple[dict, int]:
     mc = _mc_settings(args) or QuantileMCSettings()
     c = limit_quantile(args.alpha, mc)
@@ -148,15 +140,12 @@ def cmd_quantile(args) -> tuple[dict, int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on usage errors; 2 is reserved for "no change"
-        self.print_usage(sys.stderr)
-        print(json.dumps({"error": message}), file=sys.stderr)
-        raise SystemExit(1)
+    def error(self, message):  # main's one error path: exit 1 (2 is reserved for "no change")
+        raise ValueError(message)
 
 
 def _add_io_options(sub):
     sub.add_argument("--input", required=True, help="CSV file, rows are observations")
-    sub.add_argument("--output", default=None, help="write the JSON report here (default stdout)")
     sub.add_argument("--header", action="store_true",
                      help="the CSV carries a single header row")
     sub.add_argument("--tau-init", type=float, default=0.5, dest="tau_init")
@@ -201,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.set_defaults(func=cmd_infer)
 
     p_sim = subs.add_parser("simulate", help="run a Monte Carlo design cell")
-    p_sim.add_argument("--output", default=None)
     kinds = get_type_hints(SimConfig)
     for f in fields(SimConfig):  # one option per design field, typed by its annotation
         kind = {"action": "store_true"} if kinds[f.name] is bool else {"type": kinds[f.name]}
@@ -209,23 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
                            required=f.default is MISSING, help=f.metadata.get("help"))
     p_sim.add_argument("--estimator", choices=ESTIMATORS, default="pls_ci")
     p_sim.add_argument("--jobs", type=int, default=1)
-    p_sim.add_argument("--records-csv", default=None, dest="records_csv",
-                       help="also write per-replication records as CSV")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_q = subs.add_parser("quantile", help="Monte Carlo critical value of the limiting law")
-    p_q.add_argument("--output", default=None)
     p_q.add_argument("--alpha", type=float, default=0.05)
     _add_mc_options(p_q, "The critical value is the empirical quantile of exact draws of the "
                          "arg-min (Williams 1974); unset settings take their defaults.")
     p_q.set_defaults(func=cmd_quantile)
+    for sub in subs.choices.values():
+        sub.add_argument("--output", default=None, help="write the JSON report here (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, code = args.func(args)
         text = json.dumps({"schema": SCHEMA, "command": args.command, **report}, indent=2)
         if args.output:
@@ -237,7 +223,3 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,7 +2,6 @@
 is a row of ``CSVS``, every command line that runs is a row of ``ACCEPTED``
 and every one that the CLI refuses is a row of ``REFUSED``."""
 
-import csv
 import json
 import os
 import subprocess
@@ -128,7 +127,8 @@ ACCEPTED = [
     ("detect --input {null}", 0, lambda: detect_change(NULL).record(), {"changed": False}),
     ("estimate --input {shifted}", 0, lambda: full_pipeline(SHIFTED, with_ci=False).record(),
      {"xi_sq": None, "sigma_sq": None}),
-    ("infer --input {shifted} --alpha 0.1", 0, lambda: inferred(SHIFTED, 0.1, limit_quantile(0.1)), {}),
+    ("infer --input {shifted} --alpha 0.1", 0, lambda: inferred(SHIFTED, 0.1, limit_quantile(0.1)),
+     {"status": "ok"}),
     ("infer --input {shifted} --alpha 0.1 --paths 4000 --grid-R 40 --grid-h 0.01 --seed 3", 0,
      lambda: inferred(SHIFTED, 0.1, limit_quantile(0.1, QuantileMCSettings(paths=4000, seed=3))), {}),
     ("infer --input {shifted} --seed 3", 0,
@@ -170,13 +170,14 @@ def test_accepted_command_line_reports_the_library_result(line, code, call, show
 
 _SIMULATE = "simulate --T 30 --p 8 --s 2 --tau0 0.5 --reps 2"
 # Command lines the CLI refuses, and the whole error of each; names in braces
-# are those of the fixture ``csvs``.  A usage error prints the usage first.
-# A bad level is an error whatever the
+# are those of the fixture ``csvs``.  A usage error is refused as any other
+# error is, with no usage text.  A bad level is an error whatever the
 # data, --lambda nan used to exit 0 with a change at k = 1 and a NaN in the
 # JSON, simulate checks its level before any replication, for every
 # estimator, and an --output that cannot be written used to end in a
 # traceback after the whole run.
 REFUSED = [
+    ("", "the following arguments are required: command"),
     ("infer --input {null} --alpha 1.5", "level must lie in (0, 1), got 1.5"),
     ("infer --input {shifted} --alpha 1.5", "level must lie in (0, 1), got 1.5"),
     ("infer --input {nan}", "time series contains non-finite entries"),
@@ -194,6 +195,9 @@ REFUSED = [
     ("detect --input {shifted} --lambda nan", "shrinkage level must be finite and nonnegative, got nan"),
     ("detect --input {shifted} --gamma nan", "penalty must be finite and nonnegative, got nan"),
     ("detect --input {shifted} --no-header", "unrecognized arguments: --no-header"),
+    ("estimate --input x.csv --alpha 0.1", "unrecognized arguments: --alpha 0.1"),
+    *((f"{command} --cache q.txt", "unrecognized arguments: --cache q.txt")
+      for command in (_SIMULATE, "infer --input x.csv", "quantile")),
     *((f"{_SIMULATE} --alpha 1.5 --estimator {e}", "level must lie in (0, 1), got 1.5")
       for e in ("al1", "pls", "pls_ci")),
     *((f"{_SIMULATE} --jobs {jobs}", f"n_jobs must be an integer >= 1, got {jobs}") for jobs in (0, -3)),
@@ -204,6 +208,10 @@ REFUSED = [
       for flag in ("tau0", "rho", "alpha", "tau-init")),
     (f"{_SIMULATE} --gamma-off 1", "unrecognized arguments: 1"),
     (f"{_SIMULATE} --tau_init 0.5", "unrecognized arguments: --tau_init 0.5"),
+    (f"{_SIMULATE} --paths 100", "unrecognized arguments: --paths 100"),
+    # the per-replication records live only in the JSON report
+    (f"{_SIMULATE} --records-csv x.csv", "unrecognized arguments: --records-csv x.csv"),
+    ("simulate", "the following arguments are required: --T, --p, --tau0"),
     ("simulate --s 2", "the following arguments are required: --T, --p, --tau0"),
     ("quantile --seed -1", "seed must be an integer >= 0, got -1"),
     ("quantile --paths 0", "paths must be an integer >= 1, got 0"),
@@ -214,15 +222,16 @@ REFUSED = [
 
 @pytest.mark.parametrize("line, error", REFUSED, ids=[line for line, _ in REFUSED])
 def test_refused_command_line_exits_1_with_its_error(line, error, csvs, capsys):
-    try:
-        code, usage = main([word.format(**csvs) for word in line.split()]), False
-    except SystemExit as exc:
-        code, usage = exc.code, True
-    captured = capsys.readouterr()
-    *before, err = captured.err.splitlines()
-    assert (code, captured.out, json.loads(err)) == (1, "", {"error": error.format(**csvs)})
-    assert bool(before) == usage
-    assert all(text.startswith(("usage: cpinfer", " ")) for text in before)
+    code = main([word.format(**csvs) for word in line.split()])
+    err = json.dumps({"error": error.format(**csvs)}) + "\n"
+    assert (code, *capsys.readouterr()) == (1, "", err)
+
+
+def test_help_exits_0_with_the_usage_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out.startswith("usage: cpinfer"), err) == (0, True, "")
 
 
 @pytest.fixture(scope="module")
@@ -238,19 +247,6 @@ def loaded_after_import():
 
 
 class TestCommands:
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--T", "30", "--p", "8", "--tau0", "0.5", "--paths", "100"],
-        ["simulate", "--T", "30", "--p", "8", "--tau0", "0.5", "--cache", "q.txt"],
-        ["estimate", "--input", "x.csv", "--alpha", "0.1"],
-        ["infer", "--input", "x.csv", "--cache", "q.txt"],
-        ["quantile", "--cache", "q.txt"],
-        ["simulate"],  # missing required flags
-    ])
-    def test_usage_error_exits_1(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
-        assert exc.value.code == 1
-
     def test_import_leaves_scipy_unloaded(self, loaded_after_import):
         assert loaded_after_import["scipy"] == "False"
 
@@ -273,19 +269,6 @@ class TestCommands:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["ok", "False"]
-
-    def test_records_csv_holds_the_report_records(self, tmp_path, capsys):
-        # the CSV header is the record keys in order, and each cell is str()
-        # of the JSON value, '' for null
-        path = tmp_path / "records.csv"
-        argv = "simulate --T 30 --p 8 --s 2 --tau0 0.5 --reps 3 --seed 5 --estimator pls"
-        assert main([*argv.split(), "--records-csv", str(path)]) == 0
-        records = json.loads(capsys.readouterr().out)["records"]
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, *rows = csv.reader(fh)
-        assert header == list(records[0])
-        assert rows == [["" if v is None else str(v) for v in r.values()] for r in records]
-        assert any(None in r.values() for r in records)
 
     def test_every_design_field_has_a_simulate_option(self):
         # each option takes its field's default (s = 5 needs p >= 10)
