@@ -20,8 +20,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .detect import detect_change
-from .infer import QuantileMCSettings, limit_quantile
+from .detect import DEFAULT_TAU_INIT, detect_change
+from .infer import DEFAULT_ALPHA, QuantileMCSettings, limit_quantile
 from .pls import full_pipeline
 from .simbench import ESTIMATORS, SimConfig, run_monte_carlo
 
@@ -58,29 +58,37 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
 
 
 def _scan_csv(path, has_header: bool) -> None:
-    """Locate why loadtxt failed: raise ValueError naming the file and the
-    cause: bytes that are not UTF-8, a cell over the csv module's field limit
-    (process-wide state, left unchanged), no data rows, the first ragged row
-    or the first cell that ``float`` rejects."""
+    """Locate why loadtxt failed, one row at a time: raise ValueError naming
+    the file and the first cause met: bytes that are not UTF-8 (decoded in
+    chunks of a few KiB, ahead of the rows), a cell over the csv module's
+    field limit (process-wide state, left unchanged), a ragged row, a cell
+    that loadtxt does not read as a number (one that is not plain ASCII,
+    holds a ``_`` or is refused by ``float``), or no data rows."""
+    width = None
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [(line_no, cells) for line_no, cells in enumerate(csv.reader(fh), start=1)
-                    if cells and not (has_header and line_no == 1)]
+            reader = csv.reader(fh)  # line_num: the file line that ends the row, from 1
+            for cells in reader:
+                if not cells or (has_header and reader.line_num == 1):
+                    continue
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise ValueError(f"{path}: row {reader.line_num} has {len(cells)} cells, "
+                                     f"expected {width}")
+                joined = ",".join(cells)  # loadtxt's ASCII and "_" rule, tested once a row
+                plain = joined.isascii() and "_" not in joined
+                for j, cell in enumerate(cells):
+                    try:
+                        if not (plain or cell.isascii() and "_" not in cell):
+                            raise ValueError
+                        float(cell)
+                    except ValueError:
+                        raise ValueError(f"{path}: non-numeric cell at row {reader.line_num}, "
+                                         f"column {j + 1}: {cell!r}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not rows:
+    if width is None:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    for line_no, cells in rows:
-        if len(cells) != width:
-            raise ValueError(f"{path}: row {line_no} has {len(cells)} cells, expected {width}")
-        for j, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric cell at row {line_no}, column {j + 1}: {cell!r}"
-                ) from None
 
 
 def cmd_detect(args) -> tuple[dict, int]:
@@ -148,7 +156,7 @@ def _add_io_options(sub):
     sub.add_argument("--input", required=True, help="CSV file, rows are observations")
     sub.add_argument("--header", action="store_true",
                      help="the CSV carries a single header row")
-    sub.add_argument("--tau-init", type=float, default=0.5, dest="tau_init")
+    sub.add_argument("--tau-init", type=float, default=DEFAULT_TAU_INIT, dest="tau_init")
     sub.add_argument("--lambda", type=float, default=None, dest="lam",
                      help="fixed shrinkage level (default: criterion-selected)")
     sub.add_argument("--gamma", type=float, default=None,
@@ -182,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inf = subs.add_parser("infer", help="detect, locate, and build the interval")
     _add_io_options(p_inf)
-    p_inf.add_argument("--alpha", type=float, default=0.05)
+    p_inf.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_mc_options(p_inf, "By default the critical value is exact, from the closed-form "
                            "limiting law. Any of --paths, --grid-R, --grid-h or --seed "
                            "estimates it instead from exact draws of the arg-min (Williams "
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_q = subs.add_parser("quantile", help="Monte Carlo critical value of the limiting law")
-    p_q.add_argument("--alpha", type=float, default=0.05)
+    p_q.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_mc_options(p_q, "The critical value is the empirical quantile of exact draws of the "
                          "arg-min (Williams 1974); unset settings take their defaults.")
     p_q.set_defaults(func=cmd_quantile)

@@ -302,11 +302,9 @@ def _gather(Y: np.ndarray, cols: np.ndarray) -> np.ndarray:
     column, which slows sharply once Y is past about 8 MiB, so a series of
     more than ``_CHUNK`` rows and at least ``_THREAD_MIN`` elements is
     gathered ``_CHUNK`` rows at a time into a block of that layout, and
-    ``block @ eta[cols]`` runs the BLAS kernel of the one-shot gather.  One
-    column is gathered in one shot: at 20000x200 that takes 39 us, and 63 us
-    in row chunks."""
+    ``block @ eta[cols]`` runs the BLAS kernel of the one-shot gather."""
     T = Y.shape[0]
-    if T <= _CHUNK or Y.size < _THREAD_MIN or cols.size == 1:
+    if T <= _CHUNK or Y.size < _THREAD_MIN:
         return Y[:, cols]
     block = np.empty((T, cols.size), order="F")
     for lo in range(0, T, _CHUNK):

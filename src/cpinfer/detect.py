@@ -31,6 +31,8 @@ __all__ = [
     "detect_change",
 ]
 
+DEFAULT_TAU_INIT = 0.5  # the initial split's fraction of T when none is given
+
 
 @dataclass
 class DetectionResult:
@@ -98,7 +100,7 @@ def _penalize(loss: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
 
 def detect_change(
     Y,
-    tau_init: float = 0.5,
+    tau_init: float = DEFAULT_TAU_INIT,
     lam: float | None = None,
     gamma: float | None = None,
 ) -> DetectionResult:

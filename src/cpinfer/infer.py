@@ -59,6 +59,7 @@ __all__ = [
     "confidence_interval",
 ]
 
+DEFAULT_ALPHA = 0.05  # the level of every interval and critical value not given one
 _BATCH_PATHS = 2048  # fixed chunk size; per-chunk RNG substreams keep runs reproducible
 
 
@@ -93,8 +94,12 @@ class InferenceResult:
     sigma_sq_hat: float
     c_alpha: float
     interval_int: tuple
-    interval_frac: tuple
     alpha: float
+
+    @property
+    def interval_frac(self) -> tuple:
+        """``interval_int`` divided by the series length T."""
+        return tuple(end / self.k_tilde.T for end in self.interval_int)
 
 
 def _support(indices, p: int) -> np.ndarray:
@@ -238,7 +243,7 @@ def limit_quantile(alpha: float, settings: QuantileMCSettings | None = None) -> 
 
 
 def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
-                        c_alpha: float, T: int, alpha: float = 0.05) -> InferenceResult:
+                        c_alpha: float, T: int, alpha: float = DEFAULT_ALPHA) -> InferenceResult:
     """Interval k_tilde +/- c_alpha * sigma_sq_hat / xi_sq_hat on the integer
     scale, clamped to [1, T], with the fraction view divided by T.
     ``alpha`` must lie in (0, 1), ``c_alpha`` must be finite and positive,
@@ -254,16 +259,14 @@ def confidence_interval(k_tilde: int, xi_sq_hat: float, sigma_sq_hat: float,
         raise DegenerateJumpError("zero squared jump: interval undefined")
     sigma_sq_hat = _nonnegative(sigma_sq_hat, "variance ratio")
     estimate = ChangePointEstimate(k_tilde, T)
-    T = estimate.T
     half = c_alpha * sigma_sq_hat / xi_sq_hat
     lo = max(1.0, estimate.k - half)
-    hi = min(float(T), estimate.k + half)
+    hi = min(float(estimate.T), estimate.k + half)
     return InferenceResult(
         k_tilde=estimate,
         xi_sq_hat=xi_sq_hat,
         sigma_sq_hat=sigma_sq_hat,
         c_alpha=c_alpha,
         interval_int=(lo, hi),
-        interval_frac=(lo / T, hi / T),
         alpha=alpha,
     )

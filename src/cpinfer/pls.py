@@ -27,8 +27,9 @@ from .core import (
     loss_profile_pd,
     series_stats,
 )
-from .detect import DetectionResult, _shrunk_means, detect_change
+from .detect import DEFAULT_TAU_INIT, DetectionResult, _shrunk_means, detect_change
 from .infer import (
+    DEFAULT_ALPHA,
     InferenceResult,
     confidence_interval,
     limit_quantile,
@@ -90,8 +91,8 @@ def pls_estimate(Y, means: MeanPair) -> ChangePointEstimate:
 def full_pipeline(
     Y,
     *,
-    tau_init: float = 0.5,
-    alpha: float = 0.05,
+    tau_init: float = DEFAULT_TAU_INIT,
+    alpha: float = DEFAULT_ALPHA,
     lam: float | None = None,
     gamma: float | None = None,
     with_ci: bool = True,

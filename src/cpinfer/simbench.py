@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import (_bool, _fraction_split, _helper_pays, _integer, _level, _positive, _real,
                    series_stats)
-from .detect import _initial_split, detect_change
-from .infer import limit_quantile
+from .detect import DEFAULT_TAU_INIT, _initial_split, detect_change
+from .infer import DEFAULT_ALPHA, limit_quantile
 from .pls import full_pipeline
 
 __all__ = [
@@ -60,8 +60,8 @@ class SimConfig:
     rho: float = 0.5
     reps: int = 100
     seed: int = 0
-    alpha: float = 0.05
-    tau_init: float = 0.5
+    alpha: float = DEFAULT_ALPHA
+    tau_init: float = DEFAULT_TAU_INIT
     gamma_off: bool = field(default=False,
                             metadata={"help": "force the detection penalty to zero"})
 

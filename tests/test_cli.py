@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields
 from functools import reduce
 from pathlib import Path
@@ -55,8 +56,9 @@ def csvs(tmp_path):
 
 
 # What read_csv gives for a file's bytes and header flag: the array, or the
-# whole error, {path} naming the file.  loadtxt alone decides what a cell is,
-# so a digit separator and non-ASCII digits, which float() reads, are errors.
+# whole error, {path} naming the file and the file line counted from 1.
+# loadtxt alone decides what a cell is, so a digit separator and non-ASCII
+# digits, which float() reads, are non-numeric cells.
 CSVS = {
     "one column": (b"1\n3\n", False, [[1.0], [3.0]]),
     "ragged": (b"1,2\n3\n", False, "{path}: row 2 has 1 cells, expected 2"),
@@ -66,15 +68,15 @@ CSVS = {
     "scientific": (b"1e-3,2.5E2\n-1.5e0,0.0\n", False, [[0.001, 250.0], [-1.5, 0.0]]),
     "quoted": (b'"1","2.5"\n3,"-4e1"\n', False, [[1.0, 2.5], [3.0, -40.0]]),
     "blank lines": (b"1,2\n\n3,4\n\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+    "quoted line break": (b'"1\n",2\n3,x\n', False, "{path}: non-numeric cell at row 3, column 2: 'x'"),
     "empty": (b"", False, "{path}: no data rows"),
     "byte-order mark": (BOM + csv_bytes(SMALL), False, SMALL),
     "byte-order mark, header": (BOM + b"a,b,c\n" + csv_bytes(SMALL), True, SMALL),
     "byte-order mark, non-numeric": (BOM + b"1,2\n3,oops\n", False,
                                      "{path}: non-numeric cell at row 2, column 2: 'oops'"),
-    "digit separator": (FILES["float_only"], False,
-                        "{path}: could not convert string '1_000' to float64 at row 0, column 1."),
+    "digit separator": (FILES["float_only"], False, "{path}: non-numeric cell at row 1, column 1: '1_000'"),
     "arabic-indic digit": ("\u0661,2\n3,4\n".encode(), False,
-                           "{path}: could not convert string '\u0661' to float64 at row 0, column 1."),
+                           "{path}: non-numeric cell at row 1, column 1: '\u0661'"),
     "not utf-8": (b"1,2\n3,\xff\xfe\n", False,
                   "{path}: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
     "over the field limit": (WIDE, False, "{path}: field larger than field limit (131072)"),
@@ -93,6 +95,22 @@ def test_read_csv_gives_each_file_its_array_or_error(data, header, expected, tmp
         assert str(exc.value) == expected.format(path=path)
     else:
         np.testing.assert_array_equal(read_csv(path, header), expected, strict=True)
+
+
+def test_refused_csv_is_scanned_one_row_at_a_time(tmp_path):
+    # 4 MB with the bad cell in its last row: holding one row, the scan's
+    # peak does not grow with the file
+    path = tmp_path / "input.csv"
+    row = ",".join(["-0.12345678901234567"] * 200) + "\n"
+    path.write_text(row * 1000 + "oops" + row[20:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="non-numeric cell at row 1001, column 1: 'oops'"):
+            cli._scan_csv(path, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def inferred(Y, alpha, c_alpha):
@@ -186,8 +204,7 @@ REFUSED = [
     ("detect --input /nonexistent/file.csv", "/nonexistent/file.csv not found."),
     # the input is read before the critical value, whose settings are checked on use
     ("infer --input /nonexistent/file.csv --paths 0", "/nonexistent/file.csv not found."),
-    ("detect --input {float_only}",
-     "{float_only}: could not convert string '1_000' to float64 at row 0, column 1."),
+    ("detect --input {float_only}", "{float_only}: non-numeric cell at row 1, column 1: '1_000'"),
     ("detect --input {wide}", "{wide}: field larger than field limit (131072)"),
     ("detect --input {shifted} --output {tmp}/missing/report.json",
      "[Errno 2] No such file or directory: '{tmp}/missing/report.json'"),

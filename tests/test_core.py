@@ -253,12 +253,14 @@ class TestSeriesStatsPass:
         if offset == "from_row_900":
             # the third block holds 81 offset rows: it and the blocks before
             # pass the one-bit test on their own, the blocks after it fail it,
-            # and the pass's one guard over all of Y sends it to the second read
+            # and the pass's one guard over all of Y, 2 T ||c||^2 <= ||Y||^2,
+            # fails, so the pass reads Y again to sum ||B - c||^2
             Y[900:, : p // 2] += 1e6
-            bounds = series_stats(Y)._bounds
-            blocks = [Y[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            s = series_stats(Y)
+            blocks = [Y[lo:hi] for lo, hi in zip(s._bounds, s._bounds[1:])]
             fast = [2 * len(b) * (b.mean(axis=0) @ b.mean(axis=0)) <= (b * b).sum() for b in blocks]
             assert fast == [True] * 3 + [False] * 3
+            assert 2 * T * (s.center @ s.center) > (Y * Y).sum()
         else:
             Y += offset * rng.uniform(-1.0, 1.0, size=p)
         tracemalloc.start()
@@ -280,22 +282,6 @@ class TestSeriesStatsPass:
         assert 2 * 30 * (bm @ bm) <= Y.ravel() @ Y.ravel()
         d = (Y - bm).ravel()
         assert series_stats(Y).ss == pytest.approx(d @ d, rel=1e-13, abs=0)
-
-    def test_level_shift_takes_the_two_pass_branch(self):
-        # the level shift of from_row_900 makes 2 T ||c||^2 exceed ||Y||^2,
-        # the blocks' own sums of squares plus sum_b rows_b ||mean_b||^2, so
-        # the expansion ||Y||^2 - T ||c||^2 would lose more than one bit and
-        # the pass reads Y again to sum ||B - c||^2 over the blocks
-        T, p = 2000, 100
-        Y = np.random.default_rng(4).normal(size=(T, p))
-        Y[900:, : p // 2] += 1e6
-        s = series_stats(Y)
-        blocks = [Y[lo:hi] for lo, hi in zip(s._bounds, s._bounds[1:])]
-        within = sum(((b - b.mean(axis=0)) ** 2).sum() for b in blocks)
-        between = sum(len(b) * (b.mean(axis=0) @ b.mean(axis=0)) for b in blocks)
-        assert 2 * T * (s.center @ s.center) > within + between
-        exact = self.exact_ss(Y)
-        assert abs(s.ss - exact) <= 1e-12 * exact
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(2, 70), p=st.integers(1, 12),
            block=st.integers(1, 40), offset=st.floats(0.0, 1e6), shift=st.floats(0.0, 1e6),
@@ -713,9 +699,8 @@ class TestSeriesStatsProject:
 
 _RNG = np.random.default_rng(17)
 _WIDE = _RNG.normal(size=(24, 80)) + 1e4 * _RNG.uniform(-1.0, 1.0, size=80)
-# Series whose gather is chunked when the chunk is 4 rows and the floor 0
-# (one column is gathered in one shot), each with the support to gather and
-# whether its statistics are centred.
+# Series whose gather is chunked when the chunk is 4 rows and the floor 0,
+# each with the support to gather and whether its statistics are centred.
 CHUNKED = {
     "C-ordered": (_WIDE, [1, 8, 9, 33], False),
     "Fortran-ordered": (np.asfortranarray(_WIDE), [1, 8, 9, 33], False),
@@ -725,7 +710,7 @@ CHUNKED = {
     "T a multiple of the chunk": (_WIDE[:20], [4, 17], False),
     "T ragged": (_WIDE[:23], [4, 17], False),
     "empty support": (_WIDE, [], False),
-    "one column, gathered in one shot": (_WIDE, [9], False),
+    "one column": (_WIDE, [9], False),
 }
 
 

@@ -59,26 +59,6 @@ class TestPlsEstimate:
             b = pls_estimate(c * Y, MeanPair(c * mu1, c * mu2))
             assert a.k == b.k
 
-    def test_matches_exhaustive_naive_evaluation(self):
-        rng = np.random.default_rng(2)
-        for _ in range(40):
-            T = int(rng.integers(3, 13))
-            p = int(rng.integers(1, 4))
-            Y = rng.normal(size=(T, p))
-            mu1 = rng.normal(size=p)
-            mu2 = rng.normal(size=p)
-            if np.allclose(mu1, mu2):
-                continue
-            losses = scalar_profile(Y, 0.0, mu1, mu2)[:-1]
-            mp = MeanPair(mu1, mu2)
-            assert pls_estimate(Y, mp).k == int(np.argmin(losses)) + 1
-            # the scalar loss is the p-dimensional one scaled by ||eta||^2,
-            # up to a constant: compare the differences to the last split
-            prof, _ = _pls_profile(Y, mp)
-            xi_sq = float(mp.jump() @ mp.jump())
-            np.testing.assert_allclose(xi_sq * (prof - prof[-1]), losses - losses[-1],
-                                       atol=1e-10 * np.max(np.abs(losses)))
-
     def test_step_function_structure(self):
         # evaluating the loss at any real fraction equals the profile entry
         # of its floor grid index
