@@ -59,15 +59,16 @@ def read_csv(path, has_header: bool = False) -> np.ndarray:
 
 def _scan_csv(path, has_header: bool) -> None:
     """Locate why loadtxt failed, one row at a time: raise ValueError naming
-    the file and the first cause met: bytes that are not UTF-8 (decoded in
-    chunks of a few KiB, ahead of the rows), a cell over the csv module's
-    field limit (process-wide state, left unchanged), a ragged row, a cell
-    that loadtxt does not read as a number (one that is not plain ASCII,
-    holds a ``_`` or is refused by ``float``), or no data rows."""
+    the file and the first cause met in file order: a line that is not UTF-8
+    (``_lines``), a cell over the csv module's field limit (process-wide
+    state, left unchanged), a ragged row, a cell that loadtxt does not read
+    as a number (one that is not plain ASCII, holds a ``_`` or is refused by
+    ``float``), or no data rows."""
     width = None
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)  # line_num: the file line that ends the row, from 1
+        with open(path, "rb") as fh:
+            # line_num: the file line that ends the row, from 1
+            reader = csv.reader(_lines(fh, path))
             for cells in reader:
                 if not cells or (has_header and reader.line_num == 1):
                     continue
@@ -85,10 +86,23 @@ def _scan_csv(path, has_header: bool) -> None:
                     except ValueError:
                         raise ValueError(f"{path}: non-numeric cell at row {reader.line_num}, "
                                          f"column {j + 1}: {cell!r}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
     if width is None:
         raise ValueError(f"{path}: no data rows")
+
+
+def _lines(fh, path):
+    """The lines of a binary file, split where text mode splits them (at
+    ``\\n``, ``\\r\\n`` or ``\\r``) and decoded from UTF-8 as they are read, the
+    first without a byte-order mark; ValueError naming the line of a byte
+    that is not UTF-8."""
+    lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
+    for n, line in enumerate(lines, 1):
+        try:
+            yield line.decode("utf-8-sig" if n == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
 
 
 def cmd_detect(args) -> tuple[dict, int]:

@@ -1,12 +1,14 @@
 """Every exported name resolves, so a removed function leaves no stale export;
-every scalar argument is checked by the one function of its kind; and every
-entry point that needs a jump refuses one that vanishes."""
+every scalar argument is checked by the one function of its kind, which
+refuses every bad value and takes a numpy scalar as the Python number it
+holds; and every entry point that needs a jump refuses one that vanishes."""
 
 import dataclasses
 import importlib
 import inspect
 import numbers
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +165,36 @@ def _cases():
 def test_argument_rejects_every_bad_value_of_its_kind(call, value, message):
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+# The values that each kind of argument accepts, as plain Python values; an
+# integer accepts its floor and, a split index, its ceiling too.  A row
+# overrides them where its entry point needs others.
+ACCEPTS = {"real": [0.5], "nonnegative": [2.0], "positive": [2.0], "level": [0.25],
+           "bool": [True, False]}
+OVERRIDES = {"SimConfig.p": [4]}  # 2s <= p
+# The types that each kind's values take; a type stands in for a value that
+# it holds exactly, so int only for a whole number
+TYPES = {"real": (np.float64, np.float32, Fraction, int, np.int64),
+         "integer": (np.int64, np.int32, np.uint8), "bool": (np.bool_,)}
+
+
+def _accepted():
+    for argument, (call, _, kind) in ARGUMENTS.items():
+        if isinstance(kind, str):
+            values = ACCEPTS[kind]
+        else:  # an integer: a floor, or a pair (floor, ceiling)
+            values, kind = list(kind) if isinstance(kind, tuple) else [kind], "integer"
+        for value in OVERRIDES.get(argument, values):
+            for t in TYPES.get(kind, TYPES["real"]):  # the other kinds are real numbers
+                if t(value) == value:
+                    yield pytest.param(call, t(value), value, id=f"{argument}={t(value)!r}")
+
+
+@pytest.mark.parametrize("call, value, plain", list(_accepted()))
+def test_argument_takes_a_numpy_scalar_as_the_number_it_holds(call, value, plain):
+    # the repr shows a numpy scalar that a result keeps, and a float32's precision
+    assert repr(call(value)) == repr(call(plain))
 
 
 # parameters that are arrays or objects, checked where they are read and not by a kind

@@ -78,7 +78,8 @@ CSVS = {
     "arabic-indic digit": ("\u0661,2\n3,4\n".encode(), False,
                            "{path}: non-numeric cell at row 1, column 1: '\u0661'"),
     "not utf-8": (b"1,2\n3,\xff\xfe\n", False,
-                  "{path}: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+                  "{path}: line 2: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    "ragged before not utf-8": (b"1,2\n3\n4,\xff\n", False, "{path}: row 2 has 1 cells, expected 2"),
     "over the field limit": (WIDE, False, "{path}: field larger than field limit (131072)"),
     "round trip": (FILES["shifted"], False, SHIFTED),
 }

@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +20,6 @@ from cpinfer.core import (
     soft_threshold,
     stopped_means,
 )
-from cpinfer.detect import thresholded_means
-from cpinfer.infer import confidence_interval, plugin_sigma_sq, refit_means
-from cpinfer.tune import bic_lambda
 from loss_oracles import center_columns, design_means, loss_1d, loss_pd
 
 
@@ -522,27 +518,6 @@ class TestStoppedMeans:
         np.testing.assert_allclose(right, [4.0])
 
 
-_SPLIT_ENTRY_POINTS = {
-    "stopped_means": lambda Y, k: stopped_means(Y, k),
-    "bic_lambda": lambda Y, k: bic_lambda(Y, k),
-    "thresholded_means": lambda Y, k: thresholded_means(Y, k, 0.1),
-    "refit_means": lambda Y, k: refit_means(Y, k, [0], [1]),
-    "plugin_sigma_sq": lambda Y, k: plugin_sigma_sq(Y, k, MeanPair([1.0, 0.0], [0.0, 1.0])),
-    "confidence_interval": lambda Y, k: confidence_interval(k, 1.0, 0.2, 11.03, Y.shape[0]),
-}
-
-
-class TestSplitIndex:
-    """Every entry point that takes a split index takes a numpy integer as
-    the int; tests/test_api.py meets each with the values it refuses."""
-
-    @pytest.mark.parametrize("name", sorted(_SPLIT_ENTRY_POINTS))
-    def test_numpy_integer_split_accepted(self, name):
-        Y = np.random.default_rng(0).normal(size=(10, 2))
-        a, b = _SPLIT_ENTRY_POINTS[name](Y, np.int64(4)), _SPLIT_ENTRY_POINTS[name](Y, 4)
-        assert repr(a) == repr(b)
-
-
 class TestSoftThreshold:
     def test_direct_formula(self):
         np.testing.assert_allclose(soft_threshold([2.5, -0.5, 0.0], 1.0), [1.5, 0.0, 0.0])
@@ -760,19 +735,6 @@ class TestChangePointEstimate:
     def test_tau_is_derived_view(self):
         est = ChangePointEstimate(3, 10)
         assert est.tau == 0.3
-
-    def test_numpy_integers_stored_as_ints(self):
-        est = ChangePointEstimate(np.int64(3), np.int32(10))
-        assert type(est.k) is int and type(est.T) is int
-        assert est == ChangePointEstimate(3, 10)
-
-
-class TestScalarChecks:
-    @pytest.mark.parametrize("value, expected", [(0.1, 0.1), (np.float64(0.1), 0.1),
-                                                 (Fraction(1, 3), 1 / 3), (7, 7.0)])
-    def test_real_returns_a_float_of_the_same_value(self, value, expected):
-        v = core._real(value, "x")
-        assert type(v) is float and v == expected
 
 
 class TestMeanPair:

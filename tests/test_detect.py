@@ -117,9 +117,3 @@ class TestDetectChange:
     def test_degenerate_initializer_rejected(self):
         with pytest.raises(ValueError):
             detect_change(np.zeros((10, 1)) + np.arange(10)[:, None], tau_init=0.01)
-
-    def test_levels_are_reported_as_floats(self):
-        det = detect_change(np.random.default_rng(6).normal(size=(40, 6)),
-                            lam=np.float32(0.25), gamma=np.int64(1))
-        assert type(det.lambda_used) is float and det.lambda_used == 0.25
-        assert type(det.gamma_used) is float and det.gamma_used == 1.0

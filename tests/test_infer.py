@@ -1,6 +1,3 @@
-import json
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -153,15 +150,6 @@ class TestLimitQuantile:
         b = simulate_argmin_locations(QuantileMCSettings(10.0, 0.5, paths=3000, seed=4))
         np.testing.assert_array_equal(a, b)
 
-    def test_numpy_integer_settings_accepted(self):
-        s = QuantileMCSettings(paths=np.int64(100), seed=np.uint32(5), grid_step=np.float32(0.5))
-        assert simulate_argmin_locations(s).shape == (100,)
-        # stored as Python numbers: a float32 used to make asdict(s) unserialisable
-        assert type(s.paths) is int and type(s.seed) is int
-        assert type(s.grid_step) is float and type(s.grid_half_width) is float
-        assert json.loads(json.dumps(asdict(s))) == asdict(s)
-
-
 class TestExactQuantile:
     """The default, closed-form critical values of the arg-min law."""
 
@@ -245,16 +233,3 @@ class TestConfidenceInterval:
         # nan used to give the interval (1, T) silently
         with pytest.raises(ValueError, match="squared jump must be finite"):
             confidence_interval(5, xi_sq, 1.0, 11.03, 10)
-
-    def test_fractional_length_rejected(self):
-        # T = 9.9 used to split at int(T) = 9 but divide the fraction view by 9.9
-        with pytest.raises(ValueError, match="series length must be an integer"):
-            confidence_interval(4, 1.0, 0.2, 11.03, 9.9)
-        res = confidence_interval(4, 1.0, 0.2, 11.03, np.int64(9))
-        assert res.k_tilde.T == 9
-        assert res.interval_frac == (res.interval_int[0] / 9, res.interval_int[1] / 9)
-
-    def test_checked_values_are_floats(self):
-        res = confidence_interval(70, 1.0, 0.16, np.float32(11.0), 350, alpha=np.float32(0.25))
-        assert type(res.c_alpha) is float and type(res.alpha) is float
-        assert res.c_alpha == 11.0 and res.alpha == 0.25

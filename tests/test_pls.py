@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cpinfer.pls as pls
 from cpinfer.core import MeanPair, loss_profile_pd, series_stats
 from cpinfer.pls import _pls_profile, full_pipeline, pls_estimate
 from loss_oracles import center_columns, loss_pd, two_level
@@ -116,33 +117,62 @@ def _shifted(scale):
     return Y * scale
 
 
-@pytest.mark.parametrize("Y", [
-    pytest.param(np.random.default_rng(14).normal(size=(2, 3)), id="T=2"),
-    pytest.param(np.random.default_rng(15).normal(size=(3, 3)), id="T=3"),
-    pytest.param(np.full((40, 6), 3.0), id="constant"),
-    pytest.param(np.zeros((40, 6)), id="zero"),
-    pytest.param(_shifted(1e-200), id="1e-200"),
-    pytest.param(_shifted(1e150), id="1e150"),
-    pytest.param(_shifted(1e160), id="1e160", marks=pytest.mark.xfail(
-        raises=RuntimeWarning,
-        reason="the lambda criterion squares the data and overflows; scale-equivariant "
-               "tuning (ROADMAP item 1) rescales by a power of two first")),
-])
-def test_edge_input_ends_in_a_defined_status(Y):
-    # a RuntimeWarning is an error in this suite, so each input runs warning-free
-    assert full_pipeline(Y, c_alpha=11.03).status in {"ok", "no_change", "degenerate"}
+_SHIFT = np.random.default_rng(9).normal(size=(30, 3))
+_SHIFT[18:, 0] += 2.0
+_COINCIDING = MeanPair(np.zeros(3), np.zeros(3))
+_LOCATION, _INTERVAL = ("k_tilde", "tau_tilde"), ("xi_sq", "sigma_sq")
+# the PipelineResult field that each stage after the detector fills
+STAGES = ("refined_means", "loss_profile", "pls_estimate", "inference")
+
+# Each way full_pipeline ends: (the series, the options besides c_alpha, a
+# pls function replaced to force the end or None, the status, the record()
+# fields left None, the stages that ran).  The edge inputs run unpatched.
+EXITS = {
+    "shift": (_SHIFT, {}, None, "ok", (), STAGES),
+    "shift, no interval": (_SHIFT, {"with_ci": False}, None, "ok", _INTERVAL, STAGES[:3]),
+    "no shift": (np.random.default_rng(4).normal(size=(60, 10)), {}, None, "no_change",
+                 _LOCATION + _INTERVAL, ()),
+    "coinciding refined means": (_SHIFT, {}, ("_shrunk_means", lambda *args: (0.0, _COINCIDING)),
+                                 "degenerate", _LOCATION + _INTERVAL, STAGES[:1]),
+    "coinciding plugin means": (_SHIFT, {}, ("refit_means", lambda *args: _COINCIDING),
+                                "degenerate", _INTERVAL, STAGES[:3]),
+    "overflowed xi_sq": (_SHIFT, {}, ("plugin_xi_sq", lambda *args: np.inf), "degenerate",
+                         _INTERVAL, STAGES[:3]),
+    "overflowed sigma_sq": (_SHIFT, {}, ("plugin_sigma_sq", lambda *args: np.inf), "degenerate",
+                            _INTERVAL, STAGES[:3]),
+    "T=2": (np.random.default_rng(14).normal(size=(2, 3)), {}, None, "ok", (), STAGES),
+    "T=3": (np.random.default_rng(15).normal(size=(3, 3)), {}, None, "ok", (), STAGES),
+    "constant": (np.full((40, 6), 3.0), {}, None, "no_change", _LOCATION + _INTERVAL, ()),
+    "zero": (np.zeros((40, 6)), {}, None, "no_change", _LOCATION + _INTERVAL, ()),
+    "1e-200": (_shifted(1e-200), {}, None, "no_change", _LOCATION + _INTERVAL, ()),
+    "1e150": (_shifted(1e150), {}, None, "ok", (), STAGES),
+    "1e160": (_shifted(1e160), {}, None, "ok", (), STAGES),
+}
+XFAIL = {"1e160": pytest.mark.xfail(
+    raises=RuntimeWarning,
+    reason="the lambda criterion squares the data and overflows; scale-equivariant "
+           "tuning (ROADMAP item 1) rescales by a power of two first")}
+
+
+@pytest.mark.parametrize("Y, options, patch, status, unset, ran", [
+    pytest.param(*row, id=name, marks=XFAIL.get(name, ())) for name, row in EXITS.items()])
+def test_each_way_the_pipeline_ends(monkeypatch, Y, options, patch, status, unset, ran):
+    # a RuntimeWarning is an error in this suite, so each run ends warning-free
+    unpatched = full_pipeline(Y, c_alpha=11.03, **options).record()
+    if patch:
+        monkeypatch.setattr(pls, *patch)
+    res = full_pipeline(Y, c_alpha=11.03, **options)
+    rec = res.record()
+    assert res.status == rec["status"] == status
+    assert res.detection.changed is (status != "no_change")
+    assert [f for f, v in rec.items() if v is None] == list(unset)
+    assert [stage for stage in STAGES if getattr(res, stage) is not None] == list(ran)
+    # a forced end leaves what ran before it as it was
+    assert {f: v for f, v in rec.items() if f != "status" and f not in unset} == \
+        {f: v for f, v in unpatched.items() if f != "status" and f not in unset}
 
 
 class TestFullPipeline:
-    def test_no_change_input_stops_early(self):
-        rng = np.random.default_rng(4)
-        Y = rng.normal(size=(60, 10))
-        res = full_pipeline(Y, with_ci=True, c_alpha=11.03)
-        assert res.status == "no_change"
-        assert not res.detection.changed
-        assert res.pls_estimate is None
-        assert res.inference is None
-
     @pytest.mark.parametrize("alpha, c_alpha", [(3.0, 11.0), (1.5, None), (0.0, 11.0)])
     def test_level_checked_before_any_work(self, alpha, c_alpha):
         # a supplied c_alpha does not excuse the level; no data is read first
@@ -184,58 +214,6 @@ class TestFullPipeline:
         assert res.detection.lambda_used == 0.2
         assert res.detection.gamma_used == 0.1
 
-    def test_degenerate_refit_reports_unlocatable(self, monkeypatch):
-        # a positive detection whose re-estimated means coincide is reported
-        # as "degenerate", not as an exception or a bogus location
-        import cpinfer.pls as pls_mod
-
-        rng = np.random.default_rng(8)
-        Y = rng.normal(size=(30, 3))
-        Y[18:, 0] += 2.0
-        monkeypatch.setattr(
-            pls_mod, "_shrunk_means",
-            lambda Y, k, lam: (0.0, MeanPair(np.zeros(3), np.zeros(3))),
-        )
-        res = full_pipeline(Y, c_alpha=11.03)
-        assert res.detection.changed
-        assert res.status == "degenerate"
-        assert res.pls_estimate is None and res.inference is None
-        assert res.loss_profile is None
-        assert res.refined_means is not None
-
-    def test_degenerate_plugin_keeps_location(self, monkeypatch):
-        # if only the refitted plugin means collapse, the location survives
-        # but no interval is formed
-        import cpinfer.pls as pls_mod
-
-        rng = np.random.default_rng(9)
-        Y = rng.normal(size=(30, 3))
-        Y[18:, 0] += 2.0
-        monkeypatch.setattr(
-            pls_mod, "refit_means",
-            lambda Y, k, s1, s2: MeanPair(np.zeros(3), np.zeros(3)),
-        )
-        res = full_pipeline(Y, c_alpha=11.03)
-        assert res.status == "degenerate"
-        assert res.pls_estimate is not None
-        assert res.loss_profile is not None
-        assert res.inference is None
-
-    @pytest.mark.parametrize("plugin", ["plugin_xi_sq", "plugin_sigma_sq"])
-    def test_overflowed_plugin_keeps_location(self, monkeypatch, plugin):
-        # an infinite plugin estimate used to escape confidence_interval as a
-        # ValueError; the location survives but no interval is formed
-        import cpinfer.pls as pls_mod
-
-        rng = np.random.default_rng(9)
-        Y = rng.normal(size=(30, 3))
-        Y[18:, 0] += 2.0
-        located = full_pipeline(Y, c_alpha=11.03).pls_estimate
-        monkeypatch.setattr(pls_mod, plugin, lambda *args: np.inf)
-        res = full_pipeline(Y, c_alpha=11.03)
-        assert res.status == "degenerate"
-        assert res.pls_estimate == located and res.inference is None
-
     def test_peak_allocation_is_a_fraction_of_the_input(self):
         # the statistics are built by row blocks: no T x p temporary
         Y = np.random.default_rng(10).normal(size=(4000, 500))
@@ -261,16 +239,6 @@ class TestFullPipeline:
                                 "tau_hat": det.estimate.tau, "lambda": det.lambda_used,
                                 "gamma": det.gamma_used}
         assert {type(v) for v in rec.values()} <= {bool, int, float, str}
-
-    def test_record_of_stages_that_did_not_run_is_none(self):
-        rng = np.random.default_rng(4)
-        rec = full_pipeline(rng.normal(size=(60, 10)), c_alpha=11.03).record()
-        assert rec["status"] == "no_change" and rec["changed"] is False
-        assert rec["k_tilde"] is rec["tau_tilde"] is rec["xi_sq"] is rec["sigma_sq"] is None
-        mu1, mu2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        rec = full_pipeline(two_level(20, 10, mu1, mu2), with_ci=False).record()
-        assert rec["k_tilde"] == 10
-        assert rec["xi_sq"] is rec["sigma_sq"] is None
 
     def test_centring_makes_no_copy(self):
         Y = np.random.default_rng(10).normal(size=(4000, 500)) + 3.0

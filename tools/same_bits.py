@@ -15,8 +15,9 @@ and fraction intervals, or the error it raised, each in an exact form
 (``_text``), and a tree's hash is the sha256 of its lines.  The script
 prints each tree's hash and exits 1 when they differ, and 2 when it cannot
 hash a tree.  When they differ it also prints, for each ``record()`` field,
-interval and profile, how many runs moved, then the first five moved runs
-with the base and change values.
+interval and profile, how many runs moved, then how many moved in each grid
+group (shape, offset, ``center`` and gamma) where any did, then the first
+five moved runs with the base and change values.
 """
 
 from __future__ import annotations
@@ -102,21 +103,30 @@ def tree_runs(tree: str) -> tuple[str, list]:
 
 def moved(base: list, change: list, shown: int = 5) -> list[str]:
     """The lines that say what moved between two trees' runs, paired in grid
-    order: how many runs moved in each field, then the first ``shown`` moved
-    runs with each moved field's base and change values (``-`` where a run
-    has no such field, as a run that raised has only ``error``)."""
+    order: how many runs moved in each field, then in each grid group (shape,
+    offset, ``center`` and gamma, read from the run's key) where any moved,
+    then the first ``shown`` moved runs with each moved field's base and
+    change values (``-`` where a run has no such field, as a run that raised
+    has only ``error``)."""
     fields = list(dict.fromkeys(f for _, run in base + change for f in run))
     counts = dict.fromkeys(fields, 0)
+    groups = {}  # group: [moved runs, runs]
     lines = []
     for (key, old), (_, new) in zip(base, change):
+        shape, _tau0, _rep, offset, center, gamma = key.split()
+        group = groups.setdefault(f"{shape} {offset} {center} {gamma}", [0, 0])
+        group[1] += 1
         diffs = [f for f in fields if old.get(f, "-") != new.get(f, "-")]
         for f in diffs:
             counts[f] += 1
+        group[0] += bool(diffs)
         if diffs and len(lines) < shown:
             lines.append(f"  {key}: " + "; ".join(f"{f} {old.get(f, '-')} -> {new.get(f, '-')}"
                                                   for f in diffs))
     return ([f"moved runs per field, of {len(base)}:"]
             + [f"  {f}: {n}" for f, n in counts.items()]
+            + ["moved runs per group (shape offset center gamma):"]
+            + [f"  {g}: {m} of {n}" for g, (m, n) in groups.items() if m]
             + [f"first {len(lines)} moved runs (base -> change):"] + lines)
 
 
