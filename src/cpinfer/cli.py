@@ -241,7 +241,7 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     return code

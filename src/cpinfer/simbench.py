@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from . import core
 from .core import (_bool, _fraction_split, _helper_pays, _integer, _level, _positive, _real,
                    series_stats)
 from .detect import DEFAULT_TAU_INIT, _initial_split, detect_change
@@ -267,10 +268,11 @@ def run_monte_carlo(
     The critical value for "pls_ci" is the exact limiting-law quantile at
     ``cfg.alpha`` unless supplied; a supplied value is checked before any
     replication, for every estimator.  ``n_jobs`` >= 1 worker processes run the
-    replications; 1 runs them in this process, where two helper threads
-    draw up to three replications ahead of the pipeline when
-    ``core._helper_pays`` (see ``_datasets``).  The records are the same in
-    every case.
+    replications, no more than there are replications or CPUs that this
+    process may run on (``core._cpu_count``); 1 runs them in this process,
+    where two helper threads draw up to three replications ahead of the
+    pipeline when ``core._helper_pays`` (see ``_datasets``).  The records are
+    the same in every case.
     """
     _check_estimator(estimator)
     n_jobs = _integer(n_jobs, "n_jobs", 1)
@@ -283,8 +285,9 @@ def run_monte_carlo(
         from concurrent.futures import ProcessPoolExecutor
 
         run = partial(_run_rep, cfg, estimator=estimator, c_alpha=c_alpha)
-        # the pool starts all its workers at once: no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(n_jobs, cfg.reps)) as pool:
+        # the pool starts all its workers at once: no more than there are
+        # tasks, or CPUs that this process may run on
+        with ProcessPoolExecutor(max_workers=min(n_jobs, cfg.reps, core._cpu_count())) as pool:
             records = list(pool.map(run, range(cfg.reps)))
     else:
         # map, unlike a for loop, drops replication i's data before it draws

@@ -235,6 +235,12 @@ REFUSED = [
     ("quantile --paths 0", "paths must be an integer >= 1, got 0"),
     *((f"quantile --grid-{flag} {value}", f"{name} must be finite and positive, got {value}")
       for flag, name in (("R", "grid half-width"), ("h", "grid step")) for value in ("inf", "nan")),
+    # 2^60 bytes, beyond any address space, so refused at once under any overcommit
+    # setting; past 2^63 bytes numpy raises a ValueError instead
+    *((f"{command} --paths {1 << 57}", f"Unable to allocate 1.00 EiB for an array with shape ({1 << 57},) "
+       "and data type float64") for command in ("quantile", "infer --input {shifted}")),
+    ("simulate --T 1073741824 --p 134217728 --s 1 --tau0 0.5 --reps 1",
+     "Unable to allocate 1.00 EiB for an array with shape (1073741824, 134217728) and data type float64"),
 ]
 
 

@@ -152,132 +152,85 @@ class TestLossPd:
         with pytest.raises(ValueError, match=r"expected \(50,\)"):
             loss_profile_pd(Y, np.ones(shape1), np.zeros(shape2))
 
-    def test_series_stats_blocks(self, monkeypatch):
-        # blocks of 8 elements: several rows, one row, one block, and a ragged last block
-        monkeypatch.setattr(core, "_BLOCK", 8)
-        monkeypatch.setattr(core, "_MIN_ROWS", 1)
-        rng = np.random.default_rng(7)
-        for shape in [(10, 3), (5, 20), (2, 1), (14, 2)]:
-            Y = rng.normal(size=shape) + 1e3
-            s = series_stats(Y)
-            assert series_stats(s) is s
-            assert s.ss == pytest.approx(np.sum((Y - Y.mean(0)) ** 2), rel=1e-12)
-            for k in range(1, shape[0]):
-                (_, left), (_, right) = s.segment_means(k)
-                np.testing.assert_allclose(left, Y[:k].mean(0), rtol=1e-13)
-                np.testing.assert_allclose(right, Y[k:].mean(0), rtol=1e-13)
+def _series(seed, shape, layout="C", offset=0.0):
+    """A T x p normal series plus ``offset`` linspace(-1, 1, p) in each row,
+    laid out "C", "F", or as a "row view" or "column view": every 2nd row or
+    column of a larger one, one stride for every element (a view, where
+    ravel copies).  The offset is added in place, so the layout stays."""
+    T, p = shape
+    step_t, step_p = {"row view": (2, 1), "column view": (1, 2)}.get(layout, (1, 1))
+    Y = np.random.default_rng(seed).normal(size=(T * step_t, p * step_p))[::step_t, ::step_p]
+    if layout == "F":
+        Y = np.asfortranarray(Y)
+    Y += offset * np.linspace(-1.0, 1.0, p)
+    return Y
+
+
+NON_FINITE = "time series contains non-finite entries"
+# Each input of the statistics pass: (shape, layout, column offset, entries
+# added after the offset, the module constants it runs under beside the
+# defaults, outcome: "ok" or the ValueError it raises).
+PASSES = {
+    # blocks of 8 elements: several rows, one row, one block, a ragged last block
+    **{f"{T}x{p} in blocks of 8 elements": ((T, p), "C", 1e3, (), {"_BLOCK": 8, "_MIN_ROWS": 1}, "ok")
+       for T, p in [(10, 3), (5, 20), (2, 1), (14, 2)]},
+    # blocks of two rows: a block mean rounds by up to 2 eps |offset|, so a sum
+    # of squares built from block means errs to first order in that (6.6e-12
+    # relative); the second read errs only at second order in the error of c
+    "11x2 in blocks of 4 elements, offsets 76000":
+        ((11, 2), "C", 7.6e4, (), {"_BLOCK": 4, "_MIN_ROWS": 1}, "ok"),
+    # eight blocks of 32 rows in two groups of four, then the ragged last block
+    # of 44 rows: three groups; nine block squares, so a pairwise sum (np.sum's,
+    # from eight terms) would differ
+    **{f"300x1000, {layout}": ((300, 1000), layout, 0.0, (), {}, "ok")
+       for layout in ("C", "F", "row view", "column view")},
+    # column means above the noise: a second read
+    **{f"300x1000, offsets {offset:g}": ((300, 1000), "C", offset, (), {}, "ok")
+       for offset in (3.0, 1e4, 1e6)},
+    **{f"300x1000, {layout}, offsets 1e+06": ((300, 1000), layout, 1e6, (), {}, "ok")
+       for layout in ("F", "row view")},
+    "20x500, one block": ((20, 500), "C", 0.0, (), {}, "ok"),  # one group: no helper
+    # two blocks of 16 and 24 rows, each above _GROUP
+    **{f"40x9000, offsets {offset:g}": ((40, 9000), "C", offset, (), {}, "ok") for offset in (0.0, 1e6)},
+    "30x50, offsets 0.5": ((30, 50), "C", 0.5, (), {}, "ok"),  # offsets that one read takes
+    # six row blocks, the last of 365 rows
+    **{f"2000x100, offsets {offset:g}": ((2000, 100), "C", offset, (), {}, "ok")
+       for offset in (0.0, 1.0, 1e4, 1e6)},
+    # the third block holds 81 shifted rows: it and the blocks before pass the
+    # one-bit test on their own, the blocks after it fail it, and so does the
+    # pass's one guard over all of Y
+    "2000x100, rows from 900 shifted": ((2000, 100), "C", 0.0, [(np.s_[900:, :50], 1e6)], {}, "ok"),
+    # plain row-by-row sums, Y[:k].sum(axis=0), err by 5e-9 at offsets 1e6
+    **{f"5000x200, offsets {offset:g}": ((5000, 200), "C", offset, (), {}, "ok")
+       for offset in (0.0, 1e4, 1e6)},
+    # row blocks [0, 32), [32, 64) and [64, 100), in two groups
+    **{f"100x1000, {value} in row {row}": ((100, 1000), "C", 0.0, [((row, 7), value)], {}, NON_FINITE)
+       for value in (np.nan, np.inf, -np.inf) for row in (0, 31, 32, 99)},
+    **{f"100x1000, inf and -inf in rows {a} and {b} of one column":
+       ((100, 1000), "C", 0.0, [((a, 3), np.inf), ((b, 3), -np.inf)], {}, NON_FINITE)
+       for a, b in [(1, 2), (0, 99)]},
+    # a finite entry whose square overflows: the sum of squares is inf
+    "100x1000, 1e200 in row 5": ((100, 1000), "C", 0.0, [((5, 7), 1e200)], {}, "ok"),
+}
 
 
 class TestSeriesStatsPass:
-    # (100, 1000) has row blocks [0, 32), [32, 64) and [64, 100)
-    SHAPE = (100, 1000)
-
-    @staticmethod
-    def rows(p):
-        return max(core._MIN_ROWS, core._BLOCK // p)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["first", "last", "before_boundary", "after_boundary"])
-    def test_non_finite_entry_rejected_without_warning(self, value, where):
-        T, p = self.SHAPE
-        row = {"first": 0, "last": T - 1, "before_boundary": self.rows(p) - 1,
-               "after_boundary": self.rows(p)}[where]
-        Y = np.random.default_rng(0).normal(size=self.SHAPE)
-        Y[row, 7] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
-                series_stats(Y)
-
-    @pytest.mark.parametrize("rows", [(1, 2), (0, 99)])
-    def test_opposite_infinities_in_one_column_rejected(self, rows):
-        Y = np.random.default_rng(1).normal(size=self.SHAPE)
-        Y[rows[0], 3], Y[rows[1], 3] = np.inf, -np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
-                series_stats(Y)
-
-    def test_finite_input_whose_squares_overflow_is_not_rejected(self):
-        Y = 1e200 * np.random.default_rng(2).normal(size=self.SHAPE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = series_stats(Y)
-        assert np.isfinite(s.center).all()
-        assert s.ss == np.inf
-
     def test_block_sums_are_a_sixteenth_of_the_input_at_most(self):
         for shape in [(17, 3000), (4000, 500), (500, 20000), (16, 1)]:
             s = series_stats(np.zeros(shape))
             assert s._block_sums.nbytes <= np.zeros(shape).nbytes / 16
 
-    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
-    def test_sums_match_an_exact_oracle(self, offset):
-        # plain row-by-row sums, Y[:k].sum(axis=0), err by 5e-9 at offset 1e6
-        T, p = 5000, 200
-        Y = np.random.default_rng(3).normal(size=(T, p)) + offset * np.linspace(-1.0, 1.0, p)
-        cols = Y.T.tolist()
-        s = series_stats(Y)
-        bound = 1.5e-15 * np.max(np.abs(Y))
-        center = np.array([math.fsum(c) for c in cols]) / T
-        assert np.max(np.abs(s.center - center)) <= bound
-        rows = self.rows(p)
-        for k in (1, rows - 1, rows, rows + 1, T // 2, T - 1):
-            (_, left), (_, right) = s.segment_means(k)
-            exact_left = np.array([math.fsum(c[:k]) for c in cols]) / k
-            exact_right = np.array([math.fsum(c[k:]) for c in cols]) / (T - k)
-            assert np.max(np.abs(left - exact_left)) <= bound
-            assert np.max(np.abs(right - exact_right)) <= bound
-
     @staticmethod
     def exact_ss(Y):
-        """The sum of squares about the column means by math.fsum.  y - m is
-        exact when the offset dominates the spread (Sterbenz), so large
-        offsets cost the oracle no precision."""
+        """The sum of squares about the column means by math.fsum (inf when
+        a square overflows).  y - m is exact when the offset dominates the
+        spread (Sterbenz), so large offsets cost the oracle no precision."""
         T = Y.shape[0]
         sums = []
         for c in Y.T.tolist():
             m = math.fsum(c) / T
-            sums.append(math.fsum((v - m) ** 2 for v in c))
+            sums.append(math.fsum((v - m) * (v - m) for v in c))
         return math.fsum(sums)
-
-    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e4, 1e6, "from_row_900"])
-    def test_sum_of_squares_matches_an_exact_oracle(self, offset):
-        T, p = 2000, 100  # six row blocks, the last of 365 rows
-        rng = np.random.default_rng(4)
-        Y = rng.normal(size=(T, p))
-        if offset == "from_row_900":
-            # the third block holds 81 offset rows: it and the blocks before
-            # pass the one-bit test on their own, the blocks after it fail it,
-            # and the pass's one guard over all of Y, 2 T ||c||^2 <= ||Y||^2,
-            # fails, so the pass reads Y again to sum ||B - c||^2
-            Y[900:, : p // 2] += 1e6
-            s = series_stats(Y)
-            blocks = [Y[lo:hi] for lo, hi in zip(s._bounds, s._bounds[1:])]
-            fast = [2 * len(b) * (b.mean(axis=0) @ b.mean(axis=0)) <= (b * b).sum() for b in blocks]
-            assert fast == [True] * 3 + [False] * 3
-            assert 2 * T * (s.center @ s.center) > (Y * Y).sum()
-        else:
-            Y += offset * rng.uniform(-1.0, 1.0, size=p)
-        tracemalloc.start()
-        try:
-            ss = series_stats(Y).ss
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        if offset in (0.0, 1.0):  # the one-read branch allocates no row block
-            assert peak < self.rows(p) * p * 8
-        exact = self.exact_ss(Y)
-        assert abs(ss - exact) <= 1e-12 * exact
-
-    def test_one_read_expansion_agrees_with_the_centred_block(self):
-        # one block, offsets small enough that the guard takes the expansion
-        rng = np.random.default_rng(6)
-        Y = rng.normal(size=(30, 50)) + rng.uniform(-0.5, 0.5, size=50)
-        bm = np.ones(30) @ Y / 30
-        assert 2 * 30 * (bm @ bm) <= Y.ravel() @ Y.ravel()
-        d = (Y - bm).ravel()
-        assert series_stats(Y).ss == pytest.approx(d @ d, rel=1e-13, abs=0)
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(2, 70), p=st.integers(1, 12),
            block=st.integers(1, 40), offset=st.floats(0.0, 1e6), shift=st.floats(0.0, 1e6),
@@ -293,17 +246,6 @@ class TestSeriesStatsPass:
             s = series_stats(Y)
         exact = self.exact_ss(Y)
         assert abs(s.ss - exact) <= 1e-12 * exact
-
-    def test_sum_of_squares_exact_under_offsets_on_small_blocks(self, monkeypatch):
-        # blocks of two rows: a block mean rounds by up to 2 eps |offset|, so a
-        # sum of squares built from block means errs to first order in that
-        # (6.6e-12 relative on this input); the two-pass branch errs only at
-        # second order in the error of c
-        monkeypatch.setattr(core, "_BLOCK", 4)
-        monkeypatch.setattr(core, "_MIN_ROWS", 1)
-        Y = np.random.default_rng(7).normal(size=(11, 2)) + np.array([7.6e4, -7.6e4])
-        exact = self.exact_ss(Y)
-        assert abs(series_stats(Y).ss - exact) <= 1e-12 * exact
 
     def test_centered_statistics_read_the_centred_series(self, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK", 8)
@@ -327,16 +269,14 @@ class TestSeriesStatsPass:
 
 
 class TestThreadedPass:
-    # (300, 1000) has row blocks of 32 rows: eight equal blocks in two groups
-    # of four, then the ragged last block of 44 rows, three groups in all; nine
-    # block squares, so a pairwise sum (np.sum's, from eight terms) would differ
     SHAPE = (300, 1000)
 
     @staticmethod
     def threads(monkeypatch, on: bool):
-        """Read every series on two threads (``on``) or on one."""
-        monkeypatch.setattr(core, "_THREAD_MIN", 0 if on else 1 << 62)
-        monkeypatch.setattr(core, "_BLAS_SERIAL", True)
+        """Read every series on two threads (``on``) or, beside a BLAS on
+        its own threads, on one."""
+        monkeypatch.setattr(core, "_THREAD_MIN", 0)
+        monkeypatch.setattr(core, "_BLAS_SERIAL", on)
         monkeypatch.setattr(core, "_cpu_count", lambda: 2)
 
     @staticmethod
@@ -359,56 +299,89 @@ class TestThreadedPass:
     @staticmethod
     def block_loop(Y, bounds) -> tuple:
         """The bits of the pass read block by block on one thread, each
-        block's squares summed as the dot of its C-order copy."""
+        block's squares summed as the dot of its C-order copy, and the reads
+        of Y it takes: two when the expansion would lose more than one bit."""
         blocks = [Y[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        sums = np.array([np.ones(len(b)) @ b for b in blocks])
-        center = sums.sum(axis=0) / Y.shape[0]
-        total = 0.0
-        for b in blocks:
-            total += float(b.ravel() @ b.ravel())
-        grand = Y.shape[0] * float(center @ center)
-        if 2.0 * grand <= total < np.inf:
-            ss = total - grand
-        else:
+        with np.errstate(all="ignore"):
+            sums = np.array([np.ones(len(b)) @ b for b in blocks])
+            center = sums.sum(axis=0) / Y.shape[0]
+            total = 0.0
+            for b in blocks:
+                total += float(b.ravel() @ b.ravel())
+            grand = Y.shape[0] * float(center @ center)
+            if 2.0 * grand <= total < np.inf:
+                return ((total - grand).hex(), center.tobytes(), sums.tobytes()), 1
             ss = 0.0
             for b in blocks:
                 ss += float((b - center).ravel() @ (b - center).ravel())
-        return ss.hex(), center.tobytes(), sums.tobytes()
+        return (ss.hex(), center.tobytes(), sums.tobytes()), 2
 
-    def inputs(self):
-        rng = np.random.default_rng(11)
-        Y = rng.normal(size=self.SHAPE)
-        wide = rng.normal(size=(40, 9000))  # two blocks of 16 and 24 rows, each above _GROUP
-        return {
-            "odd_groups_ragged_last": Y,
-            "single_block": rng.normal(size=(20, 500)),
-            "block_above_group": wide,
-            "fortran_order": np.asfortranarray(Y),
-            # one stride for every element: a view, where ravel copies
-            "column_strided_view": rng.normal(size=(300, 3000))[:, ::3],
-            "row_strided_view": rng.normal(size=(600, 1000))[::2],
-            "offset_3": Y + 3.0,
-            "offset_1e4": Y + 1e4 * np.linspace(-1.0, 1.0, self.SHAPE[1]),
-            "offset_1e6": Y + 1e6 * np.linspace(-1.0, 1.0, self.SHAPE[1]),
-            "offset_1e6_wide": wide + 1e6,
-        }
+    def check_pass(self, monkeypatch, Y, outcome):
+        """``series_stats(Y)`` on one thread beside a threaded BLAS, then on
+        two, with warnings as errors: the ValueError ``outcome``, or for "ok"
+        the bits of ``block_loop``, ``exact_ss`` within 1e-12, and fsum's
+        centre and segment means at the block edges within 1.5e-15 max|Y|
+        (up to 32 blocks).
+        On two threads a helper takes each of ``block_loop``'s reads when
+        there are two groups or more; beside the block sums, a pass that
+        reads C-ordered Y once in blocks of 16 rows or more (the default
+        floor) allocates less than a row block."""
+        T, p = Y.shape
+        rows = max(core._MIN_ROWS, core._BLOCK // p)
+        nb = max(1, T // rows)  # the last block takes the ragged rows
+        bounds = [i * rows for i in range(nb)] + [T]
+        groups = len(range(0, nb - 1, max(1, core._GROUP // (rows * p)))) + 1
+        bits, reads = self.block_loop(Y, bounds)
+        if outcome == "ok":
+            cols = Y.T.tolist()
+            exact = TestSeriesStatsPass.exact_ss(Y)
 
-    def test_groups_on_one_or_two_threads_give_the_bits_of_a_block_loop(self, monkeypatch):
-        s = series_stats(np.zeros(self.SHAPE))
-        assert len(s._bounds) - 1 == 9 and core._GROUP // (s._rows * s.p) == 4
-        assert series_stats(np.zeros((40, 9000)))._rows * 9000 > core._GROUP
-        for name, Y in self.inputs().items():
-            self.threads(monkeypatch, on=False)
-            one = series_stats(Y)
-            assert self.bits(one) == self.block_loop(Y, one._bounds), name
-            self.threads(monkeypatch, on=True)
+            def mean(lo, hi):
+                return np.array([math.fsum(c[lo:hi]) for c in cols]) / (hi - lo)
+
+            # the pass adds the block sums one by one: past 32 blocks (300 in
+            # the fast-switch test) their roundings grow with the count
+            bound = 1.5e-15 * max(1.0, nb / 32) * np.max(np.abs(Y))
+            edges = {1, rows - 1, rows, rows + 1, bounds[-2], T // 2, T - 1} & set(range(1, T))
+            segments = {k: (mean(0, k), mean(k, T)) for k in edges}
+        for on in (False, True):
+            self.threads(monkeypatch, on)
             started = self.helpers(monkeypatch)
-            assert self.bits(series_stats(Y)) == self.bits(one), name
-            # the column means exceed the noise: a second read, on two threads too;
-            # one group gives a helper nothing to read, so none starts
-            reads = 2 if name.startswith("offset") else 1
-            assert len(started) == (0 if name == "single_block" else reads), name
-            assert not any(t.is_alive() for t in started), name
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if outcome != "ok":
+                        with pytest.raises(ValueError, match=outcome):
+                            series_stats(Y)
+                    else:
+                        s = series_stats(Y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(started) == (reads if on and groups > 1 else 0)
+            assert not any(t.is_alive() for t in started)
+            if reads == 1 and Y.flags.c_contiguous and rows >= 16:
+                assert peak < 8 * (nb + T - bounds[-2]) * p
+            if outcome == "ok":
+                assert s._bounds == bounds and series_stats(s) is s
+                assert self.bits(s) == bits
+                assert s.ss == exact or abs(s.ss - exact) <= 1e-12 * exact
+                assert np.max(np.abs(s.center - mean(0, T))) <= bound
+                for k, (left, right) in segments.items():
+                    (_, got_left), (_, got_right) = s.segment_means(k)
+                    assert np.max(np.abs(got_left - left)) <= bound, k
+                    assert np.max(np.abs(got_right - right)) <= bound, k
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_each_input_of_the_pass_gives_its_outcome(self, monkeypatch, name):
+        shape, layout, offset, entries, constants, outcome = PASSES[name]
+        for constant, value in constants.items():
+            monkeypatch.setattr(core, constant, value)
+        Y = _series(list(PASSES).index(name), shape, layout, offset)
+        for where, value in entries:
+            Y[where] += value
+        self.check_pass(monkeypatch, Y, outcome)
 
     @pytest.mark.parametrize("pieces, elements, blas, cpus, pays", [
         (2, 8, True, 2, True),
@@ -425,7 +398,6 @@ class TestThreadedPass:
     def test_many_small_groups_under_fast_thread_switches(self, monkeypatch):
         # one-row blocks in groups of two: 150 groups, the first 75 on the
         # helper and the rest on the caller, switching every microsecond
-        self.threads(monkeypatch, on=True)
         monkeypatch.setattr(core, "_BLOCK", 1000)
         monkeypatch.setattr(core, "_MIN_ROWS", 1)
         monkeypatch.setattr(core, "_GROUP", 2000)
@@ -436,32 +408,9 @@ class TestThreadedPass:
             for offset in (0.0, 1e6):
                 Y = rng.normal(size=self.SHAPE) + offset
                 for _ in range(5):
-                    s = series_stats(Y)
-                    assert self.bits(s) == self.block_loop(Y, s._bounds)
+                    self.check_pass(monkeypatch, Y, "ok")
         finally:
             sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_entry_rejected_on_two_threads(self, monkeypatch, value):
-        self.threads(monkeypatch, on=True)
-        Y = np.random.default_rng(12).normal(size=self.SHAPE)
-        Y[-1, 5] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="time series contains non-finite entries"):
-                series_stats(Y)
-
-    def test_overflowing_squares_raise_no_warning_on_two_threads(self, monkeypatch):
-        # numpy's error state is a context variable that a new thread does not
-        # inherit, so the helper ignores floating-point errors itself
-        self.threads(monkeypatch, on=True)
-        started = self.helpers(monkeypatch)
-        Y = 1e200 * np.random.default_rng(13).normal(size=self.SHAPE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = series_stats(Y)
-        assert s.ss == np.inf and np.isfinite(s.center).all()
-        assert len(started) == 2
 
     def test_a_helper_failure_is_raised_in_the_caller(self, monkeypatch):
         self.threads(monkeypatch, on=True)
@@ -476,13 +425,6 @@ class TestThreadedPass:
 
         with pytest.raises(RuntimeError, match="helper failed"):
             s._on_threads([(0, 1)] * 8, read)
-
-    def test_one_thread_beside_a_threaded_blas(self, monkeypatch):
-        self.threads(monkeypatch, on=True)
-        monkeypatch.setattr(core, "_BLAS_SERIAL", False)
-        started = self.helpers(monkeypatch)
-        series_stats(np.zeros(self.SHAPE))
-        assert started == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_the_affinity_mask_decides_the_helper(self, monkeypatch):
@@ -550,185 +492,99 @@ class TestSoftThreshold:
         for a, b in zip(mags, mags[1:]):
             assert np.all(b <= a + 1e-15)
 
-
-class TestSeriesStatsProject:
-    SHAPE = (300, 400)
-
-    @pytest.mark.parametrize("nonzeros", [0, 1, 5, 400])  # 400: the dense product
-    @pytest.mark.parametrize("center", [False, True])
-    def test_matches_the_dense_product(self, nonzeros, center):
-        rng = np.random.default_rng(11)
-        Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
-        s = series_stats(Y)
-        if center:
-            s = core._centered(s)
-        eta = np.zeros(self.SHAPE[1])
-        eta[rng.choice(eta.size, nonzeros, replace=False)] = rng.normal(size=nonzeros)
-        expect = Y @ eta - s.offset @ eta if center else Y @ eta
-        bound = 1e-13 * np.max(np.abs(Y)) * np.sum(np.abs(eta))
-        np.testing.assert_allclose(s.project(eta), expect, rtol=0, atol=bound)
-
-    def test_sparse_projection_reads_only_its_support(self):
-        rng = np.random.default_rng(12)
-        Y = rng.normal(size=self.SHAPE)
-        s = series_stats(Y)
-        eta = np.zeros(self.SHAPE[1])
-        eta[[3, 250]] = [1.0, -2.0]
-        Y[:, 4:250] = np.nan  # after the pass: the projection must not read these
-        np.testing.assert_array_equal(s.project(eta), Y[:, 3] - 2.0 * Y[:, 250])
-
-    def test_sparse_projection_allocates_the_support_only(self):
-        T, p = 4000, 500
-        s = series_stats(np.random.default_rng(13).normal(size=(T, p)))
-        eta = np.zeros(p)
-        eta[[0, 7, 8, 300, 499]] = 1.0
-        tracemalloc.start()
-        try:
-            s.project(eta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a series of 2^21 elements gathers in row chunks: the block, one chunk of it, the output, slack
-        assert peak <= 8 * (T + core._CHUNK) * 5 + 8 * T + 8 * p
-
-    @pytest.mark.parametrize("cols, gathers", [
-        (list(range(10)) + [77], True),   # 11 columns in 3 of a row's 25 cache lines
-        (list(range(0, 128, 8)), False),  # 16 columns in 16 lines: the dense product
-        (list(range(0, 72, 8)), True),    # 9 columns in 9 lines
-        (list(range(56)), False),         # 56 columns in 7 lines: above p / 4 columns
-    ])
-    def test_gather_rule_counts_cache_lines(self, cols, gathers):
-        T, p = 4000, 200
-        rng = np.random.default_rng(14)
-        Y = rng.normal(size=(T, p)) + 1e4 * rng.uniform(-1.0, 1.0, size=p)
-        s = core._centered(series_stats(Y))
-        eta = np.zeros(p)
-        eta[cols] = rng.normal(size=len(cols))
-        tracemalloc.start()
-        try:
-            z = s.project(eta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        if gathers:
-            assert 8 * T * len(cols) <= peak <= 8 * T * (len(cols) + 1) + 8 * p
-        else:
-            assert peak <= 8 * T * 2 + 8 * p  # the product and the output, no T x nnz gather
-        bound = 1e-13 * np.max(np.abs(Y)) * np.sum(np.abs(eta))
-        np.testing.assert_allclose(z, Y @ eta - s.offset @ eta, rtol=0, atol=bound)
-
-    @pytest.fixture(params=["one-shot", "chunked"])
-    def gather(self, request, monkeypatch):
-        """Each gather path on SHAPE: chunked in 7-row chunks, so the last is ragged."""
-        if request.param == "chunked":
-            monkeypatch.setattr(core, "_CHUNK", 7)
-            monkeypatch.setattr(core, "_THREAD_MIN", 0)
-
-    @pytest.mark.parametrize("center", [False, True])
-    def test_kept_block_serves_only_its_own_support(self, center, gather):
-        rng = np.random.default_rng(15)
-        Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
-        Y0 = Y.copy()
-
-        def stats(data):
-            return core._centered(series_stats(data)) if center else series_stats(data)
-
-        s = stats(Y)
-        support = [3, 4, 17, 250, 251]
-        eta = np.zeros(self.SHAPE[1])
-        eta[support] = rng.normal(size=len(support))
-        first = s.project(eta)
-        Y[:, support] = np.nan  # the later projections onto the support must not read these
-        for vector in (eta, 2.0 * eta):
-            z = s.project(vector)
-            assert np.isfinite(z).all()
-            np.testing.assert_array_equal(z, stats(Y0).project(vector))
-        np.testing.assert_array_equal(first, stats(Y0).project(eta))
-        # a strict subset is gathered again, with the bits of a fresh gather
-        Y[:] = Y0
-        sub = np.zeros(self.SHAPE[1])
-        sub[[4, 250]] = [1.5, -0.5]
-        np.testing.assert_array_equal(s.project(sub), stats(Y0).project(sub))
-        assert s._kept[0].tolist() == [4, 250]
-
-    def test_support_outside_the_block_gathers_again(self, gather):
-        rng = np.random.default_rng(16)
-        Y = rng.normal(size=self.SHAPE) + 1e4 * rng.uniform(-1.0, 1.0, size=self.SHAPE[1])
-        s = series_stats(Y)
-        bound = 1e-13 * np.max(np.abs(Y))
-        for cols in ([3, 250], [3, 251], [3, 250, 399], [4, 251]):
-            eta = np.zeros(self.SHAPE[1])
-            eta[cols] = rng.normal(size=len(cols))
-            np.testing.assert_allclose(s.project(eta), Y @ eta, rtol=0,
-                                       atol=bound * np.sum(np.abs(eta)))
-            assert s._kept[0].tolist() == cols
-
-    @pytest.mark.parametrize("length", [1, 399, 401])
-    def test_length_mismatch_rejected(self, length):
-        s = series_stats(np.ones(self.SHAPE))
-        eta = np.zeros(length)
-        eta[0] = 1.0  # a support the gather could read
-        with pytest.raises(ValueError):
-            s.project(eta)
-
-
-_RNG = np.random.default_rng(17)
-_WIDE = _RNG.normal(size=(24, 80)) + 1e4 * _RNG.uniform(-1.0, 1.0, size=80)
-# Series whose gather is chunked when the chunk is 4 rows and the floor 0,
-# each with the support to gather and whether its statistics are centred.
-CHUNKED = {
-    "C-ordered": (_WIDE, [1, 8, 9, 33], False),
-    "Fortran-ordered": (np.asfortranarray(_WIDE), [1, 8, 9, 33], False),
-    "column-strided view": (_WIDE[:, ::2], [0, 5, 39], False),
-    "row-strided view": (_WIDE[::2], [2, 3, 70], False),
-    "centred statistics": (_WIDE, [1, 8, 9, 33], True),
-    "T a multiple of the chunk": (_WIDE[:20], [4, 17], False),
-    "T ragged": (_WIDE[:23], [4, 17], False),
-    "empty support": (_WIDE, [], False),
-    "one column": (_WIDE, [9], False),
+S5 = [3, 4, 17, 250, 251]
+# Each series' projections: (shape, layout, column offset, centred, rows per
+# gather chunk (None: the defaults; else with the floor 0, so any T over it
+# chunks), [(support, path), ...]).  The path is "dense" (Y @ eta),
+# "gather" (Y[:, S] @ eta[S], keeping Y[:, S]), "kept" (the kept block) or,
+# for a vector whose length, given in place of the support, is not p, "refused".
+PROJECTIONS = {
+    **{f"300x400, {layout}, supports of 0, 1, 5 and 400 columns{note}":
+       ((300, 400), layout, 1e4, centred, None,
+        [([], "gather"), ([17], "gather"), ([3, 50, 128, 260, 399], "gather"), (range(400), "dense")])
+       for layout, centred, note in [("C", False, ""), ("C", True, ", centred"), ("F", True, ", centred")]},
+    # the kept block serves its own support only: a strict subset is gathered again
+    **{f"300x400, a kept block{note}{'' if chunk is None else ', 4-row chunks'}":
+       ((300, 400), "C", 1e4, centred, chunk,
+        [(S5, "gather"), (S5, "kept"), (S5, "kept"), ([4, 250], "gather"), ([4, 250], "kept")])
+       for centred, note in [(False, ""), (True, ", centred")] for chunk in (None, 4)},
+    **{f"300x400, supports outside the kept block{'' if chunk is None else ', 4-row chunks'}":
+       ((300, 400), "C", 1e4, False, chunk,
+        [([3, 250], "gather"), ([3, 251], "gather"), ([3, 250, 399], "gather"), ([4, 251], "gather")])
+       for chunk in (None, 4)},
+    # 25 cache lines a row: 11 columns in 3 lines, 16 in 16, 9 in 9, and 56
+    # in 7, more than p / 4 columns
+    "4000x200, centred, the gather rule counts cache lines":
+        ((4000, 200), "C", 1e4, True, None,
+         [([*range(10), 77], "gather"), (range(0, 128, 8), "dense"), (range(0, 72, 8), "gather"),
+          (range(56), "dense")]),
+    # 2^21 elements over _CHUNK rows: gathered in row chunks of the default size
+    "4000x500, row chunks": ((4000, 500), "C", 0.0, False, None,
+                             [([0, 7, 8, 300, 499], "gather"), ([0, 7, 8, 300, 499], "kept")]),
+    "300x400, vectors of other lengths": ((300, 400), "C", 0.0, False, None,
+                                          [(1, "refused"), (399, "refused"), (401, "refused")]),
+    **{f"{T}x{p}, 4-row chunks, {note}": ((T, p), layout, 1e4, centred, 4, [(S, "gather"), (S, "kept")])
+       for note, (T, p), layout, centred, S in [
+           ("C", (24, 80), "C", False, [1, 8, 9, 33]),
+           ("F", (24, 80), "F", False, [1, 8, 9, 33]),
+           ("column view", (24, 40), "column view", False, [0, 5, 39]),
+           ("row view", (12, 80), "row view", False, [2, 3, 70]),
+           ("centred", (24, 80), "C", True, [1, 8, 9, 33]),
+           ("T a multiple of the chunk", (20, 80), "C", False, [4, 17]),
+           ("T ragged", (23, 80), "C", False, [4, 17]),
+           ("empty support", (24, 80), "C", False, []),
+           ("one column", (24, 80), "C", False, [9]),
+       ]},
 }
 
 
-class TestChunkedGather:
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(core, "_CHUNK", 4)
-        monkeypatch.setattr(core, "_THREAD_MIN", 0)
-
-    @pytest.mark.parametrize("Y, support, center", CHUNKED.values(), ids=CHUNKED)
-    def test_block_and_projection_have_the_one_shot_bits(self, Y, support, center, monkeypatch):
-        cols = np.array(support, dtype=np.intp)
-        block, one_shot = core._gather(Y, cols), Y[:, cols]
-        assert block.strides == one_shot.strides
-        assert block.tobytes(order="F") == one_shot.tobytes(order="F")
-        eta = np.zeros(Y.shape[1])
-        eta[cols] = np.random.default_rng(18).normal(size=cols.size)
-
-        def projection():
-            s = series_stats(Y)
-            s = core._centered(s) if center else s
-            z = s.project(eta)
-            assert s._kept[0].tolist() == support  # project gathered
-            return z
-
-        z = projection()
-        monkeypatch.setattr(core, "_THREAD_MIN", 1 << 62)  # the one-shot gather
-        assert z.tobytes() == projection().tobytes()
-
-    def test_holds_the_block_and_one_chunk(self, monkeypatch):
-        monkeypatch.undo()  # the real chunk and floor
-        T, p = 4000, 300  # 2^20 elements and more, over _CHUNK rows
-        Y = np.random.default_rng(19).normal(size=(T, p))
-        cols = np.array([0, 7, 8, 150, 299])
-        tracemalloc.start()
-        try:
-            block = core._gather(Y, cols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(block, Y[:, cols])
-        # no T x p temporary, and at most 8 KiB besides the block and one chunk
-        assert 8 * T * cols.size <= peak <= 8 * (T + core._CHUNK) * cols.size + 8192
+class TestSeriesStatsProject:
+    @pytest.mark.parametrize("name", PROJECTIONS)
+    def test_each_projection_has_the_bits_of_its_path(self, monkeypatch, name):
+        shape, layout, offset, centred, chunk, projections = PROJECTIONS[name]
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+            monkeypatch.setattr(core, "_THREAD_MIN", 0)
+        Y = _series(list(PROJECTIONS).index(name), shape, layout, offset)
+        T, p = Y.shape
+        s = core._centered(series_stats(Y)) if centred else series_stats(Y)
+        rng = np.random.default_rng(0)
+        for support, path in projections:
+            if path == "refused":
+                eta = np.zeros(support)
+                eta[0] = 1.0  # a support the gather could read
+                with pytest.raises(ValueError, match=r"projection vector has shape"):
+                    s.project(eta)
+                continue
+            cols = np.array(support, dtype=np.intp)
+            eta = np.zeros(p)
+            eta[cols] = rng.normal(size=cols.size)
+            expect = Y @ eta if path == "dense" else Y[:, cols] @ eta[cols]
+            if centred:
+                expect -= s.offset @ eta
+            unread = {"dense": [], "gather": np.setdiff1d(np.arange(p), cols), "kept": slice(None)}[path]
+            saved, kept = Y[:, unread].copy(), s._kept
+            Y[:, unread] = np.nan  # the columns the path must not read
+            tracemalloc.start()
+            try:
+                z = s.project(eta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            Y[:, unread] = saved
+            assert z.tobytes() == expect.tobytes(), (support, path)
+            slack = 24 * cols.size + 8192  # index arrays of |S| entries, array headers
+            if path == "gather":
+                one_shot = Y[:, cols]
+                assert s._kept[0].tolist() == cols.tolist()
+                assert s._kept[1].strides == one_shot.strides
+                assert s._kept[1].tobytes(order="F") == one_shot.tobytes(order="F")
+                # the block, then one row chunk of it or the output
+                block = 8 * T * cols.size
+                assert block + 8 * T <= peak <= block + 8 * max(T, core._CHUNK * cols.size) + slack
+            else:
+                assert s._kept is kept
+                assert peak <= 8 * T + slack  # the output alone
 
 
 class TestChangePointEstimate:

@@ -1,5 +1,5 @@
-"""tools/same_bits.py: the exact text of a value, and the report of the runs
-that moved between two trees."""
+"""tools/same_bits.py: the exact text of a value, the report of the runs
+that moved between two trees, and each tree's accuracy."""
 
 import importlib.util
 from pathlib import Path
@@ -73,3 +73,37 @@ def test_text_tells_apart_the_last_bit_and_the_dtype():
     assert len(texts) == 3
     # the same bytes in another dtype and shape
     assert same_bits._text(np.zeros(2, np.float32)) != same_bits._text(np.zeros(1))
+
+
+# k0 = int(T tau0): 20, 40, 244 (350 * 0.7 is 244.99999999999997) and 80; none at tau0 = 1
+RUNS = [
+    ("100x500 0.2 0 0.0 False None", {"changed": "True", "k_tilde": "20"}),
+    ("100x500 0.4 0 0.0 False None", {"changed": "True", "k_tilde": "42"}),
+    ("350x500 0.7 0 0.0 False None", {"changed": "True", "k_tilde": "240"}),
+    ("100x500 0.8 0 0.0 False None", {"changed": "False", "k_tilde": "None"}),
+    ("100x500 0.2 1 0.0 True 0.0", {"error": "'ValueError: bad'"}),
+    ("100x500 1.0 0 0.0 True 0.0", {"changed": "False", "k_tilde": "None"}),
+    ("100x500 1.0 1 0.0 True 0.0", {"changed": "True", "k_tilde": "57"}),
+]
+ACCURACY = ["  correct calls: 4 of 7", "  false alarms: 1 of 2", "  exact k_tilde: 1 of 5",
+            "  k_tilde within 2 rows: 2 of 5", "  mean |k_tilde - k0|: 2 over 3 runs"]
+
+
+def test_accuracy_scores_the_calls_and_splits_against_the_true_split():
+    assert same_bits.accuracy(RUNS) == ACCURACY
+    assert same_bits.accuracy(RUNS[3:6])[2:] == [
+        "  exact k_tilde: 0 of 2", "  k_tilde within 2 rows: 0 of 2",
+        "  mean |k_tilde - k0|: no run located a split"]
+
+
+def test_trees_that_differ_print_each_trees_accuracy(monkeypatch, capsys):
+    change = RUNS[:-1] + [("100x500 1.0 1 0.0 True 0.0", {"changed": "False", "k_tilde": "None"})]
+    trees = {"base": ("1" * 64, RUNS), "change": ("2" * 64, change)}
+    monkeypatch.setattr(same_bits, "tree_runs", trees.get)
+    assert same_bits.main(["base", "change"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("accuracy of base against k0 = int(T tau0), no split at tau0 = 1:")
+    assert out[at + 1 : at + 6] == ACCURACY
+    assert out[at + 6] == "accuracy of change against k0 = int(T tau0), no split at tau0 = 1:"
+    assert out[at + 7 : at + 9] == ["  correct calls: 5 of 7", "  false alarms: 0 of 2"]
+    assert out[at + 9 :] == ACCURACY[2:] + ["bits differ"]

@@ -275,11 +275,17 @@ class TestRunMonteCarlo:
 
         sizes = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(core, "_cpu_count", lambda: 4)
         cfg = SimConfig(T=40, p=10, s=2, tau0=0.5, reps=3, seed=8)
         pooled = run_monte_carlo(cfg, estimator="pls", n_jobs=64)
         run_monte_carlo(SimConfig(T=40, p=10, s=2, tau0=0.5, reps=5, seed=8), "pls", n_jobs=2)
-        assert sizes == [3, 2]
+        # nor more than there are CPUs
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+        eight = SimConfig(T=40, p=10, s=2, tau0=0.5, reps=8, seed=8)
+        capped = run_monte_carlo(eight, estimator="pls", n_jobs=64)
+        assert sizes == [3, 2, 2]
         assert pooled.per_rep_records == run_monte_carlo(cfg, estimator="pls").per_rep_records
+        assert capped.per_rep_records == run_monte_carlo(eight, estimator="pls").per_rep_records
 
     def test_replications_leave_scipy_unloaded(self):
         code = ("import sys; from cpinfer.simbench import SimConfig, run_monte_carlo; "

@@ -17,7 +17,8 @@ prints each tree's hash and exits 1 when they differ, and 2 when it cannot
 hash a tree.  When they differ it also prints, for each ``record()`` field,
 interval and profile, how many runs moved, then how many moved in each grid
 group (shape, offset, ``center`` and gamma) where any did, then the first
-five moved runs with the base and change values.
+five moved runs with the base and change values, then each tree's accuracy
+against the true split (``accuracy``).
 """
 
 from __future__ import annotations
@@ -130,6 +131,33 @@ def moved(base: list, change: list, shown: int = 5) -> list[str]:
             + [f"first {len(lines)} moved runs (base -> change):"] + lines)
 
 
+def accuracy(runs: list) -> list[str]:
+    """The lines that score one tree's runs against the grid's true split
+    k0 = int(T tau0), read from each run's key, with no split at tau0 = 1:
+    the correct calls (``changed`` true exactly when there is a split), the
+    false alarms among the runs with no split and, among those with one, the
+    runs whose ``k_tilde`` is k0, those within 2 rows of it, and the mean
+    |k_tilde - k0| over the runs that located a split.  A run that raised
+    makes no call and locates nothing."""
+    calls = alarms = nulls = 0
+    dist = []  # |k_tilde - k0| of each run that located a split
+    for key, run in runs:
+        shape, tau0 = key.split()[:2]
+        split = float(tau0) < 1.0
+        calls += run.get("changed") == repr(split)
+        if not split:
+            nulls += 1
+            alarms += run.get("changed") == "True"
+        elif run.get("k_tilde", "None") != "None":
+            dist.append(abs(int(run["k_tilde"]) - int(int(shape.split("x")[0]) * float(tau0))))
+    shifted = len(runs) - nulls
+    mean = f"{sum(dist) / len(dist):.4g} over {len(dist)} runs" if dist else "no run located a split"
+    return [f"  correct calls: {calls} of {len(runs)}", f"  false alarms: {alarms} of {nulls}",
+            f"  exact k_tilde: {dist.count(0)} of {shifted}",
+            f"  k_tilde within 2 rows: {sum(d <= 2 for d in dist)} of {shifted}",
+            f"  mean |k_tilde - k0|: {mean}"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--runs":
         import cpinfer
@@ -153,6 +181,9 @@ def main(argv: list[str]) -> int:
         print("same bits")
         return 0
     print("\n".join(moved(base, change)))
+    for tree, runs in zip(argv, (base, change)):
+        print(f"accuracy of {tree} against k0 = int(T tau0), no split at tau0 = 1:")
+        print("\n".join(accuracy(runs)))
     print("bits differ")
     return 1
 
