@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -152,14 +153,15 @@ class TestLossPd:
         with pytest.raises(ValueError, match=r"expected \(50,\)"):
             loss_profile_pd(Y, np.ones(shape1), np.zeros(shape2))
 
-def _series(seed, shape, layout="C", offset=0.0):
+def _series(name, shape, layout="C", offset=0.0):
     """A T x p normal series plus ``offset`` linspace(-1, 1, p) in each row,
     laid out "C", "F", or as a "row view" or "column view": every 2nd row or
     column of a larger one, one stride for every element (a view, where
-    ravel copies).  The offset is added in place, so the layout stays."""
+    ravel copies).  The offset is added in place, so the layout stays.  The
+    seed is the CRC of the row's ``name``: no row's data hangs on another's."""
     T, p = shape
     step_t, step_p = {"row view": (2, 1), "column view": (1, 2)}.get(layout, (1, 1))
-    Y = np.random.default_rng(seed).normal(size=(T * step_t, p * step_p))[::step_t, ::step_p]
+    Y = np.random.default_rng(zlib.crc32(name.encode())).normal(size=(T * step_t, p * step_p))[::step_t, ::step_p]
     if layout == "F":
         Y = np.asfortranarray(Y)
     Y += offset * np.linspace(-1.0, 1.0, p)
@@ -320,8 +322,8 @@ class TestThreadedPass:
         """``series_stats(Y)`` on one thread beside a threaded BLAS, then on
         two, with warnings as errors: the ValueError ``outcome``, or for "ok"
         the bits of ``block_loop``, ``exact_ss`` within 1e-12, and fsum's
-        centre and segment means at the block edges within 1.5e-15 max|Y|
-        (up to 32 blocks).
+        centre and segment means within 1.5e-15 max|Y| (up to 32 blocks), at
+        every split up to 32 rows and at the block edges past that.
         On two threads a helper takes each of ``block_loop``'s reads when
         there are two groups or more; beside the block sums, a pass that
         reads C-ordered Y once in blocks of 16 rows or more (the default
@@ -342,7 +344,8 @@ class TestThreadedPass:
             # the pass adds the block sums one by one: past 32 blocks (300 in
             # the fast-switch test) their roundings grow with the count
             bound = 1.5e-15 * max(1.0, nb / 32) * np.max(np.abs(Y))
-            edges = {1, rows - 1, rows, rows + 1, bounds[-2], T // 2, T - 1} & set(range(1, T))
+            splits = set(range(1, T))
+            edges = splits if T <= 32 else {1, rows - 1, rows, rows + 1, bounds[-2], T // 2, T - 1} & splits
             segments = {k: (mean(0, k), mean(k, T)) for k in edges}
         for on in (False, True):
             self.threads(monkeypatch, on)
@@ -378,7 +381,7 @@ class TestThreadedPass:
         shape, layout, offset, entries, constants, outcome = PASSES[name]
         for constant, value in constants.items():
             monkeypatch.setattr(core, constant, value)
-        Y = _series(list(PASSES).index(name), shape, layout, offset)
+        Y = _series(name, shape, layout, offset)
         for where, value in entries:
             Y[where] += value
         self.check_pass(monkeypatch, Y, outcome)
@@ -545,7 +548,7 @@ class TestSeriesStatsProject:
         if chunk is not None:
             monkeypatch.setattr(core, "_CHUNK", chunk)
             monkeypatch.setattr(core, "_THREAD_MIN", 0)
-        Y = _series(list(PROJECTIONS).index(name), shape, layout, offset)
+        Y = _series(name, shape, layout, offset)
         T, p = Y.shape
         s = core._centered(series_stats(Y)) if centred else series_stats(Y)
         rng = np.random.default_rng(0)
@@ -579,9 +582,11 @@ class TestSeriesStatsProject:
                 assert s._kept[0].tolist() == cols.tolist()
                 assert s._kept[1].strides == one_shot.strides
                 assert s._kept[1].tobytes(order="F") == one_shot.tobytes(order="F")
-                # the block, then one row chunk of it or the output
-                block = 8 * T * cols.size
-                assert block + 8 * T <= peak <= block + 8 * max(T, core._CHUNK * cols.size) + slack
+                # the block, then one row chunk of it or the output; a one-shot
+                # gather holds no chunk, and its slack is 8p bytes
+                chunked = T > core._CHUNK and Y.size >= core._THREAD_MIN
+                held = 8 * T * cols.size + 8 * (max(T, core._CHUNK * cols.size) if chunked else T)
+                assert held <= peak <= held + (slack if chunked else 8 * p)
             else:
                 assert s._kept is kept
                 assert peak <= 8 * T + slack  # the output alone
